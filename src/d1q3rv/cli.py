@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -125,16 +124,11 @@ def _scan_outputs(base: str, count: int):
 
 
 def cmd_region(args) -> int:
-    spec = regionscan.ScanSpec(V=args.V, u_list=args.u_list,
-                               s_points=args.grid, s_prime_points=args.grid)
-    workers = int(os.environ.get("D1Q3_THREADS", "0")) or min(len(spec.u_list), os.cpu_count() or 1)
-    if len(spec.u_list) > 1 and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            grids = list(pool.map(lambda u: regionscan.scan(
-                regionscan.ScanSpec(V=spec.V, u_list=(u,), s_points=spec.s_points,
-                                    s_prime_points=spec.s_prime_points))[0], spec.u_list))
-    else:
-        grids = regionscan.scan(spec)
+    if args.grid < 2:
+        print(f"error: --grid must be at least 2, got {args.grid}", file=sys.stderr)
+        return 2
+    grids = regionscan.scan(regionscan.ScanSpec(V=args.V, u_list=args.u_list,
+                                                s_points=args.grid, s_prime_points=args.grid))
     try:
         csv_paths = _scan_outputs(args.out_csv, len(grids)) if args.out_csv else []
         svg_paths = _scan_outputs(args.out_svg, len(grids)) if args.out_svg else []

@@ -64,15 +64,6 @@ class ScanSpec:
 
 
 @dataclass(frozen=True)
-class RegionCell:
-    s: float
-    s_prime: float
-    classification: str
-    gamma_lower: float = None
-    gamma_upper: float = None
-
-
-@dataclass(frozen=True)
 class RegionGrid:
     """Classified grid for one (V, u) pair.
 
@@ -94,18 +85,6 @@ class RegionGrid:
 
     def count(self, name: str) -> int:
         return int(np.sum(self.codes == _CLASS_CODES[name]))
-
-    def cells(self):
-        """Yield RegionCell values in s-major order (s outer, s' inner)."""
-        for i, s in enumerate(self.s_values):
-            for j, sp in enumerate(self.s_prime_values):
-                name = _CLASS_NAMES[self.codes[i, j]]
-                if name == FEASIBLE:
-                    yield RegionCell(float(s), float(sp), name,
-                                     float(self.gamma_lower[i, j]),
-                                     float(self.gamma_upper[i, j]))
-                else:
-                    yield RegionCell(float(s), float(sp), name)
 
 
 def _classify(V, u, S, SP, tol):
@@ -141,6 +120,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _fmt_all(a) -> np.ndarray:
+    """Object array of each value as _fmt writes it ('%.17g' is the same format)."""
+    return np.char.mod("%.17g", np.asarray(a, float)).astype(object)
+
+
 def emit_csv(grid: RegionGrid, out) -> None:
     """Write one grid as CSV (s-major row order, 17 significant digits).
 
@@ -152,51 +136,60 @@ def emit_csv(grid: RegionGrid, out) -> None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             emit_csv(grid, fh)
         return
+    tails = np.array([f"{name},,\n" for name in _CLASS_NAMES], dtype=object)[grid.codes]
+    feasible = grid.codes == _CLASS_CODES[FEASIBLE]
+    tails[feasible] = (FEASIBLE + "," + _fmt_all(grid.gamma_lower[feasible]) + ","
+                       + _fmt_all(grid.gamma_upper[feasible]) + "\n")
+    heads = _fmt(grid.V) + "," + _fmt(grid.u) + "," + _fmt_all(grid.s_values) + ","
+    lines = heads[:, None] + (_fmt_all(grid.s_prime_values) + ",")[None, :] + tails
     out.write(CSV_HEADER + "\n")
-    head = _fmt(grid.V) + "," + _fmt(grid.u) + ","
-    for cell in grid.cells():
-        if cell.classification == FEASIBLE:
-            tail = f"{cell.classification},{_fmt(cell.gamma_lower)},{_fmt(cell.gamma_upper)}"
-        else:
-            tail = f"{cell.classification},,"
-        out.write(head + _fmt(cell.s) + "," + _fmt(cell.s_prime) + "," + tail + "\n")
+    out.write("".join(lines.ravel()))
 
 
 def parse_csv(source) -> RegionGrid:
-    """Read back a grid written by emit_csv (exact round trip)."""
+    """Read back a grid written by emit_csv (exact round trip).
+
+    Lines are split on whitespace, which no field contains.  Raises
+    ValueError on empty input, a wrong header, no rows, or malformed rows.
+    """
     if not hasattr(source, "read"):
         with open(source, "r", encoding="utf-8") as fh:
             return parse_csv(fh)
-    lines = [ln.strip() for ln in source if ln.strip()]
+    lines = source.read().split()
+    if not lines:
+        raise ValueError("empty region CSV: no header")
     if lines[0] != CSV_HEADER:
         raise ValueError(f"unrecognized CSV header: {lines[0]!r}")
-    rows = [ln.split(",") for ln in lines[1:]]
-    V, u = float(rows[0][0]), float(rows[0][1])
-    s_vals = sorted({float(r[2]) for r in rows})
-    sp_vals = sorted({float(r[3]) for r in rows})
-    index_s = {v: i for i, v in enumerate(s_vals)}
-    index_sp = {v: j for j, v in enumerate(sp_vals)}
+    if len(lines) == 1:
+        raise ValueError("region CSV has a header but no rows")
+    n_fields = CSV_HEADER.count(",") + 1
+    fields = ",".join(lines[1:]).split(",")
+    if len(fields) != n_fields * (len(lines) - 1):
+        raise ValueError(f"region CSV rows must have {n_fields} fields")
+    V, u, s, sp, names, lower, upper = (fields[k::n_fields] for k in range(n_fields))
+    try:
+        flat_codes = np.fromiter(map(_CLASS_CODES.__getitem__, names), np.int8, len(names))
+    except KeyError as exc:
+        raise ValueError(f"unknown region class {exc.args[0]!r}") from None
+    s_vals, i = np.unique(np.array(s, float), return_inverse=True)
+    sp_vals, j = np.unique(np.array(sp, float), return_inverse=True)
     shape = (len(s_vals), len(sp_vals))
     codes = np.zeros(shape, np.int8)
+    codes[i, j] = flat_codes
+    feasible = flat_codes == _CLASS_CODES[FEASIBLE]
     glo = np.full(shape, np.nan)
     ghi = np.full(shape, np.nan)
-    for r in rows:
-        i, j = index_s[float(r[2])], index_sp[float(r[3])]
-        codes[i, j] = _CLASS_CODES[r[4]]
-        if r[4] == FEASIBLE:
-            glo[i, j] = float(r[5])
-            ghi[i, j] = float(r[6])
-    return RegionGrid(V=V, u=u, s_values=np.array(s_vals), s_prime_values=np.array(sp_vals),
+    glo[i[feasible], j[feasible]] = np.array(lower, object)[feasible].astype(float)
+    ghi[i[feasible], j[feasible]] = np.array(upper, object)[feasible].astype(float)
+    return RegionGrid(V=float(V[0]), u=float(u[0]), s_values=s_vals, s_prime_values=sp_vals,
                       codes=codes, gamma_lower=glo, gamma_upper=ghi)
 
 
-@dataclass(frozen=True)
-class SvgStyle:
-    width: int = 480
-    height: int = 480
-    margin: int = 48
-    fill: str = "#b0b0b0"
-    boundary: str = "#303030"
+# SVG geometry and colours, in pixels
+SVG_SIZE = 480
+SVG_MARGIN = 48
+FEASIBLE_FILL = "#b0b0b0"
+BOUNDARY_STROKE = "#303030"
 
 
 def _merge_rectangles(mask: np.ndarray):
@@ -231,28 +224,25 @@ def _merge_rectangles(mask: np.ndarray):
     return sorted(rects)
 
 
-def _boundary_segments(mask: np.ndarray):
+# (ia, ja, ib, jb) of the edge of cell (0, 0) toward i-1, i+1, j-1 and j+1
+_SIDE_EDGES = np.array([[-0.5, -0.5, -0.5, 0.5], [0.5, -0.5, 0.5, 0.5],
+                        [-0.5, -0.5, 0.5, -0.5], [-0.5, 0.5, 0.5, 0.5]])
+
+
+def _boundary_segments(mask: np.ndarray) -> np.ndarray:
     """Unit edges separating True cells from False/off-grid neighbors.
 
-    Returned in half-step cell-index coordinates: each segment is
-    ((i0, j0), (i1, j1)) on the dual lattice bounding cell (i, j) between
-    i +- 1/2 and j +- 1/2.
+    Returned as rows (ia, ja, ib, jb) in half-step cell-index coordinates:
+    each row is the segment from (ia, ja) to (ib, jb) on the dual lattice
+    bounding cell (i, j) between i +- 1/2 and j +- 1/2.  Cells come in
+    row-major order, and a cell's edges in the order of _SIDE_EDGES.
     """
-    segs = []
-    ni, nj = mask.shape
-    for i in range(ni):
-        for j in range(nj):
-            if not mask[i, j]:
-                continue
-            if i == 0 or not mask[i - 1, j]:
-                segs.append(((i - 0.5, j - 0.5), (i - 0.5, j + 0.5)))
-            if i == ni - 1 or not mask[i + 1, j]:
-                segs.append(((i + 0.5, j - 0.5), (i + 0.5, j + 0.5)))
-            if j == 0 or not mask[i, j - 1]:
-                segs.append(((i - 0.5, j - 0.5), (i + 0.5, j - 0.5)))
-            if j == nj - 1 or not mask[i, j + 1]:
-                segs.append(((i - 0.5, j + 0.5), (i + 0.5, j + 0.5)))
-    return segs
+    padded = np.pad(mask, 1)
+    inner = padded[1:-1, 1:-1]
+    open_side = np.stack([inner & ~padded[:-2, 1:-1], inner & ~padded[2:, 1:-1],
+                          inner & ~padded[1:-1, :-2], inner & ~padded[1:-1, 2:]], axis=-1)
+    i, j, side = np.nonzero(open_side)
+    return np.column_stack([i, j, i, j]) + _SIDE_EDGES[side]
 
 
 def _ticks(lo: float, hi: float):
@@ -261,7 +251,7 @@ def _ticks(lo: float, hi: float):
     return [round(v, 6) for v in t]
 
 
-def emit_svg(grid: RegionGrid, out, style: SvgStyle = None) -> None:
+def emit_svg(grid: RegionGrid, out) -> None:
     """Render one grid to a static SVG.
 
     FEASIBLE cells are drawn as merged gray rectangles; the boundary of the
@@ -270,9 +260,8 @@ def emit_svg(grid: RegionGrid, out, style: SvgStyle = None) -> None:
     """
     if not hasattr(out, "write"):
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            emit_svg(grid, fh, style)
+            emit_svg(grid, fh)
         return
-    st = style or SvgStyle()
     s = grid.s_values
     sp = grid.s_prime_values
     ds = (s[-1] - s[0]) / (len(s) - 1)
@@ -280,22 +269,21 @@ def emit_svg(grid: RegionGrid, out, style: SvgStyle = None) -> None:
     # plot window covers cell footprints (half a cell beyond the end values)
     x0, x1 = s[0] - ds / 2, s[-1] + ds / 2
     y0, y1 = sp[0] - dsp / 2, sp[-1] + dsp / 2
-    W = st.width - 2 * st.margin
-    H = st.height - 2 * st.margin
+    W = H = SVG_SIZE - 2 * SVG_MARGIN
 
     def px(sv):
-        return st.margin + (sv - x0) / (x1 - x0) * W
+        return SVG_MARGIN + (sv - x0) / (x1 - x0) * W
 
     def py(spv):
-        return st.margin + (y1 - spv) / (y1 - y0) * H
+        return SVG_MARGIN + (y1 - spv) / (y1 - y0) * H
 
     buf = io.StringIO()
     buf.write('<?xml version="1.0" encoding="UTF-8"?>\n')
     buf.write(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-              f'width="{st.width}" height="{st.height}" '
-              f'viewBox="0 0 {st.width} {st.height}">\n')
-    buf.write(f'<rect x="0" y="0" width="{st.width}" height="{st.height}" fill="white"/>\n')
-    buf.write(f'<text x="{st.width / 2:.1f}" y="{st.margin / 2:.1f}" text-anchor="middle" '
+              f'width="{SVG_SIZE}" height="{SVG_SIZE}" '
+              f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n')
+    buf.write(f'<rect x="0" y="0" width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>\n')
+    buf.write(f'<text x="{SVG_SIZE / 2:.1f}" y="{SVG_MARGIN / 2:.1f}" text-anchor="middle" '
               f'font-size="13">V = {grid.V:g}, u = {grid.u:g}</text>\n')
 
     feasible = grid.codes == _CLASS_CODES[FEASIBLE]
@@ -305,16 +293,16 @@ def emit_svg(grid: RegionGrid, out, style: SvgStyle = None) -> None:
         rw = px(s[i1] + ds / 2) - rx
         rh = py(sp[j0] - dsp / 2) - ry
         buf.write(f'<rect x="{rx:.2f}" y="{ry:.2f}" width="{rw:.2f}" height="{rh:.2f}" '
-                  f'fill="{st.fill}" stroke="none"/>\n')
+                  f'fill="{FEASIBLE_FILL}" stroke="none"/>\n')
 
     necessary = grid.codes >= _CLASS_CODES[NECESSARY_ONLY]
     if necessary.any():
-        path = []
-        for (ia, ja), (ib, jb) in _boundary_segments(necessary):
-            xa, ya = px(s[0] + ia * ds), py(sp[0] + ja * dsp)
-            xb, yb = px(s[0] + ib * ds), py(sp[0] + jb * dsp)
-            path.append(f"M {xa:.2f} {ya:.2f} L {xb:.2f} {yb:.2f}")
-        buf.write(f'<path d="{" ".join(path)}" stroke="{st.boundary}" stroke-width="1" '
+        ia, ja, ib, jb = _boundary_segments(necessary).T
+        xa, ya, xb, yb = (np.char.mod("%.2f", v).astype(object)
+                          for v in (px(s[0] + ia * ds), py(sp[0] + ja * dsp),
+                                    px(s[0] + ib * ds), py(sp[0] + jb * dsp)))
+        path = " ".join("M " + xa + " " + ya + " L " + xb + " " + yb)
+        buf.write(f'<path d="{path}" stroke="{BOUNDARY_STROKE}" stroke-width="1" '
                   f'stroke-dasharray="2,3" fill="none"/>\n')
 
     # axes with ticks and labels

@@ -55,24 +55,53 @@ def mats_close(a, b, tol: float = TAU_MAT) -> bool:
     return bool(np.max(np.abs(np.asarray(a, float) - np.asarray(b, float))) <= tol)
 
 
+def _stack(rows) -> np.ndarray:
+    """3x3 matrix from nested rows of equally shaped entries.
+
+    0-d entries give shape (3, 3); entries of shape B give B + (3, 3).  The
+    builders below take o and z, the ones and zeros of that shape.
+    """
+    a = np.array(rows, dtype=float)
+    return a if a.ndim == 2 else np.moveaxis(a, (0, 1), (-2, -1))
+
+
+def _M(lam, o, z):
+    l2 = lam**2
+    return _stack([[o, o, o], [-lam, z, lam], [l2, -2.0 * l2, l2]])
+
+
+def _M_inv(lam, o, z):
+    a, b, c = o / 3.0, 1.0 / (2.0 * lam), 1.0 / (6.0 * lam**2)
+    return _stack([[a, -b, c], [a, z, -2.0 * c], [a, b, c]])
+
+
+def _T(u, lam, o, z):
+    """T(u); its inverse is T(-u), since shifting by u and then by -u is the identity."""
+    return _stack([[o, z, z], [-lam * u, o, z], [3.0 * lam**2 * u**2, -6.0 * lam * u, o]])
+
+
+def _S(s, s_prime, z):
+    return _stack([[z, z, z], [z, s, z], [z, z, s_prime]])
+
+
+def _E(V, alpha, lam, o, z):
+    return _stack([[o, z, z], [V * lam, z, z], [alpha * lam**2, z, z]])
+
+
+def _relaxation_product(M_inv, T_inv, S, T, E, M) -> np.ndarray:
+    """R = M^-1 T^-1 (I + S (T E T^-1 - I)) T M, for single matrices or stacks."""
+    eye = np.eye(3)
+    return M_inv @ T_inv @ (eye + S @ (T @ E @ T_inv - eye)) @ T @ M
+
+
 def build_M(p: SchemeParameters) -> np.ndarray:
     """Moment matrix: rows evaluate 1, lam*X, lam^2*(3X^2-2) at the velocities."""
-    lam = p.lam
-    return np.array([
-        [1.0, 1.0, 1.0],
-        [-lam, 0.0, lam],
-        [lam**2, -2.0 * lam**2, lam**2],
-    ])
+    return _M(p.lam, 1.0, 0.0)
 
 
 def inverse_M(p: SchemeParameters) -> np.ndarray:
     """Closed-form inverse of the moment matrix (det M = 6 lam^3)."""
-    lam = p.lam
-    return np.array([
-        [1.0 / 3.0, -1.0 / (2.0 * lam), 1.0 / (6.0 * lam**2)],
-        [1.0 / 3.0, 0.0, -1.0 / (3.0 * lam**2)],
-        [1.0 / 3.0, 1.0 / (2.0 * lam), 1.0 / (6.0 * lam**2)],
-    ])
+    return _M_inv(p.lam, 1.0, 0.0)
 
 
 def build_T(p: SchemeParameters) -> np.ndarray:
@@ -80,27 +109,17 @@ def build_T(p: SchemeParameters) -> np.ndarray:
 
     Lower triangular with unit diagonal, hence invertible for any u.
     """
-    lam, u = p.lam, p.u
-    return np.array([
-        [1.0, 0.0, 0.0],
-        [-lam * u, 1.0, 0.0],
-        [3.0 * lam**2 * u**2, -6.0 * lam * u, 1.0],
-    ])
+    return _T(p.u, p.lam, 1.0, 0.0)
 
 
 def inverse_T(p: SchemeParameters) -> np.ndarray:
-    """Inverse of the shift matrix by forward substitution (unit lower triangular)."""
-    t = build_T(p)
-    inv = np.zeros((3, 3))
-    for j in range(3):
-        for i in range(3):
-            inv[i, j] = (1.0 if i == j else 0.0) - t[i, :i] @ inv[:i, j]
-    return inv
+    """Closed-form inverse of the shift matrix: T(u)^-1 = T(-u)."""
+    return _T(-p.u, p.lam, 1.0, 0.0)
 
 
 def build_S(p: SchemeParameters) -> np.ndarray:
     """Diagonal relaxation rates: density is conserved, q and eps relax."""
-    return np.diag([0.0, p.s, p.s_prime])
+    return _S(p.s, p.s_prime, 0.0)
 
 
 def build_E(p: SchemeParameters) -> np.ndarray:
@@ -108,11 +127,7 @@ def build_E(p: SchemeParameters) -> np.ndarray:
 
     Only the first column is nonzero: equilibria depend on the density alone.
     """
-    E = np.zeros((3, 3))
-    E[0, 0] = 1.0
-    E[1, 0] = p.V * p.lam
-    E[2, 0] = p.alpha * p.lam**2
-    return E
+    return _E(p.V, p.alpha, p.lam, 1.0, 0.0)
 
 
 def build_relaxation_matrix(p: SchemeParameters) -> np.ndarray:
@@ -120,44 +135,24 @@ def build_relaxation_matrix(p: SchemeParameters) -> np.ndarray:
 
     Entries are independent of lam and each column sums to 1 (density
     conservation).  Non-negativity of all nine entries is the stability
-    notion studied by the stability module.
+    notion studied by the stability module.  This is the 0-d case of
+    relaxation_matrices.
     """
-    M = build_M(p)
-    T = build_T(p)
-    S = build_S(p)
-    E = build_E(p)
-    eye = np.eye(3)
-    return inverse_M(p) @ inverse_T(p) @ (eye + S @ (T @ E @ inverse_T(p) - eye)) @ T @ M
+    return relaxation_matrices(p.V, p.u, p.s, p.s_prime, p.alpha, p.lam)
 
 
 def relaxation_matrices(V, u, s, s_prime, alpha, lam=1.0) -> np.ndarray:
-    """Vectorized relaxation operators, shape broadcast(inputs) + (3, 3).
+    """Relaxation operators R, shape broadcast(inputs) + (3, 3).
 
-    Same construction as build_relaxation_matrix with the closed-form
-    inverses; used for parameter sweeps where per-tuple calls would dominate.
+    Scalar inputs give one (3, 3) matrix; arrays give a stack, built without
+    per-tuple Python calls.
     """
     V, u, s, sp, al, lam = np.broadcast_arrays(
         *(np.asarray(x, float) for x in (V, u, s, s_prime, alpha, lam))
     )
-    o = np.ones_like(V)
-    z = np.zeros_like(V)
-
-    def mat(rows):
-        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-
-    M = mat([[o, o, o], [-lam, z, lam], [lam**2, -2 * lam**2, lam**2]])
-    Minv = mat([
-        [o / 3, -1 / (2 * lam), 1 / (6 * lam**2)],
-        [o / 3, z, -1 / (3 * lam**2)],
-        [o / 3, 1 / (2 * lam), 1 / (6 * lam**2)],
-    ])
-    T = mat([[o, z, z], [-lam * u, o, z], [3 * lam**2 * u**2, -6 * lam * u, o]])
-    Tinv = mat([[o, z, z], [lam * u, o, z], [3 * lam**2 * u**2, 6 * lam * u, o]])
-    S = mat([[z, z, z], [z, s, z], [z, z, sp]])
-    E = mat([[o, z, z], [V * lam, z, z], [al * lam**2, z, z]])
-    eye = np.zeros_like(M)
-    eye[..., 0, 0] = eye[..., 1, 1] = eye[..., 2, 2] = 1.0
-    return Minv @ Tinv @ (eye + S @ (T @ E @ Tinv - eye)) @ T @ M
+    o, z = np.ones_like(V), np.zeros_like(V)
+    return _relaxation_product(_M_inv(lam, o, z), _T(-u, lam, o, z), _S(s, sp, z),
+                               _T(u, lam, o, z), _E(V, al, lam, o, z), _M(lam, o, z))
 
 
 def equilibrium_weights(p: SchemeParameters) -> np.ndarray:
@@ -233,13 +228,5 @@ def change_basis_relaxation_matrix(C, p: SchemeParameters) -> np.ndarray:
     """
     C = _check_moment_change(C)
     Cinv = np.linalg.inv(C)
-    M = build_M(p)
-    T = build_T(p)
-    S = build_S(p)
-    eye = np.eye(3)
-    Mh = C @ M
-    Mh_inv = inverse_M(p) @ Cinv
-    Th = C @ T @ Cinv
-    Th_inv = C @ inverse_T(p) @ Cinv
-    Eh = C @ build_E(p)
-    return Mh_inv @ Th_inv @ (eye + S @ (Th @ Eh @ Th_inv - eye)) @ Th @ Mh
+    return _relaxation_product(inverse_M(p) @ Cinv, C @ inverse_T(p) @ Cinv, build_S(p),
+                               C @ build_T(p) @ Cinv, C @ build_E(p), C @ build_M(p))

@@ -279,12 +279,11 @@ def write_snapshots_csv(snapshots, grid: Grid1D, out) -> None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             write_snapshots_csv(snapshots, grid, fh)
         return
-    x = grid.positions()
+    cell_x = (np.arange(grid.n_cells).astype(str).astype(object) + ","
+              + np.char.mod("%.17g", grid.positions()).astype(object) + ",")
     out.write(SNAPSHOT_CSV_HEADER + "\n")
     for st in snapshots:
-        rho = st.density()
-        for k in range(grid.n_cells):
-            f1, f2, f3 = st.f[k]
-            out.write(f"{st.step_count},{k},{format(x[k], '.17g')},"
-                      f"{format(f1, '.17g')},{format(f2, '.17g')},{format(f3, '.17g')},"
-                      f"{format(rho[k], '.17g')}\n")
+        values = np.column_stack([st.f, st.density()])
+        f1, f2, f3, rho = np.char.mod("%.17g", values).astype(object).T
+        lines = f"{st.step_count}," + cell_x + f1 + "," + f2 + "," + f3 + "," + rho + "\n"
+        out.write("".join(lines))

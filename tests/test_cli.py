@@ -108,6 +108,13 @@ def test_region_unwritable_sink_exits_3(tmp_path, capsys):
                  "--out-csv", str(target)]) == 3
 
 
+@pytest.mark.parametrize("grid", ["1", "0", "-5"])
+def test_region_grid_below_two_exits_2(grid, capsys):
+    assert main(["region", "--V", "0.5", "--grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--grid" in err
+
+
 def test_simulate_stdout_diagnostics(capsys):
     assert main(["simulate", "--V", "0.25", "--u", "0", "--s", "1", "--sp", "1",
                  "--alpha", "0", "--profile", "step", "--ncells", "50",

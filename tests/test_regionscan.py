@@ -1,8 +1,10 @@
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
+from d1q3rv.cli import main
 from d1q3rv.regionscan import (FEASIBLE, NECESSARY_ONLY, OUTSIDE, ScanSpec,
                                default_u_list, emit_csv, emit_svg, parse_csv, scan)
 from d1q3rv.stability import necessary_region, u_zero_region
@@ -109,6 +111,18 @@ def test_csv_round_trip_exact():
     assert np.array_equal(back.gamma_upper[ok], grid.gamma_upper[ok])
 
 
+@pytest.mark.parametrize("text", [
+    "",
+    "\n\n",
+    "V,u,s,s_prime,class,gamma_lower,gamma_upper\n",
+    "V,u,s,s_prime,class,gamma_lower,gamma_upper\n0.5,0,1,1,OUTSIDE,\n",
+    "V,u,s,s_prime,class,gamma_lower,gamma_upper\n0.5,0,1,1,UNKNOWN,,\n",
+])
+def test_parse_csv_rejects_empty_or_malformed_input(text):
+    with pytest.raises(ValueError):
+        parse_csv(io.StringIO(text))
+
+
 def test_csv_determinism():
     spec = small_spec(2 / 3, u_list=(1 / 3,), n=34)
     a, b = io.StringIO(), io.StringIO()
@@ -160,3 +174,31 @@ def test_area_estimate_converges_with_resolution():
         cell = (2.2 / (n - 1)) ** 2
         areas.append(grid.count(FEASIBLE) * cell)
     assert abs(areas[1] - areas[0]) / areas[1] < 0.01
+
+
+# sha256 of the files `d1q3rv region --V 2/3 --grid 41` writes, u0 .. u5
+REGION_41_CSV_SHA256 = (
+    "89eb1f924ee1d3e38c8b2b1b0addfa549deb0c593c9bee7c14eb534c8c6a6873",
+    "8fee23ef8355652373ccee01971db23dc933ad84a40f994bbd6a8c5afb94c1d5",
+    "399ead3bb4f5aa96e631738d3d419f2051c5509d6093839a242af0a0f726a855",
+    "a62ee076290374eb36fcd2343532e7dbb6ca746c42d35e0aff663a1cf545a5c0",
+    "0f27929a9d2c6c230c790a64789a009aa0076ed2e7a24fecda57a060f34b558c",
+    "50111f481af39652cecda9b956a986b85c7813217ab09b363913cbf9b2875a88",
+)
+REGION_41_SVG_SHA256 = (
+    "eda83b02b3483e5e6cece4c46dd22393200b6b111f8bd1313b634f80015ee0e1",
+    "6fe35d085a6ba5ea06bbb0228e0b944c4c892b8d1dc45543a63695421688cf72",
+    "fb4022389180aebe8d7ff2dcf03950758881f385b7e44eb3074454d7a46bdb40",
+    "3974c8617e31a81f9f66abd2eb49deb4aba6cd625f990c9dedc1a478b061f254",
+    "aa370b9f6ae23f99a0f87d2e3297538fa38a63f15088037075ecdd7a405fd785",
+    "7e15ad28735764478feaa83e82293d03bb425a468df0d9aa63c008b808e3220c",
+)
+
+
+def test_region_output_bytes_are_pinned(tmp_path, capsys):
+    assert main(["region", "--V", "2/3", "--grid", "41",
+                 "--out-csv", str(tmp_path / "r.csv"), "--out-svg", str(tmp_path / "r.svg")]) == 0
+    for i in range(6):
+        for suffix, digests in (("csv", REGION_41_CSV_SHA256), ("svg", REGION_41_SVG_SHA256)):
+            data = (tmp_path / f"r_u{i}.{suffix}").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digests[i], f"r_u{i}.{suffix}"

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from d1q3rv.scheme import (SchemeParameters, basis_commutator, build_E, build_M,
+from d1q3rv.scheme import (TAU_MAT, SchemeParameters, basis_commutator, build_E, build_M,
                            build_relaxation_matrix, build_S, build_T,
                            change_basis_relaxation_matrix, equilibrium_distributions,
                            equilibrium_weights, inverse_M, inverse_T, mats_close,
                            moments_from_distributions, relaxation_matrices)
+from d1q3rv.stability import relaxation_entries_closed_form
 
 TOL = 1e-12
 
@@ -138,6 +139,20 @@ def test_batched_matches_scalar_construction():
     for k in range(50):
         Rk = build_relaxation_matrix(params(V[k], u[k], s[k], sp[k], alpha[k], lam[k]))
         assert np.max(np.abs(batch[k] - Rk)) <= TOL
+
+
+def test_relaxation_matrices_broadcast_mixed_shapes():
+    rng = np.random.default_rng(19)
+    V = rng.uniform(-1.5, 1.5, (4, 1))
+    u = rng.uniform(-1, 1, 3)
+    batch = relaxation_matrices(V, u, 1.6, 1.3, 0.3, 2.0)
+    assert batch.shape == (4, 3, 3, 3)
+    closed = relaxation_entries_closed_form(V, u, 1.6, 1.3, 0.3)
+    assert np.max(np.abs(batch - closed)) <= TAU_MAT
+    single = relaxation_matrices(0.25, 0.25, 1.6, 1.3, 0.3)
+    assert single.shape == (3, 3)
+    closed = relaxation_entries_closed_form(0.25, 0.25, 1.6, 1.3, 0.3)
+    assert np.max(np.abs(single - closed)) <= TAU_MAT
 
 
 def test_equilibrium_examples():

@@ -313,3 +313,21 @@ def test_snapshots_csv_shape():
     assert len(lines) == 1 + len(result.snapshots) * 10
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0"
+
+
+def test_snapshots_csv_bytes_match_per_value_format():
+    g = default_grid(7)
+    result = run(InitialProfile(kind=STEP), g, params(s=1.9, s_prime=1.4, alpha=1 / 7), 6,
+                 snap_every=3)
+    odd = np.array([[-0.0, 5e-324, 1 / 3], [-1e300, 2.5, 1e-17]] + [[0.1, 0.2, 0.3]] * 5)
+    snapshots = result.snapshots + [LatticeState(f=odd, step_count=99)]
+    buf = io.StringIO()
+    write_snapshots_csv(snapshots, g, buf)
+    x = g.positions()
+    expect = ["step,cell,x,f1,f2,f3,rho"]
+    for st in snapshots:
+        rho = st.density()
+        for k in range(g.n_cells):
+            vals = (x[k], *st.f[k], rho[k])
+            expect.append(f"{st.step_count},{k}," + ",".join(format(v, ".17g") for v in vals))
+    assert buf.getvalue() == "\n".join(expect) + "\n"
