@@ -39,14 +39,16 @@ def parse_number(text: str) -> float:
     """Decimal or simple-fraction literal ('0.25', '2/3'), parsed exactly."""
     try:
         return float(Fraction(text))
+    except OverflowError as exc:
+        raise argparse.ArgumentTypeError(f"out of floating-point range: {text!r}") from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a number or fraction: {text!r}") from exc
 
 
 def parse_number_list(text: str) -> tuple:
     try:
-        return tuple(float(Fraction(part)) for part in text.split(",") if part.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return tuple(parse_number(part) for part in text.split(",") if part.strip())
+    except argparse.ArgumentTypeError as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated number list: {text!r}") from exc
 
 
@@ -149,6 +151,9 @@ def cmd_region(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.ncells < 1:
+        print(f"error: --ncells must be at least 1, got {args.ncells}", file=sys.stderr)
+        return 2
     p = _params(args)
     grid = default_grid(n_cells=args.ncells, lam=p.lam)
     profile = InitialProfile(kind=args.profile, center=args.center, width=args.width,
@@ -185,17 +190,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    rows = [(label, SchemeParameters(*(float(Fraction(v)) for v in fields)))
+            for label, *fields in BENCHMARK_ROWS]
+    kinds = (simulator.SMOOTH, simulator.HAT, simulator.STEP)
+    results = iter(simulator.run_batch([(InitialProfile(kind=kind), p)
+                                        for _, p in rows for kind in kinds], default_grid(), 1000))
     print("benchmark advection runs: 200 cells, 1000 steps, lambda=1, "
           "equilibrium initialization")
     discrepancies = 0
-    for label, *fields in BENCHMARK_ROWS:
-        V, u, s, sp, alpha = (float(Fraction(v)) for v in fields)
-        p = SchemeParameters(V=V, u=u, s=s, s_prime=sp, alpha=alpha)
+    for label, p in rows:
         verdict = stability.nine_inequalities(p)
-        iv = stability.gamma_feasible_interval(V, u, s, sp)
+        iv = stability.gamma_feasible_interval(p.V, p.u, p.s, p.s_prime)
         computed = "stable" if verdict.stable else "unstable"
         expected = "stable" if "(stable)" in label else "unstable"
-        print(f"\nrow V={V:g} u={u:g} s={s:g} s'={sp:g} alpha={alpha:.17g} [{label}]")
+        print(f"\nrow V={p.V:g} u={p.u:g} s={p.s:g} s'={p.s_prime:g} alpha={p.alpha:.17g} [{label}]")
         print(f"  computed verdict: {computed} (min entry {verdict.min_slack:.6g}); "
               f"gamma interval: {'empty' if iv.empty else f'[{iv.lower:.6g}, {iv.upper:.6g}]'}")
         if computed != expected:
@@ -203,9 +211,8 @@ def cmd_reproduce(args) -> int:
             worst = verdict.slacks.index(verdict.min_slack)
             print(f"  DISCREPANCY: labelled '{label}' but computed {computed}: "
                   f"R[{worst // 3},{worst % 3}] = {verdict.min_slack:.6g} < 0")
-        for kind in (simulator.SMOOTH, simulator.HAT, simulator.STEP):
-            result = simulator.run(InitialProfile(kind=kind), default_grid(), p, 1000)
-            d = result.diagnostics
+        for kind in kinds:
+            d = next(results).diagnostics
             print(f"  RESULT {kind:6s}: undershoot={d.undershoot:.6e} "
                   f"overshoot={d.overshoot:.6e} min_f={d.min_f_over_run:.6e} "
                   f"l1_error={d.l1_error:.6e}")
@@ -263,6 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if not getattr(args, "lam", 1.0) > 0:
+        print(f"error: --lambda must be positive, got {args.lam:g}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -14,8 +14,7 @@ import io
 import numpy as np
 from dataclasses import dataclass
 
-from .stability import (GUARD_BAND, TAU_STAB, chain_bounds, necessary_slacks,
-                        pinned_gamma)
+from .stability import TAU_STAB, chain_bounds, necessary_slacks, pinned_gamma
 
 FEASIBLE = "FEASIBLE"
 NECESSARY_ONLY = "NECESSARY_ONLY"
@@ -42,7 +41,6 @@ class ScanSpec:
     s_prime_range: tuple = (0.0, 2.2)
     s_points: int = 221
     s_prime_points: int = 221
-    guard: float = GUARD_BAND
 
     def __post_init__(self):
         if self.u_list is None:

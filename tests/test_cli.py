@@ -1,8 +1,11 @@
 import re
+from fractions import Fraction
 
 import pytest
 
-from d1q3rv.cli import main, parse_number
+from d1q3rv import simulator
+from d1q3rv.cli import BENCHMARK_ROWS, main, parse_number
+from d1q3rv.scheme import SchemeParameters
 
 
 def test_parse_number_accepts_fractions_and_decimals():
@@ -14,6 +17,8 @@ def test_parse_number_accepts_fractions_and_decimals():
         parse_number("abc")
     with pytest.raises(Exception):
         parse_number("1/0")
+    with pytest.raises(Exception):
+        parse_number("1e400")
 
 
 def test_matrix_prints_both_routes(capsys):
@@ -167,3 +172,46 @@ def test_reproduce_report_shape(capsys):
     assert out.count("DISCREPANCY") == 2
     assert "-0.15 < 0" in out
     assert "2 of 4 rows disagree" in out
+
+
+def test_reproduce_batched_results_match_serial_runs(capsys):
+    assert main(["reproduce"]) == 0
+    got = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("  RESULT")]
+    expect = []
+    for _, *fields in BENCHMARK_ROWS:
+        p = SchemeParameters(*(float(Fraction(v)) for v in fields))
+        for kind in (simulator.SMOOTH, simulator.HAT, simulator.STEP):
+            d = simulator.run(simulator.InitialProfile(kind=kind), simulator.default_grid(), p,
+                              1000).diagnostics
+            expect.append(f"  RESULT {kind:6s}: undershoot={d.undershoot:.6e} "
+                          f"overshoot={d.overshoot:.6e} min_f={d.min_f_over_run:.6e} "
+                          f"l1_error={d.l1_error:.6e}")
+    assert got == expect
+
+
+SCHEME = ["--V", "0.25", "--s", "1", "--sp", "1", "--alpha", "0"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["simulate", *SCHEME, "--ncells", "0"], "--ncells"),
+    (["simulate", *SCHEME, "--ncells", "-3"], "--ncells"),
+    (["simulate", *SCHEME, "--lambda", "0"], "--lambda"),
+    (["check", *SCHEME, "--lambda", "-1"], "--lambda"),
+    (["matrix", *SCHEME, "--lambda", "0"], "--lambda"),
+])
+def test_out_of_range_value_exits_2_with_one_line(argv, flag, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {flag}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--V", "1e400", "--s", "1", "--sp", "1"],
+    ["simulate", "--V", "1e400", "--s", "1", "--sp", "1", "--alpha", "0"],
+])
+def test_overflowing_number_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert "argument --V: out of floating-point range: '1e400'" in last

@@ -1,13 +1,15 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
 
-from d1q3rv.scheme import SchemeParameters, equilibrium_distributions
+from d1q3rv.scheme import (SchemeParameters, build_relaxation_matrix,
+                           equilibrium_distributions)
 from d1q3rv.simulator import (CUSTOM, HAT, SMOOTH, STEP, Grid1D, InitialProfile,
-                              LatticeState, default_grid, exact_density, init_state,
-                              relax, run, stream, unstream, write_diagnostics_csv,
-                              write_snapshots_csv)
+                              LatticeState, _block_steps, advance, default_grid,
+                              exact_density, init_state, relax, run, stream,
+                              write_diagnostics_csv, write_snapshots_csv)
 
 
 def params(V=0.25, u=0.0, s=1.0, s_prime=1.0, alpha=0.0, lam=1.0):
@@ -163,8 +165,15 @@ def test_stream_periodicity():
 def test_stream_inverse():
     rng = np.random.default_rng(6)
     st = LatticeState(f=rng.uniform(0, 1, (11, 3)))
-    assert np.array_equal(unstream(stream(st)).f, st.f)
-    assert np.array_equal(stream(unstream(st)).f, st.f)
+
+    def unstream(f):
+        f = f.copy()
+        f[:, 0] = np.roll(f[:, 0], 1)
+        f[:, 2] = np.roll(f[:, 2], -1)
+        return f
+
+    assert np.array_equal(unstream(stream(st).f), st.f)
+    assert np.array_equal(stream(LatticeState(f=unstream(st.f))).f, st.f)
 
 
 def test_stream_preserves_value_multiset_and_min():
@@ -173,6 +182,121 @@ def test_stream_preserves_value_multiset_and_min():
     out = stream(st)
     assert sorted(out.f.ravel()) == sorted(st.f.ravel())
     assert out.f.min() == st.f.min()
+
+
+# --------------------------------------------------------------------- kernel
+
+def reference_advance(f0, R, n_steps, snap_every=0):
+    """The step-by-step loop advance replaces: stream(relax(...)) per step,
+    diagnostics folded with Python's min/max."""
+    state = LatticeState(f=f0)
+    rho = state.density()
+    min_f, min_rho, max_rho = float(state.f.min()), float(rho.min()), float(rho.max())
+    mass0 = state.mass()
+    drift = 0.0
+    snapshots = [(0, state.f)] if snap_every > 0 else []
+    for step in range(1, n_steps + 1):
+        state = stream(relax(state, None, R))
+        rho = state.density()
+        min_f = min(min_f, float(state.f.min()))
+        min_rho = min(min_rho, float(rho.min()))
+        max_rho = max(max_rho, float(rho.max()))
+        drift = max(drift, abs(state.mass() - mass0) / abs(mass0) if mass0 else abs(state.mass()))
+        if snap_every > 0 and (step % snap_every == 0 or step == n_steps):
+            snapshots.append((step, state.f))
+    return state.f, (min_f, min_rho, max_rho, drift), snapshots
+
+
+def bitwise_equal(a, b):
+    """Equal values, NaN equal to NaN, and the same sign of zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def assert_matches_reference(out, b, f0, R, n_steps, snap_every=0):
+    f, diags, snapshots = reference_advance(f0, R, n_steps, snap_every)
+    assert bitwise_equal(out.f[b], f)
+    kernel = (out.min_f[b], out.min_rho[b], out.max_rho[b], out.mass_drift[b])
+    for got, want in zip(kernel, diags):
+        assert got == want or (np.isnan(got) and np.isnan(want))
+        assert bitwise_equal(got, want)
+    assert list(out.snap_steps) == [step for step, _ in snapshots]
+    for j, (_, snap) in enumerate(snapshots):
+        assert bitwise_equal(out.snapshots[j, b], snap)
+
+
+def initial(profile, n_cells, p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # negative equilibrium weights are expected here
+        return init_state(profile, default_grid(n_cells), p).f, build_relaxation_matrix(p)
+
+
+KERNEL_CASES = [
+    # divergent: f overflows to inf and then NaN well before step 700
+    ((0.9, 0.9, 1.99, 0.05, -1.9), InitialProfile(kind=STEP), 700),
+    # zero mass: drift is |mass|, and f holds both 0.0 and -0.0
+    ((-0.85, -0.02, 0.43, 0.27, -0.48), InitialProfile(kind=STEP, low=0.0, high=0.0), 40),
+    # a NaN start stays NaN, as Python's min/max keep it
+    ((0.25, 0.0, 1.0, 1.0, 0.0), InitialProfile(kind=CUSTOM, values=np.r_[np.nan, np.ones(23)]), 40),
+] + [(tuple(np.random.default_rng(k).uniform((-1, -1, 0, 0, -2), (1, 1, 2, 2, 1))),
+      InitialProfile(kind=(SMOOTH, HAT, STEP)[k % 3]), 97) for k in range(8)]
+
+
+@pytest.mark.parametrize("row,profile,n_steps", KERNEL_CASES)
+def test_advance_matches_step_loop(row, profile, n_steps):
+    f0, R = initial(profile, 24, params(*row))
+    with np.errstate(all="ignore"):
+        out = advance(f0[None], R[None], n_steps, snap_every=9)
+        assert_matches_reference(out, 0, f0, R, n_steps, snap_every=9)
+    if row[0] == 0.9:
+        assert not np.isfinite(out.f).all() and np.isnan(out.f).any()
+
+
+def test_advance_batch_equals_single_runs():
+    cases = [initial(profile, 24, params(*row)) for row, profile, _ in KERNEL_CASES[:6]]
+    f0 = np.stack([f for f, _ in cases])
+    R = np.stack([r for _, r in cases])
+    with np.errstate(all="ignore"):
+        batch = advance(f0, R, 700, snap_every=150)
+        singles = [advance(f0[b:b + 1], R[b:b + 1], 700, snap_every=150) for b in range(6)]
+    for b, one in enumerate(singles):
+        for name in ("f", "min_f", "min_rho", "max_rho", "mass_drift"):
+            assert bitwise_equal(getattr(batch, name)[b], getattr(one, name)[0])
+        assert batch.snap_steps == one.snap_steps
+        assert bitwise_equal(batch.snapshots[:, b], one.snapshots[:, 0])
+
+
+BLOCK = _block_steps(1, 200)
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_advance_step_counts_around_a_block(n_steps):
+    f0, R = initial(InitialProfile(kind=STEP), 200, params(0.25, 0.0, 1.9, 1.4, 1 / 7))
+    assert_matches_reference(advance(f0[None], R[None], n_steps), 0, f0, R, n_steps)
+
+
+def test_advance_snapshot_cadence_across_blocks():
+    f0, R = initial(InitialProfile(kind=HAT), 200, params(0.25, 0.25, 1.6, 1.3, -0.175))
+    n_steps = 2 * BLOCK + 7
+    out = advance(f0[None], R[None], n_steps, snap_every=5)
+    assert out.snap_steps == (*range(0, n_steps + 1, 5), n_steps)
+    assert_matches_reference(out, 0, f0, R, n_steps, snap_every=5)
+
+
+def test_advance_block_stays_under_a_mebibyte():
+    assert _block_steps(1, 200) == 32
+    assert _block_steps(12, 200) == 2**20 // (12 * 200 * 24)
+    assert _block_steps(1, 1_000_000) == 1
+
+
+def test_advance_rejects_bad_shapes_and_step_counts():
+    f0, R = initial(InitialProfile(kind=STEP), 8, params())
+    with pytest.raises(ValueError):
+        advance(f0, R[None], 3)
+    with pytest.raises(ValueError):
+        advance(f0[None], R, 3)
+    with pytest.raises(ValueError):
+        advance(f0[None], R[None], -1)
 
 
 # ------------------------------------------------------------------------ runs
