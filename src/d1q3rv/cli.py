@@ -129,6 +129,9 @@ def cmd_region(args) -> int:
     if args.grid < 2:
         print(f"error: --grid must be at least 2, got {args.grid}", file=sys.stderr)
         return 2
+    if args.u_list == ():
+        print("error: --u-list must name at least one relative velocity", file=sys.stderr)
+        return 2
     grids = regionscan.scan(regionscan.ScanSpec(V=args.V, u_list=args.u_list,
                                                 s_points=args.grid, s_prime_points=args.grid))
     try:
@@ -151,9 +154,11 @@ def cmd_region(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.ncells < 1:
-        print(f"error: --ncells must be at least 1, got {args.ncells}", file=sys.stderr)
-        return 2
+    for flag, value, least in (("--ncells", args.ncells, 1), ("--steps", args.steps, 0),
+                               ("--snap-every", args.snap_every, 0)):
+        if value < least:
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return 2
     p = _params(args)
     grid = default_grid(n_cells=args.ncells, lam=p.lam)
     profile = InitialProfile(kind=args.profile, center=args.center, width=args.width,

@@ -55,6 +55,24 @@ def mats_close(a, b, tol: float = TAU_MAT) -> bool:
     return bool(np.max(np.abs(np.asarray(a, float) - np.asarray(b, float))) <= tol)
 
 
+_SCALAR_TYPES = frozenset((float, int, np.float64))
+
+
+def _operands(*xs):
+    """Inputs as float64 operands for one expression text.
+
+    All 0-d: NumPy float64 scalars, which keep NumPy semantics (division by
+    zero gives inf/NaN with a RuntimeWarning) without 0-d array overhead.
+    Otherwise: the float arrays broadcast to one shape.
+    """
+    if all(type(x) in _SCALAR_TYPES for x in xs):
+        return tuple(map(np.float64, xs))
+    arrays = [np.asarray(x, float) for x in xs]
+    if all(a.ndim == 0 for a in arrays):
+        return tuple(a[()] for a in arrays)
+    return np.broadcast_arrays(*arrays)
+
+
 def _stack(rows) -> np.ndarray:
     """3x3 matrix from nested rows of equally shaped entries.
 
@@ -66,18 +84,18 @@ def _stack(rows) -> np.ndarray:
 
 
 def _M(lam, o, z):
-    l2 = lam**2
+    l2 = lam * lam
     return _stack([[o, o, o], [-lam, z, lam], [l2, -2.0 * l2, l2]])
 
 
 def _M_inv(lam, o, z):
-    a, b, c = o / 3.0, 1.0 / (2.0 * lam), 1.0 / (6.0 * lam**2)
+    a, b, c = o / 3.0, 1.0 / (2.0 * lam), 1.0 / (6.0 * (lam * lam))
     return _stack([[a, -b, c], [a, z, -2.0 * c], [a, b, c]])
 
 
 def _T(u, lam, o, z):
     """T(u); its inverse is T(-u), since shifting by u and then by -u is the identity."""
-    return _stack([[o, z, z], [-lam * u, o, z], [3.0 * lam**2 * u**2, -6.0 * lam * u, o]])
+    return _stack([[o, z, z], [-lam * u, o, z], [3.0 * (lam * lam) * (u * u), -6.0 * lam * u, o]])
 
 
 def _S(s, s_prime, z):
@@ -85,7 +103,7 @@ def _S(s, s_prime, z):
 
 
 def _E(V, alpha, lam, o, z):
-    return _stack([[o, z, z], [V * lam, z, z], [alpha * lam**2, z, z]])
+    return _stack([[o, z, z], [V * lam, z, z], [alpha * (lam * lam), z, z]])
 
 
 def _relaxation_product(M_inv, T_inv, S, T, E, M) -> np.ndarray:
@@ -144,13 +162,11 @@ def build_relaxation_matrix(p: SchemeParameters) -> np.ndarray:
 def relaxation_matrices(V, u, s, s_prime, alpha, lam=1.0) -> np.ndarray:
     """Relaxation operators R, shape broadcast(inputs) + (3, 3).
 
-    Scalar inputs give one (3, 3) matrix; arrays give a stack, built without
-    per-tuple Python calls.
+    Scalar inputs give one (3, 3) matrix, built from float64 scalars; arrays
+    give a stack, built without per-tuple Python calls.
     """
-    V, u, s, sp, al, lam = np.broadcast_arrays(
-        *(np.asarray(x, float) for x in (V, u, s, s_prime, alpha, lam))
-    )
-    o, z = np.ones_like(V), np.zeros_like(V)
+    V, u, s, sp, al, lam = _operands(V, u, s, s_prime, alpha, lam)
+    o, z = np.ones(V.shape)[()], np.zeros(V.shape)[()]
     return _relaxation_product(_M_inv(lam, o, z), _T(-u, lam, o, z), _S(s, sp, z),
                                _T(u, lam, o, z), _E(V, al, lam, o, z), _M(lam, o, z))
 

@@ -55,6 +55,8 @@ class Grid1D:
 
 def default_grid(n_cells: int = 200, lam: float = 1.0) -> Grid1D:
     """Unit-length periodic grid."""
+    if n_cells <= 0:
+        raise ValueError(f"n_cells must be positive, got {n_cells}")
     return Grid1D(n_cells=n_cells, dx=1.0 / n_cells, lam=lam)
 
 

@@ -19,7 +19,8 @@ provided:
 Since gamma is an affine function of alpha (for s' != 0), the chain also
 yields the feasible gamma interval at fixed (V, u, s, s') and from it the
 feasible alpha interval.  Everything accepts scalars or numpy arrays and
-is pure.
+is pure; a scalar call evaluates the same expressions on NumPy float64
+scalars instead of 0-d arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from .scheme import SchemeParameters, build_relaxation_matrix
+from .scheme import SchemeParameters, _operands, build_relaxation_matrix
 
 # Verdict tolerance: entries within -TAU_STAB of zero still count as
 # non-negative (closed regions; ties resolved toward stability).
@@ -77,7 +78,7 @@ class GammaInterval:
 
 
 def _verdict(slacks, route: str, tol: float = TAU_STAB, guard: float = GUARD_BAND) -> StabilityVerdict:
-    slacks = tuple(float(x) for x in slacks)
+    slacks = tuple(np.asarray(slacks, float).tolist())
     m = min(slacks)
     binding = tuple(i for i, x in enumerate(slacks) if abs(x) <= guard)
     return StabilityVerdict(stable=bool(m >= -tol), slacks=slacks, min_slack=m,
@@ -91,9 +92,7 @@ def relaxation_entries_closed_form(V, u, s, s_prime, alpha) -> np.ndarray:
     of lam; serves as its cross-check and as the slack vector of the
     nine-inequality route.
     """
-    V, u, s, sp, al = np.broadcast_arrays(
-        *(np.asarray(x, float) for x in (V, u, s, s_prime, alpha))
-    )
+    V, u, s, sp, al = _operands(V, u, s, s_prime, alpha)
     R = np.empty(V.shape + (3, 3))
     common_top = V * s * u - V * sp * u + al * sp / 6
     R[..., 0, 0] = common_top - 0.5 * V * s + s * u - 0.5 * s - sp * u - sp / 6 + 1
@@ -130,9 +129,9 @@ def chain_bounds(V, u, s, s_prime):
     """Lower and upper bounds of the reduced chain, in units of 2*gamma.
 
     Vectorized; returns (lower, upper) where stability at given alpha reads
-    lower <= 2*gamma <= upper.
+    lower <= 2*gamma <= upper.  Scalar inputs give float64 bounds.
     """
-    V, u, s, sp = np.broadcast_arrays(*(np.asarray(x, float) for x in (V, u, s, s_prime)))
+    V, u, s, sp = _operands(V, u, s, s_prime)
     ubar = 2.0 * u * (s - sp)
     lower = np.maximum(sp - 1.0, np.abs(ubar))
     upper = np.minimum(
@@ -211,10 +210,9 @@ def u_zero_slacks(V, s, s_prime):
     Conditions, for v = |V|: 0 <= s <= 2, 0 <= s' <= 2, s' >= s v,
     s <= 2/(1+v), s' <= 3 - (1+v) s, s' <= 1 + (1-v) s, and v <= 1.
     """
-    v = np.abs(np.asarray(V, float))
-    s = np.asarray(s, float)
-    sp = np.asarray(s_prime, float)
-    return np.stack(np.broadcast_arrays(
+    V, s, sp = _operands(V, s, s_prime)
+    v = np.abs(V)
+    return np.stack((
         s, 2.0 - s, sp, 2.0 - sp, sp - s * v, 2.0 - s * (1.0 + v),
         (3.0 - (1.0 + v) * s) - sp, (1.0 + (1.0 - v) * s) - sp, 1.0 - v,
     ), axis=-1)
@@ -251,11 +249,10 @@ def necessary_slacks(V, s, s_prime):
     s' <= min(2 - s v, s + 1, 3 - s), s <= 2/(1+v).  These hold whatever u
     and alpha are, so they bound the union of all stability regions.
     """
-    v = np.abs(np.asarray(V, float))
-    s = np.asarray(s, float)
-    sp = np.asarray(s_prime, float)
+    V, s, sp = _operands(V, s, s_prime)
+    v = np.abs(V)
     sv = s * v
-    return np.stack(np.broadcast_arrays(
+    return np.stack((
         sv, sp - sv, 2.0 - sp, 1.0 - sv, s, 2.0 - s,
         (2.0 - sv) - sp, (s + 1.0) - sp, (3.0 - s) - sp, 2.0 - s * (1.0 + v),
     ), axis=-1)

@@ -198,11 +198,14 @@ SCHEME = ["--V", "0.25", "--s", "1", "--sp", "1", "--alpha", "0"]
     (["simulate", *SCHEME, "--lambda", "0"], "--lambda"),
     (["check", *SCHEME, "--lambda", "-1"], "--lambda"),
     (["matrix", *SCHEME, "--lambda", "0"], "--lambda"),
+    (["simulate", *SCHEME, "--steps", "-1"], "--steps"),
+    (["simulate", *SCHEME, "--snap-every", "-2"], "--snap-every"),
+    (["region", "--V", "0.5", "--u-list", ""], "--u-list"),
 ])
 def test_out_of_range_value_exits_2_with_one_line(argv, flag, capsys):
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(f"error: {flag}")
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith(f"error: {flag}")
 
 
 @pytest.mark.parametrize("argv", [

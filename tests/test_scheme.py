@@ -6,7 +6,8 @@ from d1q3rv.scheme import (TAU_MAT, SchemeParameters, basis_commutator, build_E,
                            change_basis_relaxation_matrix, equilibrium_distributions,
                            equilibrium_weights, inverse_M, inverse_T, mats_close,
                            moments_from_distributions, relaxation_matrices)
-from d1q3rv.stability import relaxation_entries_closed_form
+from d1q3rv.stability import (chain_bounds, necessary_slacks, relaxation_entries_closed_form,
+                              u_zero_slacks)
 
 TOL = 1e-12
 
@@ -153,6 +154,63 @@ def test_relaxation_matrices_broadcast_mixed_shapes():
     assert single.shape == (3, 3)
     closed = relaxation_entries_closed_form(0.25, 0.25, 1.6, 1.3, 0.3)
     assert np.max(np.abs(single - closed)) <= TAU_MAT
+
+
+def test_scalar_calls_agree_with_batched_rows():
+    # Scalar calls run the batched expressions on float64 scalars: the closed
+    # form and the chain bounds keep every bit, R differs at most by matmul
+    # rounding of a single (3, 3) product against a stacked one.
+    rng = np.random.default_rng(4242)
+    n = 10_000
+    V, u = rng.uniform(-1.5, 1.5, n), rng.uniform(-1, 1, n)
+    s, sp = rng.uniform(-0.5, 2.5, n), rng.uniform(-0.5, 2.5, n)
+    alpha, lam = rng.uniform(-2, 2, n), rng.choice([0.5, 1.0, 3.0], n)
+    u[::5] = 0.0
+    sp[::7] = 0.0
+    rows = list(zip(*(c.tolist() for c in (V, u, s, sp, alpha, lam))))
+    scalar_R = np.array([relaxation_matrices(*t) for t in rows])
+    assert np.max(np.abs(scalar_R - relaxation_matrices(V, u, s, sp, alpha, lam))) <= 1e-15
+    scalar_closed = np.array([relaxation_entries_closed_form(*t[:5]) for t in rows])
+    assert scalar_closed.tobytes() == relaxation_entries_closed_form(V, u, s, sp, alpha).tobytes()
+    scalar_bounds = np.array([chain_bounds(*t[:4]) for t in rows]).T
+    assert scalar_bounds.tobytes() == np.array(chain_bounds(V, u, s, sp)).tobytes()
+
+
+def test_scalar_calls_return_matrices_and_float64_bounds():
+    R = relaxation_matrices(0.25, 0.25, 1.6, 1.3, 0.3, 2.0)
+    assert type(R) is np.ndarray and R.shape == (3, 3)
+    assert relaxation_entries_closed_form(0.25, 0.25, 1.6, 1.3, 0.3).shape == (3, 3)
+    assert all(type(b) is np.float64 for b in chain_bounds(0.25, 0.25, 1.6, 1.3))
+    assert u_zero_slacks(0.25, 1.6, 1.3).shape == (9,)
+    assert necessary_slacks(0.25, 1.6, 1.3).shape == (10,)
+
+
+INTEGRAL = (1.0, -1.0, 2.0, 1.0, 0.0, 3.0)
+FRACTIONAL = (0.25, -0.375, 1.6, 1.3, 0.3, 0.5)
+
+
+@pytest.mark.parametrize("values,convert", [
+    (INTEGRAL, int), (INTEGRAL, np.int64), (INTEGRAL, lambda x: np.array(int(x))),
+    (FRACTIONAL, np.float64), (FRACTIONAL, np.array),
+])
+def test_zero_d_inputs_give_the_bits_of_float_inputs(values, convert):
+    args = tuple(map(convert, values))
+    V, u, s, sp, alpha, lam = args
+    for got, want in [
+        (relaxation_matrices(*args), relaxation_matrices(*values)),
+        (relaxation_entries_closed_form(*args[:5]), relaxation_entries_closed_form(*values[:5])),
+        (np.array(chain_bounds(*args[:4])), np.array(chain_bounds(*values[:4]))),
+        (u_zero_slacks(V, s, sp), u_zero_slacks(values[0], values[2], values[3])),
+        (necessary_slacks(V, s, sp), necessary_slacks(values[0], values[2], values[3])),
+    ]:
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.0, np.zeros(2)])
+def test_zero_lambda_gives_nan_with_a_warning(lam):
+    with pytest.warns(RuntimeWarning):
+        R = relaxation_matrices(0.25, 0.25, 1.6, 1.3, 0.3, lam)
+    assert np.isnan(R).any()
 
 
 def test_equilibrium_examples():

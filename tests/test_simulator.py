@@ -33,6 +33,12 @@ def test_grid_validation():
         Grid1D(n_cells=10, dx=-0.1)
 
 
+@pytest.mark.parametrize("n_cells", [0, -3])
+def test_default_grid_rejects_non_positive_cells(n_cells):
+    with pytest.raises(ValueError, match="n_cells must be positive"):
+        default_grid(n_cells)
+
+
 # ------------------------------------------------------------------- profiles
 
 def test_step_profile_values():
