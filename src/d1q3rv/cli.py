@@ -112,7 +112,7 @@ def cmd_check(args) -> int:
     if args.sp == 0.0:
         pinned = stability.pinned_gamma(args.V, args.u, args.s)
         print(f"alpha-unconstrained (s' = 0 pins gamma at {pinned:.17g})")
-        return 0 if iv.contains(pinned) else 1
+        return 0 if stability.alpha_feasible(args.V, args.u, args.s, args.sp) else 1
     lo, hi = stability.alpha_interval(args.V, args.u, args.s, args.sp)
     print(f"alpha interval: [{lo:.17g}, {hi:.17g}]")
     return 0
@@ -159,6 +159,9 @@ def cmd_simulate(args) -> int:
         if value < least:
             print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
             return 2
+    if args.width is not None and not args.width > 0:
+        print(f"error: --width must be positive, got {args.width:g}", file=sys.stderr)
+        return 2
     p = _params(args)
     grid = default_grid(n_cells=args.ncells, lam=p.lam)
     profile = InitialProfile(kind=args.profile, center=args.center, width=args.width,

@@ -14,7 +14,7 @@ import io
 import numpy as np
 from dataclasses import dataclass
 
-from .stability import TAU_STAB, chain_bounds, necessary_slacks, pinned_gamma
+from .stability import alpha_feasible, chain_bounds, necessary_region
 
 FEASIBLE = "FEASIBLE"
 NECESSARY_ONLY = "NECESSARY_ONLY"
@@ -85,32 +85,22 @@ class RegionGrid:
         return int(np.sum(self.codes == _CLASS_CODES[name]))
 
 
-def _classify(V, u, S, SP, tol):
-    lower, upper = chain_bounds(V, u, S, SP)
-    glo, ghi = lower / 2.0, upper / 2.0
-    feasible = glo <= ghi + tol
-    # s' = 0 pins gamma at -u*s*V; feasibility is then membership of that value
-    pinned = np.broadcast_to(pinned_gamma(V, u, S), glo.shape)
-    degenerate = SP == 0.0
-    feasible &= ~degenerate | ((pinned >= glo - tol) & (pinned <= ghi + tol))
-    necessary = necessary_slacks(V, S, SP).min(axis=-1) >= -tol
-    codes = np.where(feasible, _CLASS_CODES[FEASIBLE],
-                     np.where(necessary, _CLASS_CODES[NECESSARY_ONLY], _CLASS_CODES[OUTSIDE]))
-    glo = np.where(feasible, glo, np.nan)
-    ghi = np.where(feasible, ghi, np.nan)
-    return codes.astype(np.int8), glo, ghi
-
-
 def scan(spec: ScanSpec) -> list:
     """Classify the grid for every u in the spec; one RegionGrid per u."""
     s = spec.s_values()
     sp = spec.s_prime_values()
     S, SP = np.meshgrid(s, sp, indexing="ij")
+    outer = np.where(necessary_region(spec.V, S, SP), _CLASS_CODES[NECESSARY_ONLY],
+                     _CLASS_CODES[OUTSIDE])
     grids = []
     for u in spec.u_list:
-        codes, glo, ghi = _classify(spec.V, u, S, SP, TAU_STAB)
-        grids.append(RegionGrid(V=spec.V, u=float(u), s_values=s, s_prime_values=sp,
-                                codes=codes, gamma_lower=glo, gamma_upper=ghi))
+        feasible = alpha_feasible(spec.V, u, S, SP)
+        lower, upper = chain_bounds(spec.V, u, S, SP)
+        grids.append(RegionGrid(
+            V=spec.V, u=float(u), s_values=s, s_prime_values=sp,
+            codes=np.where(feasible, _CLASS_CODES[FEASIBLE], outer).astype(np.int8),
+            gamma_lower=np.where(feasible, lower / 2.0, np.nan),
+            gamma_upper=np.where(feasible, upper / 2.0, np.nan)))
     return grids
 
 
@@ -195,31 +185,19 @@ def _merge_rectangles(mask: np.ndarray):
 
     Columns (fixed i) are split into runs of consecutive True cells; runs
     identical across adjacent columns merge horizontally, so a fully True
-    mask yields a single rectangle.
+    mask yields a single rectangle.  Rectangles (i0, i1, j0, j1) come sorted.
     """
-    rects = []
-    open_runs = {}
-    for i in range(mask.shape[0]):
-        runs = []
-        j = 0
-        col = mask[i]
-        while j < len(col):
-            if col[j]:
-                j0 = j
-                while j < len(col) and col[j]:
-                    j += 1
-                runs.append((j0, j - 1))
-            else:
-                j += 1
-        next_open = {}
-        for run in runs:
-            next_open[run] = open_runs.pop(run, i)
-        for (j0, j1), i0 in open_runs.items():
-            rects.append((i0, i - 1, j0, j1))
-        open_runs = next_open
-    for (j0, j1), i0 in open_runs.items():
-        rects.append((i0, mask.shape[0] - 1, j0, j1))
-    return sorted(rects)
+    edges = np.diff(np.pad(mask.astype(np.int8), ((0, 0), (1, 1))), axis=1)
+    i, j0 = np.nonzero(edges == 1)
+    j1 = np.nonzero(edges == -1)[1] - 1
+    order = np.lexsort((i, j1, j0))
+    i, j0, j1 = i[order], j0[order], j1[order]
+    # a rectangle starts where the run changes or a column is skipped
+    first = np.ones(len(i), bool)
+    first[1:] = (j0[1:] != j0[:-1]) | (j1[1:] != j1[:-1]) | (i[1:] != i[:-1] + 1)
+    last = np.roll(first, -1)  # the run before a start ends a rectangle; first[0] is True
+    rects = np.column_stack((i[first], i[last], j0[first], j1[first]))
+    return list(map(tuple, rects[np.lexsort(rects.T[::-1])].tolist()))
 
 
 # (ia, ja, ib, jb) of the edge of cell (0, 0) toward i-1, i+1, j-1 and j+1

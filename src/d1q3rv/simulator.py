@@ -81,6 +81,8 @@ class InitialProfile:
             raise ValueError(f"unknown profile kind {self.kind!r}, expected one of {PROFILE_KINDS}")
         if self.kind == CUSTOM and self.values is None:
             raise ValueError("custom profiles need explicit density values")
+        if self.width is not None and not self.width > 0:
+            raise ValueError(f"profile width must be positive, got {self.width}")
 
     def sample_at(self, x, length: float) -> np.ndarray:
         """Density at positions x on a periodic domain of the given length."""

@@ -18,9 +18,12 @@ provided:
 
 Since gamma is an affine function of alpha (for s' != 0), the chain also
 yields the feasible gamma interval at fixed (V, u, s, s') and from it the
-feasible alpha interval.  Everything accepts scalars or numpy arrays and
-is pure; a scalar call evaluates the same expressions on NumPy float64
-scalars instead of 0-d arrays.
+feasible alpha interval.  Everything is pure.  The vectorized functions
+(relaxation_entries_closed_form, chain_bounds, alpha_feasible,
+u_zero_slacks, u_zero_region, necessary_slacks, necessary_region) accept
+scalars or numpy arrays; a scalar call evaluates the same expressions on
+NumPy float64 scalars instead of 0-d arrays.  The verdict routes,
+gamma_feasible_interval and the alpha intervals take scalars only.
 """
 
 from __future__ import annotations
@@ -161,10 +164,10 @@ def reduced_condition(p: SchemeParameters) -> StabilityVerdict:
 
 
 def gamma_feasible_interval(V, u, s, s_prime, tol: float = TAU_STAB) -> GammaInterval:
-    """Feasible gamma interval at fixed (V, u, s, s'); empty when lower > upper + tol."""
+    """Feasible gamma interval at fixed (V, u, s, s'); empty unless lower <= upper + tol."""
     lower, upper = chain_bounds(V, u, s, s_prime)
     lo, hi = float(lower) / 2.0, float(upper) / 2.0
-    return GammaInterval(lower=lo, upper=hi, empty=bool(lo > hi + tol))
+    return GammaInterval(lower=lo, upper=hi, empty=not lo <= hi + tol)
 
 
 def pinned_gamma(V, u, s) -> float:
@@ -196,12 +199,18 @@ def alpha_interval(V, u, s, s_prime, tol: float = TAU_STAB):
     return (min(a, b), max(a, b))
 
 
-def alpha_feasible(V, u, s, s_prime, tol: float = TAU_STAB) -> bool:
-    """Whether some alpha (any alpha, when s' = 0) makes the scheme stable."""
-    iv = gamma_feasible_interval(V, u, s, s_prime, tol)
-    if s_prime == 0.0:
-        return iv.contains(pinned_gamma(V, u, s), tol)
-    return not iv.empty
+def alpha_feasible(V, u, s, s_prime, tol: float = TAU_STAB):
+    """Whether some alpha (any alpha, when s' = 0) makes the scheme stable.
+
+    Where s' = 0 the nonempty gamma interval must also hold the pinned gamma.
+    NaN input is infeasible.  Scalar inputs give a bool; arrays a bool array.
+    """
+    lower, upper = chain_bounds(V, u, s, s_prime)
+    lo, hi = lower / 2.0, upper / 2.0
+    V, u, s, sp = _operands(V, u, s, s_prime)
+    pinned = pinned_gamma(V, u, s)
+    res = (lo <= hi + tol) & ((sp != 0.0) | ((pinned >= lo - tol) & (pinned <= hi + tol)))
+    return bool(res) if np.isscalar(res) or res.ndim == 0 else res
 
 
 def u_zero_slacks(V, s, s_prime):

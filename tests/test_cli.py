@@ -201,6 +201,8 @@ SCHEME = ["--V", "0.25", "--s", "1", "--sp", "1", "--alpha", "0"]
     (["simulate", *SCHEME, "--steps", "-1"], "--steps"),
     (["simulate", *SCHEME, "--snap-every", "-2"], "--snap-every"),
     (["region", "--V", "0.5", "--u-list", ""], "--u-list"),
+    (["simulate", *SCHEME, "--profile", "smooth", "--width", "0"], "--width"),
+    (["simulate", *SCHEME, "--profile", "hat", "--width", "-0.1"], "--width"),
 ])
 def test_out_of_range_value_exits_2_with_one_line(argv, flag, capsys):
     assert main(argv) == 2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from d1q3rv.cli import main
-from d1q3rv.regionscan import (FEASIBLE, NECESSARY_ONLY, OUTSIDE, ScanSpec,
+from d1q3rv.regionscan import (FEASIBLE, NECESSARY_ONLY, OUTSIDE, ScanSpec, _merge_rectangles,
                                default_u_list, emit_csv, emit_svg, parse_csv, scan)
 from d1q3rv.stability import necessary_region, u_zero_region
 
@@ -164,6 +164,38 @@ def test_svg_is_well_formed_xml():
     buf = io.StringIO()
     emit_svg(grid, buf)
     xml.dom.minidom.parseString(buf.getvalue())
+
+
+def _masks():
+    rng = np.random.default_rng(2019)
+    yield from (np.zeros((0, 0), bool), np.zeros((0, 4), bool), np.zeros((4, 0), bool),
+                np.zeros((6, 5), bool), np.ones((6, 5), bool),
+                rng.random((1, 9)) < 0.5, rng.random((9, 1)) < 0.5)
+    for k in range(2000):
+        shape = tuple(rng.integers(1, 13, 2))
+        if k % 3 == 0:
+            # repeated columns, so that runs merge across several columns
+            mask = (rng.random((shape[0], 1)) < 0.6) & (rng.random((1, shape[1])) < 0.7)
+        else:
+            mask = rng.random(shape) < (k % 5) / 4
+        yield mask
+
+
+def test_merge_rectangles_is_the_greedy_column_run_tiling():
+    assert _merge_rectangles(np.zeros((6, 5), bool)) == []
+    assert _merge_rectangles(np.ones((6, 5), bool)) == [(0, 5, 0, 4)]
+    for mask in _masks():
+        rects = _merge_rectangles(mask)
+        assert rects == sorted(rects)
+        cover = np.zeros(mask.shape, int)
+        padded = np.pad(mask, ((0, 0), (1, 1)))
+        for i0, i1, j0, j1 in rects:
+            cover[i0:i1 + 1, j0:j1 + 1] += 1
+            # each column piece is a whole run of True cells
+            assert not padded[i0:i1 + 1, j0].any() and not padded[i0:i1 + 1, j1 + 2].any()
+        assert np.array_equal(cover, mask)
+        starts = {(i0, j0, j1) for i0, _, j0, j1 in rects}
+        assert not any((i1 + 1, j0, j1) in starts for _, i1, j0, j1 in rects)
 
 
 def test_area_estimate_converges_with_resolution():

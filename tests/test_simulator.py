@@ -85,6 +85,13 @@ def test_profile_kind_validation():
         InitialProfile(kind="sawtooth")
 
 
+@pytest.mark.parametrize("width", [0.0, -0.1, float("nan")])
+def test_profile_width_must_be_positive(width):
+    with pytest.raises(ValueError, match="width"):
+        InitialProfile(kind=HAT, width=width)
+    assert InitialProfile(kind=HAT, width=0.05).sample(default_grid(40)).max() == 1.0
+
+
 # ----------------------------------------------------------------------- init
 
 def test_init_constant_density_rest_state():

@@ -185,6 +185,39 @@ def test_alpha_feasible_degenerate_rate():
     assert pinned_gamma(0.5, 0.3, 1.0) == pytest.approx(-0.15)
 
 
+def test_alpha_feasible_arrays_match_scalar_calls():
+    # s' = 0 in the first column, NaN in two cells
+    S, SP = np.meshgrid(np.linspace(0.0, 2.2, 23), np.linspace(0.0, 2.2, 23), indexing="ij")
+    S[3, 5] = SP[7, 2] = np.nan
+    for V, u in ((0.0, 0.0), (0.25, 0.125), (0.5, 0.3), (2 / 3, -1 / 3), (-0.4, 0.2)):
+        got = alpha_feasible(V, u, S, SP)
+        assert got.dtype == bool and got.shape == S.shape
+        scalar = np.array([[alpha_feasible(V, u, a, b) for a, b in zip(*rows)]
+                           for rows in zip(S.tolist(), SP.tolist())])
+        assert np.array_equal(got, scalar)
+        # the same rule written through the scalar gamma interval
+        for i, j in np.ndindex(S.shape):
+            iv = gamma_feasible_interval(V, u, S[i, j], SP[i, j])
+            pinned = pinned_gamma(V, u, S[i, j])
+            assert got[i, j] == (iv.contains(pinned) if SP[i, j] == 0.0 else not iv.empty)
+        assert not got[3, 5] and not got[7, 2]
+    assert alpha_feasible(0.0, 0.0, S, SP)[:, 0].any()
+    # s' = 0: the interval is nonempty within tol, but the pinned gamma 4e-11 lies above it
+    assert not gamma_feasible_interval(10.0, -4.0, 1e-12, 0.0).empty
+    assert not alpha_feasible(10.0, -4.0, np.array([1e-12]), 0.0).any()
+    assert type(alpha_feasible(0.25, 0.0, 1.0, 1.0)) is bool
+    assert type(alpha_feasible(0.5, 0.3, 1.0, 0.0)) is bool
+
+
+@pytest.mark.parametrize("k", range(4), ids=["V", "u", "s", "s_prime"])
+def test_nan_input_is_infeasible(k):
+    args = [0.25, 0.1, 1.0, 1.0]
+    args[k] = float("nan")
+    assert gamma_feasible_interval(*args).empty
+    assert alpha_feasible(*args) is False
+    assert alpha_interval(*args) is None
+
+
 # ----------------------------------------------------------------- u=0 region
 
 def test_u_zero_region_examples():
