@@ -163,7 +163,7 @@ def cmd_simulate(args) -> int:
         print(f"error: --width must be positive, got {args.width:g}", file=sys.stderr)
         return 2
     p = _params(args)
-    grid = default_grid(n_cells=args.ncells, lam=p.lam)
+    grid = default_grid(args.ncells)
     profile = InitialProfile(kind=args.profile, center=args.center, width=args.width,
                              low=args.low, high=args.high)
     try:

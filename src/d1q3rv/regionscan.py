@@ -14,7 +14,7 @@ import io
 import numpy as np
 from dataclasses import dataclass
 
-from .stability import alpha_feasible, chain_bounds, necessary_region
+from .stability import alpha_feasible, gamma_feasible_interval, necessary_region
 
 FEASIBLE = "FEASIBLE"
 NECESSARY_ONLY = "NECESSARY_ONLY"
@@ -95,12 +95,12 @@ def scan(spec: ScanSpec) -> list:
     grids = []
     for u in spec.u_list:
         feasible = alpha_feasible(spec.V, u, S, SP)
-        lower, upper = chain_bounds(spec.V, u, S, SP)
+        iv = gamma_feasible_interval(spec.V, u, S, SP)
         grids.append(RegionGrid(
             V=spec.V, u=float(u), s_values=s, s_prime_values=sp,
             codes=np.where(feasible, _CLASS_CODES[FEASIBLE], outer).astype(np.int8),
-            gamma_lower=np.where(feasible, lower / 2.0, np.nan),
-            gamma_upper=np.where(feasible, upper / 2.0, np.nan)))
+            gamma_lower=np.where(feasible, iv.lower, np.nan),
+            gamma_upper=np.where(feasible, iv.upper, np.nan)))
     return grids
 
 
@@ -138,7 +138,8 @@ def parse_csv(source) -> RegionGrid:
     """Read back a grid written by emit_csv (exact round trip).
 
     Lines are split on whitespace, which no field contains.  Raises
-    ValueError on empty input, a wrong header, no rows, or malformed rows.
+    ValueError on empty input, a wrong header, no rows, malformed rows, or
+    rows that are not one grid: one V and one u, each (s, s') cell once.
     """
     if not hasattr(source, "read"):
         with open(source, "r", encoding="utf-8") as fh:
@@ -159,18 +160,25 @@ def parse_csv(source) -> RegionGrid:
         flat_codes = np.fromiter(map(_CLASS_CODES.__getitem__, names), np.int8, len(names))
     except KeyError as exc:
         raise ValueError(f"unknown region class {exc.args[0]!r}") from None
+    for column in (V, u):  # one spelling, as emit_csv writes, or else one value
+        if column.count(column[0]) != len(column) and len(set(map(float, set(column)))) != 1:
+            raise ValueError("region CSV rows must share one V and one u")
     s_vals, i = np.unique(np.array(s, float), return_inverse=True)
     sp_vals, j = np.unique(np.array(sp, float), return_inverse=True)
     shape = (len(s_vals), len(sp_vals))
-    codes = np.zeros(shape, np.int8)
-    codes[i, j] = flat_codes
+    cell = i * shape[1] + j  # row-major index into the grid
+    if (np.bincount(cell, minlength=shape[0] * shape[1]) != 1).any():
+        raise ValueError("region CSV must hold each (s, s') grid cell exactly once")
+    codes = np.zeros(cell.size, np.int8)
+    codes[cell] = flat_codes
     feasible = flat_codes == _CLASS_CODES[FEASIBLE]
-    glo = np.full(shape, np.nan)
-    ghi = np.full(shape, np.nan)
-    glo[i[feasible], j[feasible]] = np.array(lower, object)[feasible].astype(float)
-    ghi[i[feasible], j[feasible]] = np.array(upper, object)[feasible].astype(float)
+    glo = np.full(cell.size, np.nan)
+    ghi = np.full(cell.size, np.nan)
+    glo[cell[feasible]] = np.array(lower, object)[feasible].astype(float)
+    ghi[cell[feasible]] = np.array(upper, object)[feasible].astype(float)
     return RegionGrid(V=float(V[0]), u=float(u[0]), s_values=s_vals, s_prime_values=sp_vals,
-                      codes=codes, gamma_lower=glo, gamma_upper=ghi)
+                      codes=codes.reshape(shape), gamma_lower=glo.reshape(shape),
+                      gamma_upper=ghi.reshape(shape))
 
 
 # SVG geometry and colours, in pixels

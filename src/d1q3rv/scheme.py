@@ -65,7 +65,7 @@ def _operands(*xs):
     zero gives inf/NaN with a RuntimeWarning) without 0-d array overhead.
     Otherwise: the float arrays broadcast to one shape.
     """
-    if all(type(x) in _SCALAR_TYPES for x in xs):
+    if _SCALAR_TYPES.issuperset(map(type, xs)):
         return tuple(map(np.float64, xs))
     arrays = [np.asarray(x, float) for x in xs]
     if all(a.ndim == 0 for a in arrays):

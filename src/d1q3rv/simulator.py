@@ -29,21 +29,16 @@ PROFILE_KINDS = (SMOOTH, HAT, STEP, CUSTOM)
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Periodic lattice: n_cells cells of width dx, time step dx/lam."""
+    """Periodic lattice: n_cells cells of width dx."""
 
     n_cells: int
     dx: float
-    lam: float = 1.0
 
     def __post_init__(self):
         if self.n_cells <= 0:
             raise ValueError(f"n_cells must be positive, got {self.n_cells}")
-        if not self.dx > 0 or not self.lam > 0:
-            raise ValueError(f"dx and lam must be positive, got dx={self.dx}, lam={self.lam}")
-
-    @property
-    def dt(self) -> float:
-        return self.dx / self.lam
+        if not self.dx > 0:
+            raise ValueError(f"dx must be positive, got dx={self.dx}")
 
     @property
     def length(self) -> float:
@@ -53,11 +48,11 @@ class Grid1D:
         return self.dx * np.arange(self.n_cells)
 
 
-def default_grid(n_cells: int = 200, lam: float = 1.0) -> Grid1D:
+def default_grid(n_cells: int = 200) -> Grid1D:
     """Unit-length periodic grid."""
     if n_cells <= 0:
         raise ValueError(f"n_cells must be positive, got {n_cells}")
-    return Grid1D(n_cells=n_cells, dx=1.0 / n_cells, lam=lam)
+    return Grid1D(n_cells=n_cells, dx=1.0 / n_cells)
 
 
 @dataclass(frozen=True)
@@ -203,7 +198,7 @@ class RunResult:
 
 def exact_density(profile: InitialProfile, grid: Grid1D, p: SchemeParameters,
                   n_steps: int) -> np.ndarray:
-    """Advected initial profile at time n_steps * dt.
+    """Advected initial profile after n_steps time steps.
 
     The displacement is V * n_steps cells; when that is an integer the
     reference is the rolled initial samples (avoids re-sampling noise at
@@ -338,10 +333,6 @@ def run_batch(cases, grid: Grid1D, n_steps: int, snap_every: int = 0) -> list:
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    for _, p in cases:
-        if grid.lam != p.lam:
-            raise ValueError(f"grid and scheme disagree on the lattice velocity: "
-                             f"{grid.lam} vs {p.lam}")
     states = [init_state(profile, grid, p) for profile, p in cases]
     out = advance(np.stack([st.f for st in states]),
                   np.stack([build_relaxation_matrix(p) for _, p in cases]),

@@ -19,15 +19,18 @@ provided:
 Since gamma is an affine function of alpha (for s' != 0), the chain also
 yields the feasible gamma interval at fixed (V, u, s, s') and from it the
 feasible alpha interval.  Everything is pure.  The vectorized functions
-(relaxation_entries_closed_form, chain_bounds, alpha_feasible,
-u_zero_slacks, u_zero_region, necessary_slacks, necessary_region) accept
-scalars or numpy arrays; a scalar call evaluates the same expressions on
-NumPy float64 scalars instead of 0-d arrays.  The verdict routes,
-gamma_feasible_interval and the alpha intervals take scalars only.
+(relaxation_entries_closed_form, chain_bounds, gamma_feasible_interval,
+alpha_feasible, u_zero_slacks, u_zero_region, necessary_slacks,
+necessary_region) accept scalars or numpy arrays; a scalar call evaluates
+the same expressions on NumPy float64 scalars and returns float64 chain
+bounds, Python floats or bools.  The verdict routes and the alpha intervals
+take scalars only.  TAU_STAB and GUARD_BAND are constants, not arguments.
+A NaN slack makes a verdict unstable; NaN input is never feasible.
 """
 
 from __future__ import annotations
 
+import math
 import numpy as np
 from dataclasses import dataclass
 
@@ -70,22 +73,25 @@ class StabilityVerdict:
 
 @dataclass(frozen=True)
 class GammaInterval:
-    """Feasible interval for gamma at fixed (V, u, s, s'); may be empty."""
+    """Feasible gamma interval at fixed (V, u, s, s'), possibly empty; arrays for array input."""
 
     lower: float
     upper: float
     empty: bool
 
-    def contains(self, gamma: float, tol: float = TAU_STAB) -> bool:
-        return (not self.empty) and self.lower - tol <= gamma <= self.upper + tol
 
-
-def _verdict(slacks, route: str, tol: float = TAU_STAB, guard: float = GUARD_BAND) -> StabilityVerdict:
+def _verdict(slacks, route: str) -> StabilityVerdict:
     slacks = tuple(np.asarray(slacks, float).tolist())
-    m = min(slacks)
-    binding = tuple(i for i, x in enumerate(slacks) if abs(x) <= guard)
-    return StabilityVerdict(stable=bool(m >= -tol), slacks=slacks, min_slack=m,
+    # min() skips a NaN unless it comes first, so test for one explicitly
+    m = math.nan if any(map(math.isnan, slacks)) else min(slacks)
+    binding = tuple([i for i, x in enumerate(slacks) if abs(x) <= GUARD_BAND])
+    return StabilityVerdict(stable=m >= -TAU_STAB, slacks=slacks, min_slack=m,
                             binding=binding, route=route)
+
+
+def _unbox(res, kind):
+    """A 0-d NumPy result as a Python kind (float or bool); arrays pass through."""
+    return res if res.ndim else kind(res)
 
 
 def relaxation_entries_closed_form(V, u, s, s_prime, alpha) -> np.ndarray:
@@ -128,20 +134,22 @@ def reduced_parameters(p: SchemeParameters) -> ReducedParameters:
     )
 
 
+def _chain_terms(V, u, s, s_prime):
+    """The chain's sides, in units of 2*gamma: (two lower sides, three upper sides)."""
+    V, u, s, sp = _operands(V, u, s, s_prime)
+    ubar = 2.0 * u * (s - sp)
+    sV = s * V
+    return (sp - 1.0, abs(ubar)), (2.0 - s - abs(ubar - sV), s - abs(ubar + sV), sp - abs(sV))
+
+
 def chain_bounds(V, u, s, s_prime):
     """Lower and upper bounds of the reduced chain, in units of 2*gamma.
 
     Vectorized; returns (lower, upper) where stability at given alpha reads
     lower <= 2*gamma <= upper.  Scalar inputs give float64 bounds.
     """
-    V, u, s, sp = _operands(V, u, s, s_prime)
-    ubar = 2.0 * u * (s - sp)
-    lower = np.maximum(sp - 1.0, np.abs(ubar))
-    upper = np.minimum(
-        np.minimum(2.0 - s - np.abs(ubar - s * V), s - np.abs(ubar + s * V)),
-        sp - np.abs(s * V),
-    )
-    return lower, upper
+    (l1, l2), (u1, u2, u3) = _chain_terms(V, u, s, s_prime)
+    return np.maximum(l1, l2), np.minimum(np.minimum(u1, u2), u3)
 
 
 def reduced_condition(p: SchemeParameters) -> StabilityVerdict:
@@ -150,24 +158,20 @@ def reduced_condition(p: SchemeParameters) -> StabilityVerdict:
     Slacks, in order: 2g - (s'-1), 2g - |u_bar|, (2 - s - |u_bar - sV|) - 2g,
     (s - |u_bar + sV|) - 2g, (s' - |sV|) - 2g.
     """
-    r = reduced_parameters(p)
-    two_gamma = 2.0 * r.gamma
-    sV = p.s * p.V
-    slacks = (
-        two_gamma - (p.s_prime - 1.0),
-        two_gamma - abs(r.u_bar),
-        (2.0 - p.s - abs(r.u_bar - sV)) - two_gamma,
-        (p.s - abs(r.u_bar + sV)) - two_gamma,
-        (p.s_prime - abs(sV)) - two_gamma,
-    )
-    return _verdict(slacks, route="reduced")
+    two_gamma = 2.0 * reduced_parameters(p).gamma
+    lower, upper = _chain_terms(p.V, p.u, p.s, p.s_prime)
+    return _verdict([two_gamma - x for x in lower] + [x - two_gamma for x in upper], "reduced")
 
 
-def gamma_feasible_interval(V, u, s, s_prime, tol: float = TAU_STAB) -> GammaInterval:
-    """Feasible gamma interval at fixed (V, u, s, s'); empty unless lower <= upper + tol."""
+def gamma_feasible_interval(V, u, s, s_prime) -> GammaInterval:
+    """Feasible gamma interval: the chain bounds halved, empty unless lower <= upper + TAU_STAB.
+
+    NaN input gives an empty interval.  Scalar inputs give floats and a bool.
+    """
     lower, upper = chain_bounds(V, u, s, s_prime)
-    lo, hi = float(lower) / 2.0, float(upper) / 2.0
-    return GammaInterval(lower=lo, upper=hi, empty=not lo <= hi + tol)
+    lo, hi = _unbox(lower, float) / 2.0, _unbox(upper, float) / 2.0
+    empty = _unbox(np.logical_not(lo <= hi + TAU_STAB), bool)
+    return GammaInterval(lower=lo, upper=hi, empty=empty)
 
 
 def pinned_gamma(V, u, s) -> float:
@@ -186,31 +190,29 @@ def alpha_from_gamma(gamma, V, u, s, s_prime):
     return 1.0 - 6.0 * (gamma + u * (s - s_prime) * V) / s_prime
 
 
-def alpha_interval(V, u, s, s_prime, tol: float = TAU_STAB):
+def alpha_interval(V, u, s, s_prime):
     """Feasible alpha interval, or None when empty or alpha-unconstrained.
 
     Maps the gamma interval endpoints through alpha_from_gamma (alpha is
     affine, decreasing in gamma for s' > 0).
     """
-    iv = gamma_feasible_interval(V, u, s, s_prime, tol)
+    iv = gamma_feasible_interval(V, u, s, s_prime)
     if iv.empty or s_prime == 0.0:
         return None
     a, b = (alpha_from_gamma(g, V, u, s, s_prime) for g in (iv.lower, iv.upper))
     return (min(a, b), max(a, b))
 
 
-def alpha_feasible(V, u, s, s_prime, tol: float = TAU_STAB):
+def alpha_feasible(V, u, s, s_prime):
     """Whether some alpha (any alpha, when s' = 0) makes the scheme stable.
 
     Where s' = 0 the nonempty gamma interval must also hold the pinned gamma.
     NaN input is infeasible.  Scalar inputs give a bool; arrays a bool array.
     """
-    lower, upper = chain_bounds(V, u, s, s_prime)
-    lo, hi = lower / 2.0, upper / 2.0
-    V, u, s, sp = _operands(V, u, s, s_prime)
+    iv = gamma_feasible_interval(V, u, s, s_prime)
     pinned = pinned_gamma(V, u, s)
-    res = (lo <= hi + tol) & ((sp != 0.0) | ((pinned >= lo - tol) & (pinned <= hi + tol)))
-    return bool(res) if np.isscalar(res) or res.ndim == 0 else res
+    pin_ok = (pinned >= iv.lower - TAU_STAB) & (pinned <= iv.upper + TAU_STAB)
+    return _unbox(np.logical_and(np.logical_not(iv.empty), (s_prime != 0.0) | pin_ok), bool)
 
 
 def u_zero_slacks(V, s, s_prime):
@@ -227,18 +229,17 @@ def u_zero_slacks(V, s, s_prime):
     ), axis=-1)
 
 
-def u_zero_region(V, s, s_prime, tol: float = TAU_STAB):
+def u_zero_region(V, s, s_prime):
     """Explicit stability region in (s, s') when the relative velocity is zero.
 
     Negative V is folded to |V| (the region only depends on |V|).  For
     |V| <= 1 this is equivalent to the gamma interval at u = 0 being
     nonempty.  Scalar inputs give a bool; arrays give a bool array.
     """
-    res = u_zero_slacks(V, s, s_prime).min(axis=-1) >= -tol
-    return bool(res) if np.isscalar(res) or res.ndim == 0 else res
+    return _unbox(u_zero_slacks(V, s, s_prime).min(axis=-1) >= -TAU_STAB, bool)
 
 
-def u_zero_alpha_bounds(V, s, s_prime, tol: float = TAU_STAB):
+def u_zero_alpha_bounds(V, s, s_prime):
     """Feasible alpha interval at u = 0; None when s' = 0 (alpha-unconstrained).
 
     Requires u_zero_region(V, s, s_prime) to hold.  The upper endpoint never
@@ -246,9 +247,9 @@ def u_zero_alpha_bounds(V, s, s_prime, tol: float = TAU_STAB):
     """
     if s_prime == 0.0:
         return None
-    if not u_zero_region(V, s, s_prime, tol):
+    if not u_zero_region(V, s, s_prime):
         raise ValueError(f"(V={V}, s={s}, s_prime={s_prime}) is outside the u=0 stability region")
-    return alpha_interval(V, 0.0, s, s_prime, tol)
+    return alpha_interval(V, 0.0, s, s_prime)
 
 
 def necessary_slacks(V, s, s_prime):
@@ -267,14 +268,13 @@ def necessary_slacks(V, s, s_prime):
     ), axis=-1)
 
 
-def necessary_region(V, s, s_prime, tol: float = TAU_STAB):
+def necessary_region(V, s, s_prime):
     """Necessary-condition polytope in (s, s'); superset of every stable region."""
-    res = necessary_slacks(V, s, s_prime).min(axis=-1) >= -tol
-    return bool(res) if np.isscalar(res) or res.ndim == 0 else res
+    return _unbox(necessary_slacks(V, s, s_prime).min(axis=-1) >= -TAU_STAB, bool)
 
 
-def u_bar_bound_check(p: SchemeParameters, tol: float = TAU_STAB) -> bool:
+def u_bar_bound_check(p: SchemeParameters) -> bool:
     """Probe of the implication: stable => |u_bar| <= 1/2."""
     if not reduced_condition(p).stable:
         return True
-    return abs(2.0 * p.u * (p.s - p.s_prime)) <= 0.5 + tol
+    return abs(reduced_parameters(p).u_bar) <= 0.5 + TAU_STAB

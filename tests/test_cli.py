@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from d1q3rv import simulator
@@ -63,6 +64,14 @@ def test_check_unstable_point_exit_1(capsys):
     assert main(["check", "--V", "0.25", "--u", "0", "--s", "1.6", "--sp", "1.3",
                  "--alpha", "4/13"]) == 1
     assert "unstable" in capsys.readouterr().out
+
+
+def test_check_nan_entry_exit_1(capsys):
+    # the overflowing product makes three closed-form entries NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["check", "--V", "0", "--u", "0", "--s", "0", "--sp=-1e308",
+                     "--alpha=-1e308"]) == 1
+    assert capsys.readouterr().out.count("unstable") == 3
 
 
 def test_check_interval_mode(capsys):

@@ -123,6 +123,35 @@ def test_parse_csv_rejects_empty_or_malformed_input(text):
         parse_csv(io.StringIO(text))
 
 
+def _edit_rows(lines, how):
+    """A region CSV's lines with one edit that leaves every row well formed."""
+    rows = lines[1:]
+    k = next(k for k, row in enumerate(rows) if f",{FEASIBLE}," in row)
+    V, u, s, sp, name, lo, hi = rows[k].split(",")
+    if how == "drop":
+        del rows[k]
+    elif how == "drop last":
+        del rows[-1]
+    elif how == "duplicate":
+        rows.append(",".join((V, u, s, sp, OUTSIDE, "", "")))
+    elif how == "other V":
+        rows[k] = ",".join(("0.75", u, s, sp, name, lo, hi))
+    else:
+        rows[k] = ",".join((V, "0.125", s, sp, name, lo, hi))
+    return "\n".join([lines[0]] + rows) + "\n"
+
+
+@pytest.mark.parametrize("how", ["drop", "drop last", "duplicate", "other V", "other u"])
+def test_parse_csv_rejects_rows_that_are_not_one_grid(how):
+    buf = io.StringIO()
+    emit_csv(scan(small_spec(0.5, u_list=(0.25,), n=5))[0], buf)
+    lines = buf.getvalue().split()
+    # the same V spelled another way is the same V
+    parse_csv(io.StringIO("\n".join(lines[:2] + [lines[2].replace("0.5,", "0.50,", 1)] + lines[3:])))
+    with pytest.raises(ValueError, match="grid cell exactly once|share one"):
+        parse_csv(io.StringIO(_edit_rows(lines, how)))
+
+
 def test_csv_determinism():
     spec = small_spec(2 / 3, u_list=(1 / 3,), n=34)
     a, b = io.StringIO(), io.StringIO()

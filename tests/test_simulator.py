@@ -19,8 +19,7 @@ def params(V=0.25, u=0.0, s=1.0, s_prime=1.0, alpha=0.0, lam=1.0):
 # ----------------------------------------------------------------------- grid
 
 def test_grid_derived_quantities():
-    g = Grid1D(n_cells=200, dx=0.005, lam=2.0)
-    assert g.dt == 0.0025
+    g = Grid1D(n_cells=200, dx=0.005)
     assert g.length == pytest.approx(1.0)
     assert g.positions().shape == (200,)
     assert g.positions()[1] == pytest.approx(0.005)
@@ -398,11 +397,6 @@ def test_run_far_outside_region_amplifies_exponentially():
     with pytest.warns(UserWarning):   # its equilibrium weights are negative too
         d = run(InitialProfile(kind=STEP), default_grid(100), p, 200).diagnostics
     assert d.max_rho > 1e3
-
-
-def test_run_rejects_mismatched_lattice_velocity():
-    with pytest.raises(ValueError):
-        run(InitialProfile(kind=HAT), default_grid(10, lam=2.0), params(lam=1.0), 5)
 
 
 def test_run_snapshots_cadence():

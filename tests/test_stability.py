@@ -14,6 +14,12 @@ def params(V=0.25, u=0.0, s=1.0, s_prime=1.0, alpha=0.0):
     return SchemeParameters(V=V, u=u, s=s, s_prime=s_prime, alpha=alpha)
 
 
+def same_bits(a, b) -> bool:
+    """Equal float64 bit patterns; any two NaNs count as equal."""
+    a, b = np.float64(a), np.float64(b)
+    return bool(np.isnan(a) and np.isnan(b)) or a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------- nine entries
 
 def test_nine_inequalities_stable_projection_point():
@@ -104,6 +110,40 @@ def test_three_routes_agree_off_boundary():
         checked += 1
 
 
+@pytest.mark.parametrize("p", [SchemeParameters(0, 0, 0, -1e308, -1e308),
+                               SchemeParameters(1, 1, 1e308, 0, 0)], ids=["R11", "R10"])
+def test_nan_slack_makes_the_verdict_unstable(p):
+    # overflow leaves NaN entries after finite ones; min() alone would skip them
+    with np.errstate(over="ignore", invalid="ignore"):
+        verdicts = (nine_inequalities(p), matrix_entry_verdict(p), reduced_condition(p))
+    assert np.isnan(verdicts[0].slacks).any() and np.isnan(verdicts[1].slacks).any()
+    for v in verdicts:
+        assert v.stable is False
+        assert np.isnan(v.min_slack) == np.isnan(v.slacks).any()
+
+
+def test_reduced_slacks_are_the_chain_bounds():
+    # the lower two slacks are 2g - lower sides, the upper three upper sides - 2g;
+    # equal as numbers, not in the sign of a zero: min() keeps either of -0.0 and 0.0
+    rng = np.random.default_rng(51)
+    n = 4000
+    V, u, s, sp, alpha = (rng.uniform(-1.5, 1.5, n), rng.uniform(-1, 1, n),
+                          rng.uniform(-0.5, 2.5, n), rng.uniform(-0.5, 2.5, n),
+                          rng.uniform(-2, 2, n))
+    sp[::7] = 0.0
+    u[::11] = -0.0
+    s[::13] = -0.0
+    V[::17] = -0.0
+    for k in range(n):
+        p = params(*(float(x[k]) for x in (V, u, s, sp, alpha)))
+        slacks = reduced_condition(p).slacks
+        two_gamma = 2.0 * reduced_parameters(p).gamma
+        lower, upper = chain_bounds(p.V, p.u, p.s, p.s_prime)
+        for got, want in ((min(slacks[:2]), two_gamma - lower),
+                          (min(slacks[2:]), upper - two_gamma)):
+            assert got == want or same_bits(got, want)
+
+
 # ------------------------------------------------------------- gamma interval
 
 def test_gamma_interval_examples():
@@ -130,7 +170,7 @@ def test_interval_consistent_with_reduced_condition():
         iv = gamma_feasible_interval(V, u, s, sp)
         gam = reduced_parameters(p).gamma
         if reduced_condition(p).stable:
-            assert iv.contains(gam)
+            assert not iv.empty and iv.lower - TAU_STAB <= gam <= iv.upper + TAU_STAB
 
 
 def test_interval_emptiness_matches_alpha_sweep():
@@ -195,11 +235,18 @@ def test_alpha_feasible_arrays_match_scalar_calls():
         scalar = np.array([[alpha_feasible(V, u, a, b) for a, b in zip(*rows)]
                            for rows in zip(S.tolist(), SP.tolist())])
         assert np.array_equal(got, scalar)
-        # the same rule written through the scalar gamma interval
+        # the array interval is the scalar one, bitwise, and carries the same rule
+        grid_iv = gamma_feasible_interval(V, u, S, SP)
         for i, j in np.ndindex(S.shape):
-            iv = gamma_feasible_interval(V, u, S[i, j], SP[i, j])
+            iv = gamma_feasible_interval(V, u, float(S[i, j]), float(SP[i, j]))
+            assert type(iv.lower) is float and type(iv.empty) is bool
+            assert same_bits(grid_iv.lower[i, j], iv.lower)
+            assert same_bits(grid_iv.upper[i, j], iv.upper)
+            assert grid_iv.empty[i, j] == iv.empty
             pinned = pinned_gamma(V, u, S[i, j])
-            assert got[i, j] == (iv.contains(pinned) if SP[i, j] == 0.0 else not iv.empty)
+            in_iv = iv.lower - TAU_STAB <= pinned <= iv.upper + TAU_STAB
+            assert got[i, j] == (not iv.empty and (in_iv or SP[i, j] != 0.0))
+        assert grid_iv.empty[3, 5] and grid_iv.empty[7, 2]
         assert not got[3, 5] and not got[7, 2]
     assert alpha_feasible(0.0, 0.0, S, SP)[:, 0].any()
     # s' = 0: the interval is nonempty within tol, but the pinned gamma 4e-11 lies above it
