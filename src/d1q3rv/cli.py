@@ -72,6 +72,12 @@ def _params(args, alpha=None) -> SchemeParameters:
                             alpha=0.0 if a is None else a, lam=getattr(args, "lam", 1.0))
 
 
+def _note_if_not_finite(*values) -> None:
+    """One stderr line when a reported value overflowed (inf) or is undefined (nan)."""
+    if not all(np.isfinite(v).all() for v in values):
+        print("note: some values overflow float64 (inf) or are undefined (nan)", file=sys.stderr)
+
+
 def _fmt_matrix(R) -> str:
     return "\n".join("  [" + "  ".join(f"{v: .12f}" for v in row) + "]" for row in R)
 
@@ -91,6 +97,7 @@ def cmd_matrix(args) -> int:
     verdict = stability.nine_inequalities(p)
     print("entry slacks (row-major):", "  ".join(f"{v: .6f}" for v in verdict.slacks))
     print(f"non-negative: {'yes' if verdict.stable else 'no'} (min slack {verdict.min_slack:.6g})")
+    _note_if_not_finite(R, C)
     return 0
 
 
@@ -103,8 +110,10 @@ def cmd_check(args) -> int:
             binding = ",".join(map(str, v.binding)) if v.binding else "-"
             print(f"route {v.route:8s}: {'stable' if v.stable else 'unstable'} "
                   f"(min slack {v.min_slack: .6g}, binding [{binding}])")
+        _note_if_not_finite(*(v.slacks for v in verdicts))
         return 0 if verdicts[0].stable else 1
     iv = stability.gamma_feasible_interval(args.V, args.u, args.s, args.sp)
+    _note_if_not_finite(iv.lower, iv.upper)
     if iv.empty:
         print(f"gamma interval: empty (lower {iv.lower:.6g} > upper {iv.upper:.6g})")
         return 1
@@ -173,6 +182,8 @@ def cmd_simulate(args) -> int:
         return 4
     diag = result.diagnostics
     verdict = stability.nine_inequalities(p)
+    _note_if_not_finite(verdict.slacks, (diag.min_f_over_run, diag.min_rho, diag.max_rho,
+                                         diag.mass_drift, diag.l1_error))
     flagged = diag.undershoot > OSCILLATION_FLAG_THRESHOLD
     print(f"R non-negative: {'yes' if verdict.stable else 'no'} "
           f"(min slack {verdict.min_slack:.6g}); undershoot {diag.undershoot:.6g}"
@@ -281,7 +292,8 @@ def main(argv=None) -> int:
     if not getattr(args, "lam", 1.0) > 0:
         print(f"error: --lambda must be positive, got {args.lam:g}", file=sys.stderr)
         return 2
-    return args.func(args)
+    with np.errstate(all="ignore"):   # non-finite results get one note line instead
+        return args.func(args)
 
 
 if __name__ == "__main__":

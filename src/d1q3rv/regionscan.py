@@ -78,9 +78,6 @@ class RegionGrid:
     gamma_lower: np.ndarray
     gamma_upper: np.ndarray
 
-    def classification(self, i: int, j: int) -> str:
-        return _CLASS_NAMES[self.codes[i, j]]
-
     def count(self, name: str) -> int:
         return int(np.sum(self.codes == _CLASS_CODES[name]))
 

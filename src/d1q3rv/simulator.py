@@ -7,8 +7,10 @@ conservation, extrema, and the L1 distance to the exactly advected
 profile, which is what exhibits (or rules out) spurious oscillations.
 
 Every run goes through advance, one kernel over a batch of states; run is
-its batch-of-one case.  relax and stream are the one-step reference it is
-tested against.
+its batch-of-one case.  advance keeps the states component-major with
+periodic ghost cells, so a step is one matmul whose output view does the
+streaming, and reduces the diagnostics once per block of up to 64 steps.
+relax and stream are the one-step reference it is tested against.
 """
 
 from __future__ import annotations
@@ -160,9 +162,11 @@ def stream(state: LatticeState) -> LatticeState:
 class RunDiagnostics:
     """Scalars accumulated over a run.
 
-    advance reduces them once per block of up to 32 steps, a block it keeps
-    under about 1 MiB (or at one step when a single state is larger), so a
-    run's memory is that block and does not grow with its number of steps.
+    advance reduces them once per block of up to 64 steps, a block whose
+    buffers it keeps under 1 MiB (or at one step when a single step's are
+    larger), so a run's memory is that block and does not grow with its
+    number of steps.  They equal the step-by-step reference's, except that
+    a zero may differ in sign where a product underflowed (see advance).
 
     mass_drift is the largest relative mass change seen at any step;
     overshoot/undershoot measure density excursions beyond the initial
@@ -214,16 +218,18 @@ def exact_density(profile: InitialProfile, grid: Grid1D, p: SchemeParameters,
     return profile.sample_at(np.mod(x, grid.length), grid.length)
 
 
-def _stream_permutation(n_cells: int) -> np.ndarray:
-    """Flat source index of every (cell, component) of a streamed state."""
-    cell = np.arange(n_cells)
-    src = np.stack([(cell + 1) % n_cells, cell, (cell - 1) % n_cells], axis=1)
-    return (3 * src + np.arange(3)).ravel()
-
-
 def _block_steps(batch: int, n_cells: int) -> int:
-    """Steps per history block: 32, fewer where the block would pass ~1 MiB."""
-    return min(32, max(1, 2**20 // max(1, batch * n_cells * 24)))
+    """Steps per history block: 64, fewer where advance's block buffers would
+    pass 1 MiB, and 1 where even a one-step block is larger.
+
+    The float64 buffers are the ghost-padded history (k+1, B, 3,
+    n_cells + 2(k+1)) with k spare values, and the cell-major copy
+    (k, B, n_cells, 3) the diagnostics reduce.
+    """
+    k = 64
+    while k > 1 and 24 * batch * ((k + 1) * (n_cells + 2 * k + 2) + k * n_cells) + 8 * k > 2**20:
+        k -= 1
+    return k
 
 
 def _step_stats(states: np.ndarray):
@@ -272,57 +278,83 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     """Relax-then-stream a batch of runs n_steps times.
 
     f0 has shape (B, n_cells, 3) and R, shape (B, 3, 3), is each run's
-    relaxation matrix.  A step is one matmul with R^T and one gather through
-    the precomputed stream permutation into a preallocated block of states;
-    the diagnostics are reduced once per block.  The block holds at most 32
-    steps and about 1 MiB, so memory stays O(B * n_cells).  Every output is
-    bitwise equal to stream(relax(...)) applied step by step, and a run's
+    relaxation matrix; neither is written to.  The states live
+    component-major in a block of history slots (k+1, B, 3, L), each row
+    padded with E = k+1 periodic ghost cells on both sides (L = n_cells + 2E).
+    Step j is one matmul of R with slot j's still-valid cells, written
+    through a view of slot j+1 whose row stride is L+1, so the three
+    components land one cell down, in place and one cell up: the write
+    address does the streaming, and the valid window shrinks by a cell on
+    each side.  Once per block the ghost cells are refilled from the
+    interior of the last slot and the diagnostics are reduced over a
+    cell-major copy of the interiors.  _block_steps sets k: at most 64 steps
+    and about 1 MiB of block buffers, so memory stays O(B * n_cells).
+
+    Every output is bitwise equal to stream(relax(...)) applied step by
+    step, with two exceptions.  Where a product underflows below half the
+    smallest subnormal, a zero may have the other sign than the reference's
+    (the values are equal as numbers).  With n_cells = 1, relax multiplies a
+    one-row state through a matrix-vector product, which rounds otherwise;
+    advance then equals the reference run on two equal cells.  A run's
     result does not depend on the rest of its batch.
 
     snap_every > 0 records the states every that many steps (step 0 and the
     final step included).
     """
-    f0 = np.asarray(f0, dtype=float)
+    f0 = np.ascontiguousarray(f0, dtype=float)
     R = np.asarray(R, dtype=float)
-    if f0.ndim != 3 or f0.shape[2] != 3 or R.shape != (len(f0), 3, 3):
-        raise ValueError(f"expected f0 of shape (B, n_cells, 3) and R of shape (B, 3, 3), "
+    if f0.ndim != 3 or f0.shape[2] != 3 or f0.shape[1] == 0 or R.shape != (len(f0), 3, 3):
+        raise ValueError(f"expected f0 of shape (B, n_cells >= 1, 3) and R of shape (B, 3, 3), "
                          f"got {f0.shape} and {R.shape}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     batch, n_cells, _ = f0.shape
     block = _block_steps(batch, n_cells)
-    hist = np.empty((block + 1, batch, n_cells, 3))
-    flat = hist.reshape(block + 1, batch, 3 * n_cells)
-    tmp = np.empty((batch, n_cells, 3))
-    RT = R.transpose(0, 2, 1)
-    perm = _stream_permutation(n_cells)
+    edge = block + 1
+    width = n_cells + 2 * edge
+    interior = slice(edge, edge + n_cells)
+    slot = batch * 3 * width
+    # shifted[j] starts at cell j of slot j+1; the unused tail of its rows
+    # runs up to block - 1 values past the last slot, hence the spare values.
+    buf = np.empty((block + 1) * slot + block)
+    hist = buf[:(block + 1) * slot].reshape(block + 1, batch, 3, width)
+    shifted = np.ndarray((block, batch, 3, width - 2), buffer=buf, offset=slot * buf.itemsize,
+                         strides=np.multiply((slot + 1, 3 * width, width + 1, 1), buf.itemsize))
+    ins = [hist[j, :, :, 1 + j:width - 1 - j] for j in range(block)]
+    outs = [shifted[j, :, :, :width - 2 - 2 * j] for j in range(block)]
+    cells = np.empty((block, batch, n_cells, 3))
+    wrap = edge + (np.arange(width) - edge) % n_cells
     snap_steps = (tuple(sorted(set(range(0, n_steps + 1, snap_every)) | {n_steps}))
                   if snap_every > 0 else ())
     snapshots = np.empty((len(snap_steps), batch, n_cells, 3))
     if snap_steps:
         snapshots[0] = f0
-    hist[0] = f0
-    min_f, min_rho, max_rho, mass0 = (v[0] for v in _step_stats(hist[:1]))
+    last = block
+    hist[last, :, :, interior] = f0.transpose(0, 2, 1)
+    min_f, min_rho, max_rho, mass0 = (v[0] for v in _step_stats(f0[None]))
     drift = np.zeros(batch)
     scale = np.where(mass0 != 0, np.abs(mass0), 1.0)   # drift is |mass| when mass0 == 0
     done, snapped = 0, 1
     while done < n_steps:
         k = min(block, n_steps - done)
-        for i in range(k):
-            np.matmul(hist[i], RT, out=tmp)
-            np.take(tmp.reshape(batch, -1), perm, axis=1, out=flat[i + 1], mode="clip")
-        step_min_f, step_min_rho, step_max_rho, mass = _step_stats(hist[1:k + 1])
+        np.take(hist[last], wrap, axis=2, out=hist[0], mode="clip")
+        for j in range(k):
+            np.matmul(R, ins[j], out=outs[j])
+        last = k
+        for c in range(3):
+            np.copyto(cells[:k, :, :, c], hist[1:k + 1, :, c, interior])
+        step_min_f, step_min_rho, step_max_rho, mass = _step_stats(cells[:k])
         _fold(min_f, step_min_f, np.fmin, np.less)
         _fold(min_rho, step_min_rho, np.fmin, np.less)
         _fold(max_rho, step_max_rho, np.fmax, np.greater)
         _fold(drift, np.abs(mass - mass0) / scale, np.fmax, np.greater)
         while snapped < len(snap_steps) and snap_steps[snapped] <= done + k:
-            snapshots[snapped] = hist[snap_steps[snapped] - done]
+            snapshots[snapped] = cells[snap_steps[snapped] - done - 1]
             snapped += 1
-        hist[0] = hist[k]
         done += k
-    return BatchRun(f=hist[0].copy(), min_f=min_f, min_rho=min_rho, max_rho=max_rho,
-                    mass_drift=drift, snap_steps=snap_steps, snapshots=snapshots)
+    return BatchRun(f=hist[last, :, :, interior].transpose(0, 2, 1).copy(), min_f=min_f,
+                    min_rho=min_rho, max_rho=max_rho, mass_drift=drift,
+                    snap_steps=snap_steps, snapshots=snapshots)
 
 
 def run_batch(cases, grid: Grid1D, n_steps: int, snap_every: int = 0) -> list:

@@ -1,7 +1,8 @@
+import hashlib
 import re
+import warnings
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from d1q3rv import simulator
@@ -66,12 +67,32 @@ def test_check_unstable_point_exit_1(capsys):
     assert "unstable" in capsys.readouterr().out
 
 
+OVERFLOW = ["--V", "0", "--u", "0", "--s", "0", "--sp=-1e308", "--alpha=-1e308"]
+DIVERGENT = ["--V", "0.9", "--u", "0.9", "--s", "1.99", "--sp", "0.05", "--alpha=-1.9",
+             "--ncells", "20", "--steps", "2000"]
+
+
+def run_without_runtime_warnings(argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    return code
+
+
 def test_check_nan_entry_exit_1(capsys):
     # the overflowing product makes three closed-form entries NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["check", "--V", "0", "--u", "0", "--s", "0", "--sp=-1e308",
-                     "--alpha=-1e308"]) == 1
-    assert capsys.readouterr().out.count("unstable") == 3
+    assert run_without_runtime_warnings(["check", *OVERFLOW]) == 1
+    out, err = capsys.readouterr()
+    assert out.count("unstable") == 3
+    assert "RuntimeWarning" not in err and err.count("note:") == 1
+
+
+@pytest.mark.parametrize("argv", [["matrix", *OVERFLOW], ["simulate", *DIVERGENT]])
+def test_non_finite_values_get_one_note_line(argv, capsys):
+    assert run_without_runtime_warnings(argv) == 0
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err and err.count("note:") == 1
 
 
 def test_check_interval_mode(capsys):
@@ -181,6 +202,13 @@ def test_reproduce_report_shape(capsys):
     assert out.count("DISCREPANCY") == 2
     assert "-0.15 < 0" in out
     assert "2 of 4 rows disagree" in out
+
+
+def test_reproduce_stdout_is_pinned(capsys):
+    assert main(["reproduce"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1eda8c588bb36a1a84a438d9769c7b967b14e15278dd06466d5a0ac6a24957c5")
 
 
 def test_reproduce_batched_results_match_serial_runs(capsys):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from d1q3rv.cli import main
-from d1q3rv.regionscan import (FEASIBLE, NECESSARY_ONLY, OUTSIDE, ScanSpec, _merge_rectangles,
-                               default_u_list, emit_csv, emit_svg, parse_csv, scan)
+from d1q3rv.regionscan import (_CLASS_CODES, FEASIBLE, NECESSARY_ONLY, OUTSIDE, ScanSpec,
+                               _merge_rectangles, default_u_list, emit_csv, emit_svg,
+                               parse_csv, scan)
 from d1q3rv.stability import necessary_region, u_zero_region
 
 
@@ -46,7 +47,7 @@ def test_unit_rates_cell_always_feasible(V):
         grid = scan(small_spec(V, u_list=(u,), n=23))[0]
         i = np.argmin(np.abs(grid.s_values - 1.0))
         j = np.argmin(np.abs(grid.s_prime_values - 1.0))
-        assert grid.classification(i, j) == FEASIBLE
+        assert grid.codes[i, j] == _CLASS_CODES[FEASIBLE]
 
 
 def test_feasible_cells_lie_inside_necessary_region():
@@ -72,7 +73,7 @@ def test_degenerate_second_rate_column():
     for i, s in enumerate(grid.s_values):
         expect = FEASIBLE if s == 0.0 else (OUTSIDE if not necessary_region(0.5, s, 0.0)
                                             else NECESSARY_ONLY)
-        assert grid.classification(i, j) == expect
+        assert grid.codes[i, j] == _CLASS_CODES[expect]
 
 
 def test_csv_shape_and_order():

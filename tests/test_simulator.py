@@ -289,16 +289,83 @@ def test_advance_step_counts_around_a_block(n_steps):
 
 def test_advance_snapshot_cadence_across_blocks():
     f0, R = initial(InitialProfile(kind=HAT), 200, params(0.25, 0.25, 1.6, 1.3, -0.175))
-    n_steps = 2 * BLOCK + 7
+    n_steps = 2 * BLOCK + 3
+    assert n_steps % 5, "the final step must fall off the cadence"
     out = advance(f0[None], R[None], n_steps, snap_every=5)
     assert out.snap_steps == (*range(0, n_steps + 1, 5), n_steps)
     assert_matches_reference(out, 0, f0, R, n_steps, snap_every=5)
 
 
 def test_advance_block_stays_under_a_mebibyte():
-    assert _block_steps(1, 200) == 32
-    assert _block_steps(12, 200) == 2**20 // (12 * 200 * 24)
+    for batch, n_cells in ((1, 200), (12, 200)):
+        k = _block_steps(batch, n_cells)
+        history = (k + 1) * batch * 3 * (n_cells + 2 * (k + 1)) + k   # ghost-padded, k spare
+        diagnostics = k * batch * n_cells * 3                          # cell-major copy
+        assert 8 * (history + diagnostics) <= 2**20
+    assert _block_steps(1, 200) == 64
+    assert _block_steps(3, 3000) == 1
     assert _block_steps(1, 1_000_000) == 1
+
+
+@pytest.mark.parametrize("batch,n_cells", [(2, 2), (3, 3000)])
+def test_advance_matches_step_loop_at_edge_shapes(batch, n_cells):
+    # two cells stream onto each other's neighbours; 3 x 3000 cells is a one-step block
+    rng = np.random.default_rng(n_cells)
+    f0 = rng.uniform(0, 1, (batch, n_cells, 3))
+    R = np.stack([build_relaxation_matrix(params(*row)) for row, _, _ in KERNEL_CASES[3:3 + batch]])
+    n_steps = 2 * _block_steps(batch, n_cells) + 3
+    with np.errstate(all="ignore"):
+        out = advance(f0, R, n_steps, snap_every=2)
+        for b in range(batch):
+            assert_matches_reference(out, b, f0[b], R[b], n_steps, snap_every=2)
+
+
+def test_advance_one_cell_is_two_equal_cells():
+    # A one-cell lattice is a two-cell lattice of equal cells.  The one-cell
+    # reference rounds otherwise, because numpy multiplies a one-row state by
+    # R^T through a matrix-vector product, so it is matched within 1e-14.
+    R = build_relaxation_matrix(params(0.25, 0.0, 1.9, 1.4, 1 / 7))
+    f0 = np.random.default_rng(1).uniform(0, 1, (1, 3))
+    n_steps = 2 * _block_steps(1, 1) + 3
+    out = advance(f0[None], R[None], n_steps, snap_every=2)
+    f, diags, snapshots = reference_advance(np.repeat(f0, 2, axis=0), R, n_steps, snap_every=2)
+    assert bitwise_equal(out.f[0], f[:1])
+    assert bitwise_equal(out.snapshots[:, 0], [snap[:1] for _, snap in snapshots])
+    assert bitwise_equal([out.min_f[0], out.min_rho[0], out.max_rho[0]], diags[:3])
+    f, diags, _ = reference_advance(f0, R, n_steps)
+    assert np.allclose(out.f[0], f, rtol=1e-14, atol=0)
+    assert np.allclose([out.min_f[0], out.min_rho[0], out.max_rho[0], out.mass_drift[0]], diags,
+                       rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_steps", [0, 2 * BLOCK + 3])
+def test_advance_never_writes_its_inputs(n_steps):
+    f0, R = initial(InitialProfile(kind=HAT), 24, params(0.25, 0.25, 1.6, 1.3, -0.175))
+    f0, R = f0[None].copy(), R[None].copy()
+    want_f0, want_R = f0.copy(), R.copy()
+    f0.flags.writeable = R.flags.writeable = False
+    out = advance(f0, R, n_steps, snap_every=5)
+    assert bitwise_equal(f0, want_f0) and bitwise_equal(R, want_R)
+    assert not np.shares_memory(out.f, f0) and not np.shares_memory(out.snapshots, f0)
+
+
+def test_advance_underflow_changes_at_most_the_sign_of_a_zero():
+    # products below half the smallest subnormal round to signed zeros, which
+    # the component-major BLAS product may sum to the other zero than the
+    # reference does; with OpenBLAS this data gives such pairs
+    tiny = np.finfo(float).smallest_subnormal
+    rng = np.random.default_rng(3)
+    f0 = rng.choice([-0.0, 0.0, 1.0, 50.0, -50.0], (4, 16, 3)) * tiny
+    R = rng.uniform(-1, 1, (4, 3, 3)) * rng.choice([1.0, 1e-3], (4, 3, 3))
+    out = advance(f0, R, 3, snap_every=1)
+    for b in range(4):
+        f, diags, snapshots = reference_advance(f0[b], R[b], 3, snap_every=1)
+        got = np.concatenate([out.f[b].ravel(), out.snapshots[:, b].ravel(),
+                              [out.min_f[b], out.min_rho[b], out.max_rho[b], out.mass_drift[b]]])
+        want = np.concatenate([f.ravel(), np.ravel([snap for _, snap in snapshots]), diags])
+        assert np.array_equal(got, want, equal_nan=True)
+        differs = got.view(np.uint64) != want.view(np.uint64)
+        assert np.all(got[differs] == 0) and np.all(want[differs] == 0)
 
 
 def test_advance_rejects_bad_shapes_and_step_counts():
@@ -309,6 +376,8 @@ def test_advance_rejects_bad_shapes_and_step_counts():
         advance(f0[None], R, 3)
     with pytest.raises(ValueError):
         advance(f0[None], R[None], -1)
+    with pytest.raises(ValueError, match="n_cells"):
+        advance(np.empty((1, 0, 3)), R[None], 3)
 
 
 # ------------------------------------------------------------------------ runs
