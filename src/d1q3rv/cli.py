@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -176,10 +177,14 @@ def cmd_simulate(args) -> int:
     profile = InitialProfile(kind=args.profile, center=args.center, width=args.width,
                              low=args.low, high=args.high)
     try:
-        result = simulator.run(profile, grid, p, args.steps, snap_every=args.snap_every)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            result = simulator.run(profile, grid, p, args.steps, snap_every=args.snap_every)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    for w in caught:  # the library's warnings as note lines, without its source text
+        print(f"note: {w.message}", file=sys.stderr)
     diag = result.diagnostics
     verdict = stability.nine_inequalities(p)
     _note_if_not_finite(verdict.slacks, (diag.min_f_over_run, diag.min_rho, diag.max_rho,

@@ -14,7 +14,7 @@ import io
 import numpy as np
 from dataclasses import dataclass
 
-from .stability import alpha_feasible, gamma_feasible_interval, necessary_region
+from .stability import _feasible_interval, necessary_region
 
 FEASIBLE = "FEASIBLE"
 NECESSARY_ONLY = "NECESSARY_ONLY"
@@ -91,8 +91,7 @@ def scan(spec: ScanSpec) -> list:
                      _CLASS_CODES[OUTSIDE])
     grids = []
     for u in spec.u_list:
-        feasible = alpha_feasible(spec.V, u, S, SP)
-        iv = gamma_feasible_interval(spec.V, u, S, SP)
+        iv, feasible = _feasible_interval(spec.V, u, S, SP)
         grids.append(RegionGrid(
             V=spec.V, u=float(u), s_values=s, s_prime_values=sp,
             codes=np.where(feasible, _CLASS_CODES[FEASIBLE], outer).astype(np.int8),
@@ -131,10 +130,24 @@ def emit_csv(grid: RegionGrid, out) -> None:
     out.write("".join(lines.ravel()))
 
 
+def _axis(column):
+    """A grid axis from a column of spellings: (sorted distinct values, each row's index).
+
+    Converts each distinct spelling to float once.  np.unique runs on the
+    floats, so spellings of one value ('0.5' and '0.50', '0' and '-0') share
+    an index; a spelling that is not a number raises ValueError.
+    """
+    spellings = list(dict.fromkeys(column))
+    values, inverse = np.unique(np.array(spellings, float), return_inverse=True)
+    index = dict(zip(spellings, inverse.tolist()))
+    return values, np.fromiter(map(index.__getitem__, column), np.intp, len(column))
+
+
 def parse_csv(source) -> RegionGrid:
     """Read back a grid written by emit_csv (exact round trip).
 
-    Lines are split on whitespace, which no field contains.  Raises
+    Lines are split on whitespace, which no field contains.  Each distinct
+    spelling of s and s' is converted to float once.  Raises
     ValueError on empty input, a wrong header, no rows, malformed rows, or
     rows that are not one grid: one V and one u, each (s, s') cell once.
     """
@@ -160,8 +173,8 @@ def parse_csv(source) -> RegionGrid:
     for column in (V, u):  # one spelling, as emit_csv writes, or else one value
         if column.count(column[0]) != len(column) and len(set(map(float, set(column)))) != 1:
             raise ValueError("region CSV rows must share one V and one u")
-    s_vals, i = np.unique(np.array(s, float), return_inverse=True)
-    sp_vals, j = np.unique(np.array(sp, float), return_inverse=True)
+    s_vals, i = _axis(s)
+    sp_vals, j = _axis(sp)
     shape = (len(s_vals), len(sp_vals))
     cell = i * shape[1] + j  # row-major index into the grid
     if (np.bincount(cell, minlength=shape[0] * shape[1]) != 1).any():

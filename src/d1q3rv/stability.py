@@ -203,16 +203,21 @@ def alpha_interval(V, u, s, s_prime):
     return (min(a, b), max(a, b))
 
 
+def _feasible_interval(V, u, s, s_prime):
+    """The gamma interval and alpha_feasible's mask (0-d for scalar input) from one chain_bounds call."""
+    iv = gamma_feasible_interval(V, u, s, s_prime)
+    pinned = pinned_gamma(V, u, s)
+    pin_ok = (pinned >= iv.lower - TAU_STAB) & (pinned <= iv.upper + TAU_STAB)
+    return iv, np.logical_and(np.logical_not(iv.empty), (s_prime != 0.0) | pin_ok)
+
+
 def alpha_feasible(V, u, s, s_prime):
     """Whether some alpha (any alpha, when s' = 0) makes the scheme stable.
 
     Where s' = 0 the nonempty gamma interval must also hold the pinned gamma.
     NaN input is infeasible.  Scalar inputs give a bool; arrays a bool array.
     """
-    iv = gamma_feasible_interval(V, u, s, s_prime)
-    pinned = pinned_gamma(V, u, s)
-    pin_ok = (pinned >= iv.lower - TAU_STAB) & (pinned <= iv.upper + TAU_STAB)
-    return _unbox(np.logical_and(np.logical_not(iv.empty), (s_prime != 0.0) | pin_ok), bool)
+    return _unbox(_feasible_interval(V, u, s, s_prime)[1], bool)
 
 
 def u_zero_slacks(V, s, s_prime):

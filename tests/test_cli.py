@@ -1,7 +1,11 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -92,7 +96,9 @@ def test_check_nan_entry_exit_1(capsys):
 def test_non_finite_values_get_one_note_line(argv, capsys):
     assert run_without_runtime_warnings(argv) == 0
     err = capsys.readouterr().err
-    assert "RuntimeWarning" not in err and err.count("note:") == 1
+    assert "RuntimeWarning" not in err and err.count("note: some values") == 1
+    # DIVERGENT's equilibrium weights are negative too, which is a note of its own
+    assert err.count("note:") == err.count("\n") == (2 if argv[0] == "simulate" else 1)
 
 
 def test_check_interval_mode(capsys):
@@ -189,6 +195,14 @@ def test_simulate_writes_diagnostics_and_snapshots(tmp_path, capsys):
     assert snap.read_text().startswith("step,cell,x,f1,f2,f3,rho")
 
 
+def test_simulate_negative_weights_give_one_note_line(capsys):
+    assert main(["simulate", "--V", "0.9", "--u", "0.9", "--s", "1.99", "--sp", "0.05",
+                 "--alpha=-1.9", "--ncells", "20", "--steps", "10"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("note: equilibrium weights are negative")
+    assert "UserWarning" not in err and "simulator.py" not in err
+
+
 def test_simulate_negative_density_exits_4(capsys):
     assert main(["simulate", "--V", "0.25", "--u", "0", "--s", "1", "--sp", "1",
                  "--alpha", "0", "--low", "-1"]) == 4
@@ -257,3 +271,16 @@ def test_overflowing_number_exits_2(argv, capsys):
     assert exc.value.code == 2
     last = capsys.readouterr().err.splitlines()[-1]
     assert "argument --V: out of floating-point range: '1e400'" in last
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--V", "1/4", "--u", "0", "--s", "3/2", "--sp", "1", "--alpha", "13/16"], 0),
+    (["check", "--V", "1/4", "--s", "1", "--sp", "1", "--frobnicate", "1"], 2),
+])
+def test_python_dash_m_runs_the_cli(argv, code):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "d1q3rv", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
+    if code == 0:
+        assert done.stdout.count(" stable ") == 3

@@ -97,19 +97,60 @@ def test_csv_outside_rows_have_empty_gamma_fields():
     assert all(ln.endswith(",OUTSIDE,,") for ln in outside)
 
 
-def test_csv_round_trip_exact():
-    grid = scan(small_spec(0.5, u_list=(0.25,), n=23))[0]
+def _csv_text(grid):
     buf = io.StringIO()
     emit_csv(grid, buf)
-    back = parse_csv(io.StringIO(buf.getvalue()))
+    return buf.getvalue()
+
+
+def _assert_same_grid(back, grid):
     assert back.V == grid.V and back.u == grid.u
-    assert np.array_equal(back.s_values, grid.s_values)
-    assert np.array_equal(back.s_prime_values, grid.s_prime_values)
-    assert np.array_equal(back.codes, grid.codes)
-    assert np.array_equal(np.isnan(back.gamma_lower), np.isnan(grid.gamma_lower))
-    ok = ~np.isnan(grid.gamma_lower)
-    assert np.array_equal(back.gamma_lower[ok], grid.gamma_lower[ok])
-    assert np.array_equal(back.gamma_upper[ok], grid.gamma_upper[ok])
+    for field in ("s_values", "s_prime_values", "codes", "gamma_lower", "gamma_upper"):
+        a, b = getattr(back, field), getattr(grid, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), field
+
+
+def test_csv_round_trip_exact():
+    grids = (scan(small_spec(0.5, u_list=(0.25,), n=23))
+             + scan(small_spec(2 / 3, u_list=default_u_list(2 / 3), n=41)))
+    for grid in grids:
+        _assert_same_grid(parse_csv(io.StringIO(_csv_text(grid))), grid)
+
+
+def _respell(lines, column, spellings):
+    """lines with each value of one column respelled in turn by spellings[value]."""
+    rows = [row.split(",") for row in lines[1:]]
+    for k, row in enumerate(rows):
+        choices = spellings.get(row[column])
+        if choices:
+            row[column] = choices[k % len(choices)]
+    return "\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n"
+
+
+def test_parse_csv_aliased_spellings_are_one_grid_cell():
+    grid = scan(small_spec(0.5, u_list=(0.25,), n=5, s_range=(0.0, 1.0), sp_range=(0.0, 1.0)))[0]
+    lines = _csv_text(grid).split()
+    aliases = {"0": ["0", "0.0", "-0", "0.00"], "0.5": ["0.5", "0.50", "0.500"]}
+    text = _respell(lines, 2, aliases)
+    text = _respell(text.split(), 3, aliases)
+    assert text != _csv_text(grid)
+    _assert_same_grid(parse_csv(io.StringIO(text)), grid)  # -0.0 == 0.0 as numbers
+
+
+def test_parse_csv_rejects_an_unparsable_rate():
+    lines = _csv_text(scan(small_spec(0.5, u_list=(0.25,), n=5))[0]).split()
+    s0 = lines[1].split(",")[2]
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        parse_csv(io.StringIO(_respell(lines, 2, {s0: [s0, "0.5.5"]})))
+
+
+def test_parse_csv_ignores_gamma_fields_of_rows_not_feasible():
+    grid = scan(small_spec(0.5, u_list=(0.25,), n=23))[0]
+    assert grid.count(OUTSIDE) and grid.count(NECESSARY_ONLY) and grid.count(FEASIBLE)
+    text = _csv_text(grid)
+    for name in (OUTSIDE, NECESSARY_ONLY):
+        text = text.replace(f",{name},,", f",{name},junk,-")
+    _assert_same_grid(parse_csv(io.StringIO(text)), grid)
 
 
 @pytest.mark.parametrize("text", [
