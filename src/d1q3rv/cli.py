@@ -4,7 +4,8 @@ Subcommands: matrix (inspect the relaxation operator), check (stability
 verdicts / feasible intervals), region (scan and plot (s, s') regions),
 simulate (advection runs with diagnostics), reproduce (bundled benchmark
 parameter sets).  Exit codes: 0 success or stable, 1 unstable/infeasible,
-2 usage error, 3 output failure, 4 invalid input data.
+2 usage error, 3 output failure, 4 invalid input data, all set by main.  Each
+flag's type carries its range rule, and every usage error is one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import regionscan, simulator, stability
 from .scheme import SchemeParameters, build_relaxation_matrix
 from .simulator import InitialProfile, default_grid
 
-# Undershoot beyond this is called out as oscillation in simulate output.
+# Undershoot beyond this times max(1, |low|, |high|) is flagged as oscillation.
 OSCILLATION_FLAG_THRESHOLD = 1e-3
 
 # Benchmark advection scenarios: label, V, u, s, s', alpha.  The first two
@@ -53,24 +54,36 @@ def parse_number_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"not a comma-separated number list: {text!r}") from exc
 
 
-def _add_scheme_flags(parser, need_alpha=True, alpha_optional=False):
+def _checked(parse, ok, rule):
+    """Flag type: parse, then reject values failing ok; named like parse for argparse."""
+    def check(text):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+    check.__name__ = parse.__name__
+    return check
+
+
+class _Parser(argparse.ArgumentParser):
+    """Every usage error is one 'error: ...' line on stderr and exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _add_scheme_flags(parser, alpha_optional=False):
     parser.add_argument("--V", type=parse_number, required=True,
                         help="advection velocity (fractions like 2/3 accepted)")
     parser.add_argument("--u", type=parse_number, default=0.0, help="relative velocity")
     parser.add_argument("--s", type=parse_number, required=True, help="first relaxation rate")
     parser.add_argument("--sp", type=parse_number, required=True, help="second relaxation rate")
-    if need_alpha:
-        parser.add_argument("--alpha", type=parse_number,
-                            required=not alpha_optional, default=None,
-                            help="equilibrium parameter")
-    parser.add_argument("--lambda", dest="lam", type=parse_number, default=1.0,
-                        help="lattice velocity dx/dt (default 1)")
+    parser.add_argument("--alpha", type=parse_number, required=not alpha_optional,
+                        default=None, help="equilibrium parameter")
 
 
-def _params(args, alpha=None) -> SchemeParameters:
-    a = alpha if alpha is not None else getattr(args, "alpha", None)
-    return SchemeParameters(V=args.V, u=args.u, s=args.s, s_prime=args.sp,
-                            alpha=0.0 if a is None else a, lam=getattr(args, "lam", 1.0))
+def _params(args) -> SchemeParameters:
+    return SchemeParameters(V=args.V, u=args.u, s=args.s, s_prime=args.sp, alpha=args.alpha)
 
 
 def _note_if_not_finite(*values) -> None:
@@ -87,8 +100,7 @@ def cmd_matrix(args) -> int:
     p = _params(args)
     R = build_relaxation_matrix(p)
     C = stability.relaxation_entries_closed_form(p.V, p.u, p.s, p.s_prime, p.alpha)
-    print(f"parameters: V={p.V:g} u={p.u:g} s={p.s:g} s'={p.s_prime:g} "
-          f"alpha={p.alpha:.17g} lambda={p.lam:g}")
+    print(f"parameters: V={p.V:g} u={p.u:g} s={p.s:g} s'={p.s_prime:g} alpha={p.alpha:.17g}")
     print("relaxation operator (matrix product):")
     print(_fmt_matrix(R))
     print("relaxation operator (closed form):")
@@ -136,80 +148,54 @@ def _scan_outputs(base: str, count: int):
 
 
 def cmd_region(args) -> int:
-    if args.grid < 2:
-        print(f"error: --grid must be at least 2, got {args.grid}", file=sys.stderr)
-        return 2
-    if args.u_list == ():
-        print("error: --u-list must name at least one relative velocity", file=sys.stderr)
-        return 2
     grids = regionscan.scan(regionscan.ScanSpec(V=args.V, u_list=args.u_list,
                                                 s_points=args.grid, s_prime_points=args.grid))
-    try:
-        csv_paths = _scan_outputs(args.out_csv, len(grids)) if args.out_csv else []
-        svg_paths = _scan_outputs(args.out_svg, len(grids)) if args.out_svg else []
-        for i, grid in enumerate(grids):
-            if csv_paths:
-                regionscan.emit_csv(grid, csv_paths[i])
-            if svg_paths:
-                regionscan.emit_svg(grid, svg_paths[i])
-            written = " ".join(str(paths[i]) for paths in (csv_paths, svg_paths) if paths)
-            print(f"V={grid.V:g} u={grid.u:g}: feasible={grid.count(regionscan.FEASIBLE)} "
-                  f"necessary_only={grid.count(regionscan.NECESSARY_ONLY)} "
-                  f"outside={grid.count(regionscan.OUTSIDE)}"
-                  + (f" -> {written}" if written else ""))
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 3
+    csv_paths = _scan_outputs(args.out_csv, len(grids)) if args.out_csv else []
+    svg_paths = _scan_outputs(args.out_svg, len(grids)) if args.out_svg else []
+    for i, grid in enumerate(grids):
+        if csv_paths:
+            regionscan.emit_csv(grid, csv_paths[i])
+        if svg_paths:
+            regionscan.emit_svg(grid, svg_paths[i])
+        written = " ".join(str(paths[i]) for paths in (csv_paths, svg_paths) if paths)
+        print(f"V={grid.V:g} u={grid.u:g}: feasible={grid.count(regionscan.FEASIBLE)} "
+              f"necessary_only={grid.count(regionscan.NECESSARY_ONLY)} "
+              f"outside={grid.count(regionscan.OUTSIDE)}"
+              + (f" -> {written}" if written else ""))
     return 0
 
 
 def cmd_simulate(args) -> int:
-    for flag, value, least in (("--ncells", args.ncells, 1), ("--steps", args.steps, 0),
-                               ("--snap-every", args.snap_every, 0)):
-        if value < least:
-            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
-            return 2
-    if args.width is not None and not args.width > 0:
-        print(f"error: --width must be positive, got {args.width:g}", file=sys.stderr)
-        return 2
     p = _params(args)
     grid = default_grid(args.ncells)
     profile = InitialProfile(kind=args.profile, center=args.center, width=args.width,
                              low=args.low, high=args.high)
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", UserWarning)
-            result = simulator.run(profile, grid, p, args.steps, snap_every=args.snap_every)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        result = simulator.run(profile, grid, p, args.steps, snap_every=args.snap_every)
     for w in caught:  # the library's warnings as note lines, without its source text
         print(f"note: {w.message}", file=sys.stderr)
     diag = result.diagnostics
     verdict = stability.nine_inequalities(p)
     _note_if_not_finite(verdict.slacks, (diag.min_f_over_run, diag.min_rho, diag.max_rho,
                                          diag.mass_drift, diag.l1_error))
-    flagged = diag.undershoot > OSCILLATION_FLAG_THRESHOLD
+    threshold = OSCILLATION_FLAG_THRESHOLD * max(1.0, abs(args.low), abs(args.high))
+    flagged = diag.undershoot > threshold
     print(f"R non-negative: {'yes' if verdict.stable else 'no'} "
           f"(min slack {verdict.min_slack:.6g}); undershoot {diag.undershoot:.6g}"
-          + (f" OSCILLATIONS (> {OSCILLATION_FLAG_THRESHOLD:g})" if flagged else ""))
+          + (f" OSCILLATIONS (> {threshold:g})" if flagged else ""))
     print(f"mass drift: {diag.mass_drift:.6g}")
-    try:
-        if args.out:
-            simulator.write_diagnostics_csv(diag, args.out)
-            if result.snapshots:
-                stem, suffix = os.path.splitext(args.out)
-                snap_path = f"{stem}.snapshots{suffix or '.csv'}"
-                simulator.write_snapshots_csv(result.snapshots, grid, snap_path)
-                print(f"wrote {args.out} and {snap_path}")
-            else:
-                print(f"wrote {args.out}")
-        else:
-            print(simulator.DIAGNOSTICS_CSV_HEADER)
-            print(diag.as_csv_row())
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 3
+    if not args.out:
+        simulator.write_diagnostics_csv(diag, sys.stdout)
+        return 0
+    simulator.write_diagnostics_csv(diag, args.out)
+    if result.snapshots:
+        stem, suffix = os.path.splitext(args.out)
+        snap_path = f"{stem}.snapshots{suffix or '.csv'}"
+        simulator.write_snapshots_csv(result.snapshots, grid, snap_path)
+        print(f"wrote {args.out} and {snap_path}")
+    else:
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -245,7 +231,7 @@ def cmd_reproduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="d1q3rv",
         description="Three-velocity lattice Boltzmann advection scheme with relative "
                     "velocity: relaxation operator, non-negativity regions, simulations.",
@@ -262,11 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp_region = sub.add_parser("region", help="classify an (s, s') grid and emit CSV/SVG")
     sp_region.add_argument("--V", type=parse_number, required=True)
-    sp_region.add_argument("--u-list", type=parse_number_list, default=None,
+    sp_region.add_argument("--u-list", default=None,
+                           type=_checked(parse_number_list, len,
+                                         "must name at least one relative velocity"),
                            help="comma-separated relative velocities "
                                 "(default -2V,-V,0,V/2,V,2V)")
-    sp_region.add_argument("--grid", type=int, default=221,
-                           help="points per axis over [0, 2.2] (default 221)")
+    sp_region.add_argument("--grid", type=_checked(int, lambda n: n >= 2, "must be at least 2"),
+                           default=221, help="points per axis over [0, 2.2] (default 221)")
     sp_region.add_argument("--out-csv", default=None, help="CSV output path (per-u suffix added)")
     sp_region.add_argument("--out-svg", default=None, help="SVG output path (per-u suffix added)")
     sp_region.set_defaults(func=cmd_region)
@@ -275,14 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scheme_flags(sp_sim)
     sp_sim.add_argument("--profile", choices=(simulator.SMOOTH, simulator.HAT, simulator.STEP),
                         default=simulator.STEP)
-    sp_sim.add_argument("--ncells", type=int, default=200)
-    sp_sim.add_argument("--steps", type=int, default=1000)
-    sp_sim.add_argument("--snap-every", type=int, default=0,
+    sp_sim.add_argument("--ncells", type=_checked(int, lambda n: n >= 1, "must be at least 1"),
+                        default=200)
+    count = _checked(int, lambda n: n >= 0, "must be at least 0")
+    sp_sim.add_argument("--steps", type=count, default=1000)
+    sp_sim.add_argument("--snap-every", type=count, default=0,
                         help="record the state every N steps (0 = never)")
     sp_sim.add_argument("--low", type=parse_number, default=0.0, help="baseline density")
     sp_sim.add_argument("--high", type=parse_number, default=1.0, help="peak density")
     sp_sim.add_argument("--center", type=parse_number, default=None)
-    sp_sim.add_argument("--width", type=parse_number, default=None)
+    sp_sim.add_argument("--width", type=_checked(parse_number, lambda w: w > 0, "must be positive"),
+                        default=None)
     sp_sim.add_argument("--out", default=None, help="diagnostics CSV path (stdout if omitted)")
     sp_sim.set_defaults(func=cmd_simulate)
 
@@ -294,11 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not getattr(args, "lam", 1.0) > 0:
-        print(f"error: --lambda must be positive, got {args.lam:g}", file=sys.stderr)
-        return 2
-    with np.errstate(all="ignore"):   # non-finite results get one note line instead
-        return args.func(args)
+    try:
+        with np.errstate(all="ignore"):   # non-finite results get one note line instead
+            return args.func(args)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

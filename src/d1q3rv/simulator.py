@@ -365,6 +365,8 @@ def run_batch(cases, grid: Grid1D, n_steps: int, snap_every: int = 0) -> list:
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    if not cases:
+        return []
     states = [init_state(profile, grid, p) for profile, p in cases]
     out = advance(np.stack([st.f for st in states]),
                   np.stack([build_relaxation_matrix(p) for _, p in cases]),

@@ -45,16 +45,25 @@ def test_matrix_identity_at_zero_rates(capsys):
     assert "non-negative: yes" in out
 
 
+def usage_error(argv, capsys) -> str:
+    """Run argv, a usage error: exit 2, nothing on stdout, one 'error: ' line on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: "), err
+    return err
+
+
 def test_matrix_missing_required_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["matrix", "--u", "0", "--s", "1", "--sp", "1", "--alpha", "0"])
-    assert exc.value.code == 2
+    err = usage_error(["matrix", "--u", "0", "--s", "1", "--sp", "1", "--alpha", "0"], capsys)
+    assert "--V" in err
 
 
-def test_unknown_flag_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["check", "--V", "0.25", "--u", "0", "--s", "1", "--sp", "1", "--frobnicate", "1"])
-    assert exc.value.code == 2
+def test_unknown_flag_exits_2(capsys):
+    err = usage_error(["check", "--V", "0.25", "--u", "0", "--s", "1", "--sp", "1",
+                       "--frobnicate", "1"], capsys)
+    assert err == "error: unrecognized arguments: --frobnicate 1\n"
 
 
 def test_check_stable_point_exit_0(capsys):
@@ -151,9 +160,8 @@ def test_region_unwritable_sink_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("grid", ["1", "0", "-5"])
 def test_region_grid_below_two_exits_2(grid, capsys):
-    assert main(["region", "--V", "0.5", "--grid", grid]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "--grid" in err
+    err = usage_error(["region", "--V", "0.5", "--grid", grid], capsys)
+    assert err.startswith("error: argument --grid: must be at least 2")
 
 
 def test_simulate_stdout_diagnostics(capsys):
@@ -175,6 +183,15 @@ def test_simulate_flags_oscillations(capsys):
     out = capsys.readouterr().out
     assert "R non-negative: no" in out
     assert "OSCILLATIONS" in out
+
+
+def test_simulate_rounding_at_large_densities_is_not_flagged(capsys):
+    # a constant profile under a non-negative R: the undershoot is rounding of 1e13
+    assert main(["simulate", "--V", "0.25", "--u", "0", "--s", "1", "--sp", "1",
+                 "--alpha", "0", "--ncells", "50", "--steps", "200",
+                 "--low", "1e13", "--high", "1e13"]) == 0
+    out = capsys.readouterr().out
+    assert "R non-negative: yes" in out and "OSCILLATIONS" not in out
 
 
 def test_simulate_smooth_profile_not_flagged(capsys):
@@ -246,9 +263,10 @@ SCHEME = ["--V", "0.25", "--s", "1", "--sp", "1", "--alpha", "0"]
 @pytest.mark.parametrize("argv,flag", [
     (["simulate", *SCHEME, "--ncells", "0"], "--ncells"),
     (["simulate", *SCHEME, "--ncells", "-3"], "--ncells"),
-    (["simulate", *SCHEME, "--lambda", "0"], "--lambda"),
-    (["check", *SCHEME, "--lambda", "-1"], "--lambda"),
-    (["matrix", *SCHEME, "--lambda", "0"], "--lambda"),
+    # R does not depend on the lattice velocity, so no subcommand takes it
+    (["simulate", *SCHEME, "--lambda", "1"], "--lambda"),
+    (["check", *SCHEME, "--lambda", "1"], "--lambda"),
+    (["matrix", *SCHEME, "--lambda", "1"], "--lambda"),
     (["simulate", *SCHEME, "--steps", "-1"], "--steps"),
     (["simulate", *SCHEME, "--snap-every", "-2"], "--snap-every"),
     (["region", "--V", "0.5", "--u-list", ""], "--u-list"),
@@ -256,9 +274,16 @@ SCHEME = ["--V", "0.25", "--s", "1", "--sp", "1", "--alpha", "0"]
     (["simulate", *SCHEME, "--profile", "hat", "--width", "-0.1"], "--width"),
 ])
 def test_out_of_range_value_exits_2_with_one_line(argv, flag, capsys):
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.count("\n") == 1 and err.startswith(f"error: {flag}")
+    err = usage_error(argv, capsys)
+    if flag == "--lambda":
+        assert err == "error: unrecognized arguments: --lambda 1\n"
+    else:
+        assert err.startswith(f"error: argument {flag}: must ")
+
+
+def test_malformed_integer_names_int(capsys):
+    err = usage_error(["simulate", *SCHEME, "--steps", "x"], capsys)
+    assert err == "error: argument --steps: invalid int value: 'x'\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -266,11 +291,8 @@ def test_out_of_range_value_exits_2_with_one_line(argv, flag, capsys):
     ["simulate", "--V", "1e400", "--s", "1", "--sp", "1", "--alpha", "0"],
 ])
 def test_overflowing_number_exits_2(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    last = capsys.readouterr().err.splitlines()[-1]
-    assert "argument --V: out of floating-point range: '1e400'" in last
+    err = usage_error(argv, capsys)
+    assert err == "error: argument --V: out of floating-point range: '1e400'\n"
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -284,3 +306,5 @@ def test_python_dash_m_runs_the_cli(argv, code):
     assert done.returncode == code, done.stderr
     if code == 0:
         assert done.stdout.count(" stable ") == 3
+    else:
+        assert done.stdout == "" and done.stderr == "error: unrecognized arguments: --frobnicate 1\n"

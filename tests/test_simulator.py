@@ -8,7 +8,7 @@ from d1q3rv.scheme import (SchemeParameters, build_relaxation_matrix,
                            equilibrium_distributions)
 from d1q3rv.simulator import (CUSTOM, HAT, SMOOTH, STEP, Grid1D, InitialProfile,
                               LatticeState, _block_steps, advance, default_grid,
-                              exact_density, init_state, relax, run, stream,
+                              exact_density, init_state, relax, run, run_batch, stream,
                               write_diagnostics_csv, write_snapshots_csv)
 
 
@@ -381,6 +381,12 @@ def test_advance_rejects_bad_shapes_and_step_counts():
 
 
 # ------------------------------------------------------------------------ runs
+
+def test_run_batch_of_no_cases_is_empty():
+    assert run_batch([], default_grid(8), 5) == []
+    with pytest.raises(ValueError):
+        run_batch([], default_grid(8), -1)
+
 
 def test_run_identity_dynamics():
     # V = 0 with frozen rates is the identity when nothing moves: alpha = -2
