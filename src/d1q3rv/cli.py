@@ -128,7 +128,8 @@ def cmd_check(args) -> int:
     iv = stability.gamma_feasible_interval(args.V, args.u, args.s, args.sp)
     _note_if_not_finite(iv.lower, iv.upper)
     if iv.empty:
-        print(f"gamma interval: empty (lower {iv.lower:.6g} > upper {iv.upper:.6g})")
+        sep = " >" if iv.lower > iv.upper else ","   # a NaN bound compares false
+        print(f"gamma interval: empty (lower {iv.lower:.6g}{sep} upper {iv.upper:.6g})")
         return 1
     print(f"gamma interval: [{iv.lower:.17g}, {iv.upper:.17g}]")
     if args.sp == 0.0:

@@ -112,10 +112,11 @@ class LatticeState:
     step_count: int = 0
 
     def density(self) -> np.ndarray:
-        return self.f.sum(axis=1)
+        return self.f[:, 0] + self.f[:, 1] + self.f[:, 2]
 
     def mass(self) -> float:
-        return float(self.f.sum())
+        """Sum of the cell densities, so it rounds the same in any layout of f."""
+        return float(self.density().sum())
 
 
 def init_state(profile: InitialProfile, grid: Grid1D, p: SchemeParameters) -> LatticeState:
@@ -149,8 +150,8 @@ def relax(state: LatticeState, p: SchemeParameters, matrix: np.ndarray = None) -
 def stream(state: LatticeState) -> LatticeState:
     """Transport: left movers shift one cell down, right movers one cell up.
 
-    A pure permutation, so mass and the multiset of values are exactly
-    preserved.  One step of the reference that advance is tested against.
+    A permutation: it keeps the multiset of values, and mass up to rounding.
+    One step of the reference that advance is tested against.
     """
     f = state.f.copy()
     f[:, 0] = np.roll(f[:, 0], -1)
@@ -168,7 +169,8 @@ class RunDiagnostics:
     number of steps.  They equal the step-by-step reference's, except that
     a zero may differ in sign where a product underflowed (see advance).
 
-    mass_drift is the largest relative mass change seen at any step;
+    A zero min_f_over_run is +0.0.  mass_drift is the largest relative
+    change of mass (the sum of cell densities) seen at any step;
     overshoot/undershoot measure density excursions beyond the initial
     range, the signature of spurious oscillations; l1_error compares the
     final density with the exactly advected initial profile.
@@ -207,10 +209,12 @@ def exact_density(profile: InitialProfile, grid: Grid1D, p: SchemeParameters,
     The displacement is V * n_steps cells; when that is an integer the
     reference is the rolled initial samples (avoids re-sampling noise at
     profile discontinuities), otherwise the profile is re-sampled at the
-    shifted positions.
+    shifted positions.  A non-finite displacement gives an all-NaN reference.
     """
-    shift_cells = p.V * n_steps
+    shift_cells = float(p.V) * n_steps
     rho0 = profile.sample(grid)
+    if not np.isfinite(shift_cells):
+        return np.full(grid.n_cells, np.nan)
     nearest = round(shift_cells)
     if abs(shift_cells - nearest) < 1e-9:
         return np.roll(rho0, nearest % grid.n_cells)
@@ -219,28 +223,26 @@ def exact_density(profile: InitialProfile, grid: Grid1D, p: SchemeParameters,
 
 
 def _block_steps(batch: int, n_cells: int) -> int:
-    """Steps per history block: 64, fewer where advance's block buffers would
+    """Steps per history block: 64, fewer where a block's float64 arrays would
     pass 1 MiB, and 1 where even a one-step block is larger.
 
-    The float64 buffers are the ghost-padded history (k+1, B, 3,
-    n_cells + 2(k+1)) with k spare values, and the cell-major copy
-    (k, B, n_cells, 3) the diagnostics reduce.
+    They are the history (k+1, B, 3, n_cells + 2(k+1)) with k spare values
+    and the (k, B, n_cells) density rows _step_stats reduces.
     """
     k = 64
-    while k > 1 and 24 * batch * ((k + 1) * (n_cells + 2 * k + 2) + k * n_cells) + 8 * k > 2**20:
+    while k > 1 and 8 * batch * (3 * (k + 1) * (n_cells + 2 * k + 2) + k * n_cells) + 8 * k > 2**20:
         k -= 1
     return k
 
 
 def _step_stats(states: np.ndarray):
-    """Per-step min f, min and max density, and mass of states (k, B, n, 3).
+    """Per-step min f, min and max density, and mass of states (k, B, 3, n).
 
-    Density is summed component by component and mass over each state's
-    cell-major values, so both round exactly as LatticeState's do.
+    Density and mass round exactly as LatticeState's; the sign of a zero
+    min f depends on the traversal order, so advance makes it +0.0.
     """
-    rho = states[..., 0] + states[..., 1] + states[..., 2]
-    return (states.min(axis=(2, 3)), rho.min(axis=2), rho.max(axis=2),
-            states.sum(axis=(2, 3)))
+    rho = states[:, :, 0] + states[:, :, 1] + states[:, :, 2]
+    return states.min(axis=(2, 3)), rho.min(axis=2), rho.max(axis=2), rho.sum(axis=2)
 
 
 def _fold(running: np.ndarray, steps: np.ndarray, reduce, better) -> None:
@@ -260,9 +262,9 @@ def _fold(running: np.ndarray, steps: np.ndarray, reduce, better) -> None:
 class BatchRun:
     """What advance returns for B runs of n_cells cells.
 
-    f holds the final states, shape (B, n_cells, 3).  min_f, min_rho,
-    max_rho and mass_drift, each of shape (B,), are taken over steps 0 to
-    n_steps.  snapshots[j] holds the states at step snap_steps[j].
+    f holds the final states, shape (B, n_cells, 3).  min_f (+0.0 if zero),
+    min_rho, max_rho and mass_drift, each of shape (B,), are taken over
+    steps 0 to n_steps.  snapshots[j] holds the states at step snap_steps[j].
     """
 
     f: np.ndarray
@@ -286,17 +288,18 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     components land one cell down, in place and one cell up: the write
     address does the streaming, and the valid window shrinks by a cell on
     each side.  Once per block the ghost cells are refilled from the
-    interior of the last slot and the diagnostics are reduced over a
-    cell-major copy of the interiors.  _block_steps sets k: at most 64 steps
-    and about 1 MiB of block buffers, so memory stays O(B * n_cells).
+    interior of the last slot; the diagnostics and snapshots are read from
+    the slots' interiors, in no second layout.  _block_steps sets k: at most
+    64 steps and about 1 MiB of block arrays, so memory stays O(B * n_cells).
 
     Every output is bitwise equal to stream(relax(...)) applied step by
-    step, with two exceptions.  Where a product underflows below half the
-    smallest subnormal, a zero may have the other sign than the reference's
-    (the values are equal as numbers).  With n_cells = 1, relax multiplies a
-    one-row state through a matrix-vector product, which rounds otherwise;
-    advance then equals the reference run on two equal cells.  A run's
-    result does not depend on the rest of its batch.
+    step, with a zero min f read as +0.0, and with two exceptions.  Where a
+    product underflows below half the smallest subnormal, a zero may have
+    the other sign than the reference's (the values are equal as numbers).
+    With n_cells = 1, relax multiplies a one-row state through a
+    matrix-vector product, which rounds otherwise; advance then equals the
+    reference run on two equal cells.  A run's result does not depend on
+    the rest of its batch.
 
     snap_every > 0 records the states every that many steps (step 0 and the
     final step included).
@@ -322,16 +325,14 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
                          strides=np.multiply((slot + 1, 3 * width, width + 1, 1), buf.itemsize))
     ins = [hist[j, :, :, 1 + j:width - 1 - j] for j in range(block)]
     outs = [shifted[j, :, :, :width - 2 - 2 * j] for j in range(block)]
-    cells = np.empty((block, batch, n_cells, 3))
     wrap = edge + (np.arange(width) - edge) % n_cells
     snap_steps = (tuple(sorted(set(range(0, n_steps + 1, snap_every)) | {n_steps}))
                   if snap_every > 0 else ())
     snapshots = np.empty((len(snap_steps), batch, n_cells, 3))
-    if snap_steps:
-        snapshots[0] = f0
+    snapshots[:1] = f0   # step 0, when there are snapshots
     last = block
     hist[last, :, :, interior] = f0.transpose(0, 2, 1)
-    min_f, min_rho, max_rho, mass0 = (v[0] for v in _step_stats(f0[None]))
+    min_f, min_rho, max_rho, mass0 = (v[0] for v in _step_stats(hist[last:, :, :, interior]))
     drift = np.zeros(batch)
     scale = np.where(mass0 != 0, np.abs(mass0), 1.0)   # drift is |mass| when mass0 == 0
     done, snapped = 0, 1
@@ -341,18 +342,16 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
         for j in range(k):
             np.matmul(R, ins[j], out=outs[j])
         last = k
-        for c in range(3):
-            np.copyto(cells[:k, :, :, c], hist[1:k + 1, :, c, interior])
-        step_min_f, step_min_rho, step_max_rho, mass = _step_stats(cells[:k])
+        step_min_f, step_min_rho, step_max_rho, mass = _step_stats(hist[1:k + 1, :, :, interior])
         _fold(min_f, step_min_f, np.fmin, np.less)
         _fold(min_rho, step_min_rho, np.fmin, np.less)
         _fold(max_rho, step_max_rho, np.fmax, np.greater)
         _fold(drift, np.abs(mass - mass0) / scale, np.fmax, np.greater)
         while snapped < len(snap_steps) and snap_steps[snapped] <= done + k:
-            snapshots[snapped] = cells[snap_steps[snapped] - done - 1]
+            snapshots[snapped] = hist[snap_steps[snapped] - done, :, :, interior].transpose(0, 2, 1)
             snapped += 1
         done += k
-    return BatchRun(f=hist[last, :, :, interior].transpose(0, 2, 1).copy(), min_f=min_f,
+    return BatchRun(f=hist[last, :, :, interior].transpose(0, 2, 1).copy(), min_f=min_f + 0.0,
                     min_rho=min_rho, max_rho=max_rho, mass_drift=drift,
                     snap_steps=snap_steps, snapshots=snapshots)
 

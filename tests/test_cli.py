@@ -101,12 +101,17 @@ def test_check_nan_entry_exit_1(capsys):
     assert "RuntimeWarning" not in err and err.count("note:") == 1
 
 
-@pytest.mark.parametrize("argv", [["matrix", *OVERFLOW], ["simulate", *DIVERGENT]])
+HUGE_SHIFT = ["--V", "1e308", "--s", "1", "--sp", "1", "--alpha", "0", "--ncells", "4",
+              "--steps", "3"]
+
+
+@pytest.mark.parametrize("argv", [["matrix", *OVERFLOW], ["simulate", *DIVERGENT],
+                                  ["simulate", *HUGE_SHIFT]])
 def test_non_finite_values_get_one_note_line(argv, capsys):
     assert run_without_runtime_warnings(argv) == 0
     err = capsys.readouterr().err
     assert "RuntimeWarning" not in err and err.count("note: some values") == 1
-    # DIVERGENT's equilibrium weights are negative too, which is a note of its own
+    # the simulated weights are negative too, which is a note of its own
     assert err.count("note:") == err.count("\n") == (2 if argv[0] == "simulate" else 1)
 
 
@@ -120,6 +125,14 @@ def test_check_interval_mode(capsys):
 def test_check_interval_mode_empty_exit_1(capsys):
     assert main(["check", "--V", "0.25", "--u", "0", "--s", "1.6", "--sp", "1.3"]) == 1
     assert "empty" in capsys.readouterr().out
+
+
+def test_check_interval_with_nan_bounds_states_no_comparison(capsys):
+    assert run_without_runtime_warnings(["check", "--V", "1e308", "--u", "1e308",
+                                         "--s", "1", "--sp", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "gamma interval: empty (lower nan, upper nan)\n"
+    assert err.count("note:") == err.count("\n") == 1
 
 
 def test_check_alpha_unconstrained_when_second_rate_zero(capsys):
