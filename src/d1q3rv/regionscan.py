@@ -22,6 +22,7 @@ OUTSIDE = "OUTSIDE"
 
 _CLASS_NAMES = (OUTSIDE, NECESSARY_ONLY, FEASIBLE)
 _CLASS_CODES = {name: code for code, name in enumerate(_CLASS_NAMES)}
+_CLASS_BYTES = {name.encode(): code for name, code in _CLASS_CODES.items()}
 
 CSV_HEADER = "V,u,s,s_prime,class,gamma_lower,gamma_upper"
 
@@ -100,34 +101,35 @@ def scan(spec: ScanSpec) -> list:
     return grids
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _fmt_all(a) -> np.ndarray:
-    """Object array of each value as _fmt writes it ('%.17g' is the same format)."""
-    return np.char.mod("%.17g", np.asarray(a, float)).astype(object)
-
-
 def emit_csv(grid: RegionGrid, out) -> None:
     """Write one grid as CSV (s-major row order, 17 significant digits).
 
     out is a text-mode file object or a path.  Non-feasible rows leave the
-    gamma fields empty.  Output is a pure function of the grid, so identical
-    scans serialize byte-identically.
+    gamma fields empty.  Each value is formatted once, as format(v, '.17g'),
+    and each s row is one join of pieces; identical grids give identical bytes.
     """
     if not hasattr(out, "write"):
         with open(out, "w", encoding="utf-8", newline="") as fh:
             emit_csv(grid, fh)
         return
-    tails = np.array([f"{name},,\n" for name in _CLASS_NAMES], dtype=object)[grid.codes]
+    head = "%.17g,%.17g," % (grid.V, grid.u)
+    pieces = np.empty(grid.codes.shape + (3,), object)   # head and s; s'; class and gamma
+    pieces[..., 0] = [[head + "%.17g," % s] for s in grid.s_values.tolist()]
+    pieces[..., 1] = list(map("%.17g,".__mod__, grid.s_prime_values.tolist()))
+    pieces[..., 2] = np.array([f"{name},,\n" for name in _CLASS_NAMES], object)[grid.codes]
     feasible = grid.codes == _CLASS_CODES[FEASIBLE]
-    tails[feasible] = (FEASIBLE + "," + _fmt_all(grid.gamma_lower[feasible]) + ","
-                       + _fmt_all(grid.gamma_upper[feasible]) + "\n")
-    heads = _fmt(grid.V) + "," + _fmt(grid.u) + "," + _fmt_all(grid.s_values) + ","
-    lines = heads[:, None] + (_fmt_all(grid.s_prime_values) + ",")[None, :] + tails
+    pieces[feasible, 2] = list(map(f"{FEASIBLE},%.17g,%.17g\n".__mod__, zip(
+        grid.gamma_lower[feasible].tolist(), grid.gamma_upper[feasible].tolist())))
     out.write(CSV_HEADER + "\n")
-    out.write("".join(lines.ravel()))
+    out.writelines("".join(row.ravel().tolist()) for row in pieces)
+
+
+def _floats(spellings: list) -> list:
+    """Python float of each bytes spelling; a bad one fails as its text does."""
+    try:
+        return list(map(float, spellings))
+    except ValueError:
+        return [float(x.decode(errors="replace")) for x in spellings]
 
 
 def _axis(column):
@@ -138,7 +140,7 @@ def _axis(column):
     an index; a spelling that is not a number raises ValueError.
     """
     spellings = list(dict.fromkeys(column))
-    values, inverse = np.unique(np.array(spellings, float), return_inverse=True)
+    values, inverse = np.unique(np.array(_floats(spellings)), return_inverse=True)
     index = dict(zip(spellings, inverse.tolist()))
     return values, np.fromiter(map(index.__getitem__, column), np.intp, len(column))
 
@@ -146,32 +148,36 @@ def _axis(column):
 def parse_csv(source) -> RegionGrid:
     """Read back a grid written by emit_csv (exact round trip).
 
-    Lines are split on whitespace, which no field contains.  Each distinct
-    spelling of s and s' is converted to float once.  Raises
-    ValueError on empty input, a wrong header, no rows, malformed rows, or
-    rows that are not one grid: one V and one u, each (s, s') cell once.
+    source is a path or a text or binary file, tokenized as bytes: rows are
+    split on ASCII whitespace, which no field contains.  Python's float
+    converts each distinct s and s' spelling once, and only FEASIBLE rows'
+    gamma fields.  Raises ValueError on empty input, a wrong header, no rows,
+    malformed rows, or rows that are not one grid: one V and one u, each
+    (s, s') cell once.
     """
     if not hasattr(source, "read"):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "rb") as fh:
             return parse_csv(fh)
-    lines = source.read().split()
+    data = source.read()
+    lines = (data.encode() if isinstance(data, str) else data).split()
+    del data   # hold the text in one form at a time: it sets the peak memory
     if not lines:
         raise ValueError("empty region CSV: no header")
-    if lines[0] != CSV_HEADER:
-        raise ValueError(f"unrecognized CSV header: {lines[0]!r}")
+    if lines[0] != CSV_HEADER.encode():
+        raise ValueError(f"unrecognized CSV header: {lines[0].decode(errors='replace')!r}")
     if len(lines) == 1:
         raise ValueError("region CSV has a header but no rows")
     n_fields = CSV_HEADER.count(",") + 1
-    fields = ",".join(lines[1:]).split(",")
+    fields = b",".join(lines[1:]).split(b",")
     if len(fields) != n_fields * (len(lines) - 1):
         raise ValueError(f"region CSV rows must have {n_fields} fields")
     V, u, s, sp, names, lower, upper = (fields[k::n_fields] for k in range(n_fields))
     try:
-        flat_codes = np.fromiter(map(_CLASS_CODES.__getitem__, names), np.int8, len(names))
+        flat_codes = np.fromiter(map(_CLASS_BYTES.__getitem__, names), np.int8, len(names))
     except KeyError as exc:
-        raise ValueError(f"unknown region class {exc.args[0]!r}") from None
+        raise ValueError(f"unknown region class {exc.args[0].decode(errors='replace')!r}") from None
     for column in (V, u):  # one spelling, as emit_csv writes, or else one value
-        if column.count(column[0]) != len(column) and len(set(map(float, set(column)))) != 1:
+        if column.count(column[0]) != len(column) and len(set(_floats(list(set(column))))) != 1:
             raise ValueError("region CSV rows must share one V and one u")
     s_vals, i = _axis(s)
     sp_vals, j = _axis(sp)
@@ -181,14 +187,12 @@ def parse_csv(source) -> RegionGrid:
         raise ValueError("region CSV must hold each (s, s') grid cell exactly once")
     codes = np.zeros(cell.size, np.int8)
     codes[cell] = flat_codes
-    feasible = flat_codes == _CLASS_CODES[FEASIBLE]
-    glo = np.full(cell.size, np.nan)
-    ghi = np.full(cell.size, np.nan)
-    glo[cell[feasible]] = np.array(lower, object)[feasible].astype(float)
-    ghi[cell[feasible]] = np.array(upper, object)[feasible].astype(float)
+    rows = np.flatnonzero(flat_codes == _CLASS_CODES[FEASIBLE]).tolist()
+    gamma = np.full((2, cell.size), np.nan)
+    gamma[:, cell[rows]] = _floats([lower[k] for k in rows]), _floats([upper[k] for k in rows])
     return RegionGrid(V=float(V[0]), u=float(u[0]), s_values=s_vals, s_prime_values=sp_vals,
-                      codes=codes.reshape(shape), gamma_lower=glo.reshape(shape),
-                      gamma_upper=ghi.reshape(shape))
+                      codes=codes.reshape(shape), gamma_lower=gamma[0].reshape(shape),
+                      gamma_upper=gamma[1].reshape(shape))
 
 
 # SVG geometry and colours, in pixels
@@ -281,21 +285,17 @@ def emit_svg(grid: RegionGrid, out) -> None:
               f'font-size="13">V = {grid.V:g}, u = {grid.u:g}</text>\n')
 
     feasible = grid.codes == _CLASS_CODES[FEASIBLE]
-    for i0, i1, j0, j1 in _merge_rectangles(feasible):
-        rx = px(s[i0] - ds / 2)
-        ry = py(sp[j1] + dsp / 2)
-        rw = px(s[i1] + ds / 2) - rx
-        rh = py(sp[j0] - dsp / 2) - ry
-        buf.write(f'<rect x="{rx:.2f}" y="{ry:.2f}" width="{rw:.2f}" height="{rh:.2f}" '
-                  f'fill="{FEASIBLE_FILL}" stroke="none"/>\n')
+    i0, i1, j0, j1 = np.array(_merge_rectangles(feasible), int).reshape(-1, 4).T
+    rx, ry = px(s[i0] - ds / 2), py(sp[j1] + dsp / 2)
+    boxes = zip(*(v.tolist() for v in (rx, ry, px(s[i1] + ds / 2) - rx, py(sp[j0] - dsp / 2) - ry)))
+    buf.write("".join(map('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
+                          f'fill="{FEASIBLE_FILL}" stroke="none"/>\n'.__mod__, boxes)))
 
     necessary = grid.codes >= _CLASS_CODES[NECESSARY_ONLY]
     if necessary.any():
         ia, ja, ib, jb = _boundary_segments(necessary).T
-        xa, ya, xb, yb = (np.char.mod("%.2f", v).astype(object)
-                          for v in (px(s[0] + ia * ds), py(sp[0] + ja * dsp),
-                                    px(s[0] + ib * ds), py(sp[0] + jb * dsp)))
-        path = " ".join("M " + xa + " " + ya + " L " + xb + " " + yb)
+        ends = (px(s[0] + ia * ds), py(sp[0] + ja * dsp), px(s[0] + ib * ds), py(sp[0] + jb * dsp))
+        path = " ".join(map("M %.2f %.2f L %.2f %.2f".__mod__, zip(*(v.tolist() for v in ends))))
         buf.write(f'<path d="{path}" stroke="{BOUNDARY_STROKE}" stroke-width="1" '
                   f'stroke-dasharray="2,3" fill="none"/>\n')
 

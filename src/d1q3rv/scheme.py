@@ -21,6 +21,7 @@ from dataclasses import dataclass
 # Discrete velocities c_j in lattice units; distribution index j maps to
 # velocity c_j * lambda, so matrix row/column 0 belongs to the left mover.
 VELOCITIES = np.array([-1.0, 0.0, 1.0])
+_EYE = np.eye(3)
 
 # Entrywise absolute tolerance for 3x3 matrix identities.  All entries are
 # low-degree polynomials of O(1) inputs, so double precision leaves margin.
@@ -108,8 +109,7 @@ def _E(V, alpha, lam, o, z):
 
 def _relaxation_product(M_inv, T_inv, S, T, E, M) -> np.ndarray:
     """R = M^-1 T^-1 (I + S (T E T^-1 - I)) T M, for single matrices or stacks."""
-    eye = np.eye(3)
-    return M_inv @ T_inv @ (eye + S @ (T @ E @ T_inv - eye)) @ T @ M
+    return M_inv @ T_inv @ (_EYE + S @ (T @ E @ T_inv - _EYE)) @ T @ M
 
 
 def build_M(p: SchemeParameters) -> np.ndarray:
@@ -232,7 +232,7 @@ def basis_commutator(C, p: SchemeParameters) -> np.ndarray:
     """
     C = _check_moment_change(C)
     S = build_S(p)
-    return (S @ C - C @ S) @ build_T(p) @ (build_E(p) - np.eye(3))
+    return (S @ C - C @ S) @ build_T(p) @ (build_E(p) - _EYE)
 
 
 def change_basis_relaxation_matrix(C, p: SchemeParameters) -> np.ndarray:

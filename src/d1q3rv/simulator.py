@@ -333,7 +333,7 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     last = block
     hist[last, :, :, interior] = f0.transpose(0, 2, 1)
     min_f, min_rho, max_rho, mass0 = (v[0] for v in _step_stats(hist[last:, :, :, interior]))
-    drift = np.zeros(batch)
+    drift = np.where(np.isnan(mass0), np.nan, 0.0)   # a NaN start is kept, as in _fold
     scale = np.where(mass0 != 0, np.abs(mass0), 1.0)   # drift is |mass| when mass0 == 0
     done, snapped = 0, 1
     while done < n_steps:
@@ -383,8 +383,8 @@ def run_batch(cases, grid: Grid1D, n_steps: int, snap_every: int = 0) -> list:
             max_rho=max_rho,
             mass_drift=float(out.mass_drift[b]),
             l1_error=float(np.sum(np.abs(final.density() - rho_exact)) * grid.dx),
-            overshoot=max(0.0, max_rho - max_rho0),
-            undershoot=max(0.0, min_rho0 - min_rho),
+            overshoot=float(np.maximum(max_rho - max_rho0, 0.0)),   # NaN stays NaN
+            undershoot=float(np.maximum(min_rho0 - min_rho, 0.0)),
         )
         snapshots = [LatticeState(f=out.snapshots[j, b], step_count=step)
                      for j, step in enumerate(out.snap_steps)]
@@ -413,16 +413,16 @@ def write_diagnostics_csv(diag: RunDiagnostics, out) -> None:
 
 
 def write_snapshots_csv(snapshots, grid: Grid1D, out) -> None:
-    """Long-format CSV, one row per (snapshot step, cell)."""
+    """Long-format CSV, one row per (snapshot step, cell), 17 significant digits.
+
+    Each row is one '%' of a line format after a prebuilt "cell,x," prefix.
+    """
     if not hasattr(out, "write"):
         with open(out, "w", encoding="utf-8", newline="") as fh:
             write_snapshots_csv(snapshots, grid, fh)
         return
-    cell_x = (np.arange(grid.n_cells).astype(str).astype(object) + ","
-              + np.char.mod("%.17g", grid.positions()).astype(object) + ",")
+    cell_x = list(map("%d,%.17g,".__mod__, enumerate(grid.positions().tolist())))
     out.write(SNAPSHOT_CSV_HEADER + "\n")
     for st in snapshots:
-        values = np.column_stack([st.f, st.density()])
-        f1, f2, f3, rho = np.char.mod("%.17g", values).astype(object).T
-        lines = f"{st.step_count}," + cell_x + f1 + "," + f2 + "," + f3 + "," + rho + "\n"
-        out.write("".join(lines))
+        line = f"{st.step_count},%s%.17g,%.17g,%.17g,%.17g\n"
+        out.write("".join(map(line.__mod__, zip(cell_x, *st.f.T.tolist(), st.density().tolist()))))

@@ -115,6 +115,13 @@ def test_non_finite_values_get_one_note_line(argv, capsys):
     assert err.count("note:") == err.count("\n") == (2 if argv[0] == "simulate" else 1)
 
 
+def test_simulate_run_that_is_nan_throughout_prints_nan_diagnostics(capsys):
+    assert run_without_runtime_warnings(["simulate", *HUGE_SHIFT]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "mass drift: nan" in out and "undershoot nan" in out[0]
+    assert out[-1] == "nan,nan,nan,nan,nan,nan,nan"
+
+
 def test_check_interval_mode(capsys):
     assert main(["check", "--V", "0.25", "--u", "0", "--s", "1", "--sp", "1"]) == 0
     out = capsys.readouterr().out

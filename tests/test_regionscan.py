@@ -1,13 +1,15 @@
 import hashlib
 import io
+import re
 
 import numpy as np
 import pytest
 
 from d1q3rv.cli import main
-from d1q3rv.regionscan import (_CLASS_CODES, FEASIBLE, NECESSARY_ONLY, OUTSIDE, ScanSpec,
-                               _merge_rectangles, default_u_list, emit_csv, emit_svg,
-                               parse_csv, scan)
+from d1q3rv.regionscan import (_CLASS_CODES, _CLASS_NAMES, CSV_HEADER, FEASIBLE,
+                               NECESSARY_ONLY, OUTSIDE, SVG_MARGIN, SVG_SIZE, RegionGrid,
+                               ScanSpec, _boundary_segments, _merge_rectangles,
+                               default_u_list, emit_csv, emit_svg, parse_csv, scan)
 from d1q3rv.stability import necessary_region, u_zero_region
 
 
@@ -115,6 +117,51 @@ def test_csv_round_trip_exact():
              + scan(small_spec(2 / 3, u_list=default_u_list(2 / 3), n=41)))
     for grid in grids:
         _assert_same_grid(parse_csv(io.StringIO(_csv_text(grid))), grid)
+
+
+def test_csv_bytes_match_per_value_format():
+    odd = np.array([-0.0, 5e-324, 1 / 3, -1e300])
+    codes = np.array([[2, 1, 0, 2], [0, 2, 2, 1], [2, 2, 2, 2], [1, 0, 0, 2]], np.int8)
+    feasible = codes == _CLASS_CODES[FEASIBLE]
+    grid = RegionGrid(V=1 / 3, u=-0.0, s_values=odd, s_prime_values=odd[::-1], codes=codes,
+                      gamma_lower=np.where(feasible, odd[:, None], np.nan),
+                      gamma_upper=np.where(feasible, odd[None, :], np.nan))
+    expect = [CSV_HEADER]
+    for i, s in enumerate(grid.s_values):
+        for j, sp in enumerate(grid.s_prime_values):
+            gamma = ((grid.gamma_lower[i, j], grid.gamma_upper[i, j]) if feasible[i, j]
+                     else ())
+            fields = [format(v, ".17g") for v in (grid.V, grid.u, s, sp)]
+            fields += [_CLASS_NAMES[codes[i, j]]] + [format(g, ".17g") for g in gamma]
+            expect.append(",".join(fields) + ("" if gamma else ",,"))
+    assert _csv_text(grid) == "\n".join(expect) + "\n"
+
+
+def test_parse_csv_reads_paths_binary_files_and_text_alike(tmp_path):
+    grid = scan(small_spec(2 / 3, u_list=(1 / 3,), n=17))[0]
+    text = _csv_text(grid)
+    path = tmp_path / "g.csv"
+    path.write_bytes(text.encode())
+    _assert_same_grid(parse_csv(path), grid)
+    _assert_same_grid(parse_csv(str(path)), grid)
+    with open(path, "rb") as fh:
+        _assert_same_grid(parse_csv(fh), grid)
+    _assert_same_grid(parse_csv(io.StringIO(text)), grid)
+    _assert_same_grid(parse_csv(io.StringIO(text.replace("\n", "\r\n"), newline="")), grid)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("V,u,s\n0.5,0,1\n", "unrecognized CSV header: 'V,u,s'"),
+    ("V\u00e9,u\n", "unrecognized CSV header: 'V\u00e9,u'"),
+    (CSV_HEADER + "\n0.5,0,1,1,UNKNOWN,,\n", "unknown region class 'UNKNOWN'"),
+    (CSV_HEADER + "\n0.5,0,1,1.5.5,OUTSIDE,,\n", "could not convert string to float: '1.5.5'"),
+    (CSV_HEADER + "\n0.5,0,1,1,FEASIBLE,junk,2\n", "could not convert string to float: 'junk'"),
+])
+def test_parse_csv_errors_show_the_text(text, message):
+    for source in (io.StringIO(text), io.BytesIO(text.encode())):
+        with pytest.raises(ValueError) as exc:
+            parse_csv(source)
+        assert str(exc.value) == message
 
 
 def _respell(lines, column, spellings):
@@ -235,6 +282,26 @@ def test_svg_is_well_formed_xml():
     buf = io.StringIO()
     emit_svg(grid, buf)
     xml.dom.minidom.parseString(buf.getvalue())
+
+
+def test_svg_boundary_path_matches_per_segment_format():
+    grid = scan(small_spec(2 / 3, u_list=(1 / 3,), n=29, s_range=(0.1, 2.3),
+                           sp_range=(-0.2, 1.9)))[0]
+    s, sp = grid.s_values.tolist(), grid.s_prime_values.tolist()
+    ds, dsp = (s[-1] - s[0]) / (len(s) - 1), (sp[-1] - sp[0]) / (len(sp) - 1)
+    x0, x1, y0, y1 = s[0] - ds / 2, s[-1] + ds / 2, sp[0] - dsp / 2, sp[-1] + dsp / 2
+    W = SVG_SIZE - 2 * SVG_MARGIN
+    segments = []
+    for ia, ja, ib, jb in _boundary_segments(grid.codes >= _CLASS_CODES[NECESSARY_ONLY]).tolist():
+        ends = (SVG_MARGIN + (s[0] + ia * ds - x0) / (x1 - x0) * W,
+                SVG_MARGIN + (y1 - (sp[0] + ja * dsp)) / (y1 - y0) * W,
+                SVG_MARGIN + (s[0] + ib * ds - x0) / (x1 - x0) * W,
+                SVG_MARGIN + (y1 - (sp[0] + jb * dsp)) / (y1 - y0) * W)
+        segments.append("M {} {} L {} {}".format(*(format(v, ".2f") for v in ends)))
+    buf = io.StringIO()
+    emit_svg(grid, buf)
+    path = re.search(r'<path d="([^"]*)"', buf.getvalue()).group(1)
+    assert len(segments) > 4 and path == " ".join(segments)
 
 
 def _masks():

@@ -200,12 +200,13 @@ def test_stream_preserves_value_multiset_and_min():
 
 def reference_advance(f0, R, n_steps, snap_every=0):
     """The step-by-step loop advance replaces: stream(relax(...)) per step,
-    diagnostics folded with Python's min/max, a zero min f taken as +0.0."""
+    diagnostics folded with Python's min/max, a zero min f taken as +0.0, and
+    the drift starting at NaN when the initial mass is NaN."""
     state = LatticeState(f=f0)
     rho = state.density()
     min_f, min_rho, max_rho = float(state.f.min()), float(rho.min()), float(rho.max())
     mass0 = state.mass()
-    drift = 0.0
+    drift = np.nan if np.isnan(mass0) else 0.0
     snapshots = [(0, state.f)] if snap_every > 0 else []
     for step in range(1, n_steps + 1):
         state = stream(relax(state, None, R))
@@ -262,6 +263,15 @@ def test_advance_matches_step_loop(row, profile, n_steps):
         assert_matches_reference(out, 0, f0, R, n_steps, snap_every=9)
     if row[0] == 0.9:
         assert not np.isfinite(out.f).all() and np.isnan(out.f).any()
+    if np.isnan(f0).any():   # a NaN start is not read as mass conserved
+        assert np.isnan(out.mass_drift[0]) and np.isnan(out.min_rho[0])
+
+
+def test_run_that_is_nan_from_the_start_reports_nan_diagnostics():
+    profile = InitialProfile(kind=CUSTOM, values=np.r_[np.nan, np.ones(23)])
+    with np.errstate(all="ignore"):
+        diag = run(profile, default_grid(24), params(), 5).diagnostics
+    assert diag.as_csv_row() == ",".join(["nan"] * 7)
 
 
 def test_advance_batch_equals_single_runs():
