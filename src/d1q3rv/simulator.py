@@ -166,14 +166,13 @@ class RunDiagnostics:
     advance reduces them once per block of up to 64 steps, a block whose
     buffers it keeps under 1 MiB (or at one step when a single step's are
     larger), so a run's memory is that block and does not grow with its
-    number of steps.  They equal the step-by-step reference's, except that
-    a zero may differ in sign where a product underflowed (see advance).
-
-    A zero min_f_over_run is +0.0.  mass_drift is the largest relative
-    change of mass (the sum of cell densities) seen at any step;
-    overshoot/undershoot measure density excursions beyond the initial
-    range, the signature of spurious oscillations; l1_error compares the
-    final density with the exactly advected initial profile.
+    number of steps.  The extrema and the drift skip NaN steps and keep a
+    NaN start; a zero min_f_over_run, min_rho or max_rho is +0.0, and a
+    non-finite initial mass gives a NaN mass_drift.  mass_drift is the
+    largest relative change of mass (the sum of cell densities) seen at any
+    step; overshoot/undershoot measure density excursions beyond the
+    initial range, the signature of spurious oscillations; l1_error
+    compares the final density with the exactly advected initial profile.
     """
 
     min_f_over_run: float
@@ -239,32 +238,29 @@ def _step_stats(states: np.ndarray):
     """Per-step min f, min and max density, and mass of states (k, B, 3, n).
 
     Density and mass round exactly as LatticeState's; the sign of a zero
-    min f depends on the traversal order, so advance makes it +0.0.
+    extremum depends on the traversal order, so advance makes it +0.0.
     """
     rho = states[:, :, 0] + states[:, :, 1] + states[:, :, 2]
     return states.min(axis=(2, 3)), rho.min(axis=2), rho.max(axis=2), rho.sum(axis=2)
 
 
-def _fold(running: np.ndarray, steps: np.ndarray, reduce, better) -> None:
-    """Fold the rows of steps (k, B) into running (B,) in place, as Python's
-    running = min(running, x) (or max) over the rows would.
-
-    reduce/better are fmin/less for a minimum and fmax/greater for a
-    maximum.  As in Python, a NaN step never replaces a number, a NaN start
-    is never replaced, and of equal values (0.0 and -0.0) the first is kept.
+def _fold(running: np.ndarray, steps: np.ndarray, ufunc) -> None:
+    """Fold the rows of steps (k, B) into running (B,) in place with ufunc,
+    np.fmin or np.fmax: NaN steps are skipped and a NaN start is kept.  The
+    sign of a zero is left to ufunc; advance makes every zero extremum +0.0.
     """
-    best = reduce.reduce(steps, axis=0)
-    first = steps[(steps == best).argmax(axis=0), np.arange(steps.shape[1])]
-    np.copyto(running, first, where=better(first, running))
+    ufunc(running, ufunc.reduce(steps, axis=0), out=running, where=~np.isnan(running))
 
 
 @dataclass(frozen=True)
 class BatchRun:
     """What advance returns for B runs of n_cells cells.
 
-    f holds the final states, shape (B, n_cells, 3).  min_f (+0.0 if zero),
-    min_rho, max_rho and mass_drift, each of shape (B,), are taken over
-    steps 0 to n_steps.  snapshots[j] holds the states at step snap_steps[j].
+    f holds the final states, shape (B, n_cells, 3).  min_f, min_rho, max_rho
+    and mass_drift, each of shape (B,), are taken over steps 0 to n_steps:
+    NaN steps are skipped and a NaN start is kept, a zero extremum is +0.0,
+    and a non-finite initial mass gives a NaN mass_drift.  snapshots[j]
+    holds the states at step snap_steps[j].
     """
 
     f: np.ndarray
@@ -292,8 +288,10 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     the slots' interiors, in no second layout.  _block_steps sets k: at most
     64 steps and about 1 MiB of block arrays, so memory stays O(B * n_cells).
 
-    Every output is bitwise equal to stream(relax(...)) applied step by
-    step, with a zero min f read as +0.0, and with two exceptions.  Where a
+    The states and snapshots are bitwise equal to stream(relax(...)) applied
+    step by step; the diagnostics fold its per-step values with np.fmin and
+    np.fmax, so NaN steps are skipped, a NaN start is kept and a zero
+    extremum is +0.0.  There are two exceptions.  Where a
     product underflows below half the smallest subnormal, a zero may have
     the other sign than the reference's (the values are equal as numbers).
     With n_cells = 1, relax multiplies a one-row state through a
@@ -333,7 +331,7 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     last = block
     hist[last, :, :, interior] = f0.transpose(0, 2, 1)
     min_f, min_rho, max_rho, mass0 = (v[0] for v in _step_stats(hist[last:, :, :, interior]))
-    drift = np.where(np.isnan(mass0), np.nan, 0.0)   # a NaN start is kept, as in _fold
+    drift = np.where(np.isfinite(mass0), 0.0, np.nan)   # no drift from a non-finite mass
     scale = np.where(mass0 != 0, np.abs(mass0), 1.0)   # drift is |mass| when mass0 == 0
     done, snapped = 0, 1
     while done < n_steps:
@@ -343,16 +341,16 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
             np.matmul(R, ins[j], out=outs[j])
         last = k
         step_min_f, step_min_rho, step_max_rho, mass = _step_stats(hist[1:k + 1, :, :, interior])
-        _fold(min_f, step_min_f, np.fmin, np.less)
-        _fold(min_rho, step_min_rho, np.fmin, np.less)
-        _fold(max_rho, step_max_rho, np.fmax, np.greater)
-        _fold(drift, np.abs(mass - mass0) / scale, np.fmax, np.greater)
+        _fold(min_f, step_min_f, np.fmin)
+        _fold(min_rho, step_min_rho, np.fmin)
+        _fold(max_rho, step_max_rho, np.fmax)
+        _fold(drift, np.abs(mass - mass0) / scale, np.fmax)
         while snapped < len(snap_steps) and snap_steps[snapped] <= done + k:
             snapshots[snapped] = hist[snap_steps[snapped] - done, :, :, interior].transpose(0, 2, 1)
             snapped += 1
         done += k
     return BatchRun(f=hist[last, :, :, interior].transpose(0, 2, 1).copy(), min_f=min_f + 0.0,
-                    min_rho=min_rho, max_rho=max_rho, mass_drift=drift,
+                    min_rho=min_rho + 0.0, max_rho=max_rho + 0.0, mass_drift=drift,
                     snap_steps=snap_steps, snapshots=snapshots)
 
 

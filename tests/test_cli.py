@@ -122,6 +122,17 @@ def test_simulate_run_that_is_nan_throughout_prints_nan_diagnostics(capsys):
     assert out[-1] == "nan,nan,nan,nan,nan,nan,nan"
 
 
+def test_simulate_overflowed_initial_mass_prints_nan_drift(capsys):
+    # cells at 1e308 sum to an infinite mass, so no drift from it is defined
+    argv = ["simulate", "--V", "0.25", "--s", "1", "--sp", "1", "--alpha", "0",
+            "--high", "1e308", "--steps", "50"]
+    assert run_without_runtime_warnings(argv) == 0
+    out, err = capsys.readouterr()
+    assert "mass drift: nan" in out.splitlines()
+    assert out.splitlines()[-1].split(",")[3] == "nan"
+    assert err.count("note:") == err.count("\n") == 1
+
+
 def test_check_interval_mode(capsys):
     assert main(["check", "--V", "0.25", "--u", "0", "--s", "1", "--sp", "1"]) == 0
     out = capsys.readouterr().out

@@ -200,13 +200,13 @@ def test_stream_preserves_value_multiset_and_min():
 
 def reference_advance(f0, R, n_steps, snap_every=0):
     """The step-by-step loop advance replaces: stream(relax(...)) per step,
-    diagnostics folded with Python's min/max, a zero min f taken as +0.0, and
-    the drift starting at NaN when the initial mass is NaN."""
+    diagnostics folded with Python's min/max, every zero extremum taken as
+    +0.0, and the drift starting at NaN when the initial mass is not finite."""
     state = LatticeState(f=f0)
     rho = state.density()
     min_f, min_rho, max_rho = float(state.f.min()), float(rho.min()), float(rho.max())
     mass0 = state.mass()
-    drift = np.nan if np.isnan(mass0) else 0.0
+    drift = 0.0 if np.isfinite(mass0) else np.nan
     snapshots = [(0, state.f)] if snap_every > 0 else []
     for step in range(1, n_steps + 1):
         state = stream(relax(state, None, R))
@@ -217,7 +217,7 @@ def reference_advance(f0, R, n_steps, snap_every=0):
         drift = max(drift, abs(state.mass() - mass0) / abs(mass0) if mass0 else abs(state.mass()))
         if snap_every > 0 and (step % snap_every == 0 or step == n_steps):
             snapshots.append((step, state.f))
-    return state.f, (min_f + 0.0, min_rho, max_rho, drift), snapshots
+    return state.f, (min_f + 0.0, min_rho + 0.0, max_rho + 0.0, drift), snapshots
 
 
 def bitwise_equal(a, b):
@@ -290,17 +290,35 @@ def test_advance_batch_equals_single_runs():
 
 def test_advance_reports_a_zero_min_f_as_positive_zero():
     # R = I (s = s' = 0) keeps every cell; the states hold 0.0 and -0.0, and
-    # which one a minimum over them returns depends on the order it visits them in
+    # which one a minimum or maximum over them returns depends on the order it
+    # visits them in.  Every zero min_f, min_rho or max_rho is +0.0.
     R = np.eye(3)
-    f0 = np.random.default_rng(1).choice([0.0, -0.0, 0.5], (2, 24, 3))
+    f0 = np.random.default_rng(1).choice([0.0, -0.0, 0.5], (3, 24, 3))
     f0[1][f0[1] == 0] = -0.0   # the second run's zero cells are three -0.0
+    f0[2] = -0.0               # and every cell of the third is
     assert np.signbit(f0.min(axis=(1, 2))).all()   # NumPy's minimum is -0.0 here
-    n_steps = 2 * _block_steps(2, 24) + 3
-    out = advance(f0, np.stack([R, R]), n_steps, snap_every=7)
-    for b in range(2):
-        assert out.min_f[b] == 0 and not np.signbit(out.min_f[b])
+    n_steps = 2 * _block_steps(3, 24) + 3
+    out = advance(f0, np.stack([R] * 3), n_steps, snap_every=7)
+    for b in range(3):
         assert_matches_reference(out, b, f0[b], R, n_steps, snap_every=7)
-    assert out.min_rho[1] == 0 and np.signbit(out.min_rho[1])   # -0.0 + -0.0 + -0.0
+    # the densities -0.0 + -0.0 + -0.0 are -0.0, in every cell of the third run
+    assert (out.min_f == 0).all() and (out.min_rho[1:] == 0).all() and out.max_rho[2] == 0
+    for extremum in (out.min_f, out.min_rho, out.max_rho):
+        assert not np.signbit(extremum[extremum == 0]).any()
+
+
+def test_advance_keeps_a_nan_start_that_later_turns_finite():
+    # cell 2 sums to NaN at step 0, no density is NaN at step 1 (the least is
+    # 1.0), and NaN comes back at step 2; a NaN start is kept, so none reads 1.0
+    f0 = np.ones((1, 6, 3))
+    f0[0, 2] = (-np.inf, 0.0, np.inf)
+    R = np.array([[-1, .5, 1], [-.5, .2, .5], [-.25, .3, .25]])
+    with np.errstate(all="ignore"):
+        out = advance(f0, R[None], 3, snap_every=1)
+        assert_matches_reference(out, 0, f0[0], R, 3, snap_every=1)
+        rho = out.snapshots[:, 0].sum(axis=2)
+    assert np.array_equal(rho.min(axis=1), [np.nan, 1.0, np.nan, np.nan], equal_nan=True)
+    assert np.isnan([out.min_rho[0], out.max_rho[0], out.mass_drift[0]]).all()
 
 
 BLOCK = _block_steps(1, 200)
