@@ -190,10 +190,10 @@ def cmd_simulate(args) -> int:
         simulator.write_diagnostics_csv(diag, sys.stdout)
         return 0
     simulator.write_diagnostics_csv(diag, args.out)
-    if result.snapshots:
+    if result.snap_steps:
         stem, suffix = os.path.splitext(args.out)
         snap_path = f"{stem}.snapshots{suffix or '.csv'}"
-        simulator.write_snapshots_csv(result.snapshots, grid, snap_path)
+        simulator.write_snapshots_csv(result, grid, snap_path)
         print(f"wrote {args.out} and {snap_path}")
     else:
         print(f"wrote {args.out}")

@@ -6,11 +6,13 @@ components shift one cell (periodically).  Runs record non-negativity,
 conservation, extrema, and the L1 distance to the exactly advected
 profile, which is what exhibits (or rules out) spurious oscillations.
 
-Every run goes through advance, one kernel over a batch of states; run is
-its batch-of-one case.  advance keeps the states component-major with
-periodic ghost cells, so a step is one matmul whose output view does the
-streaming, and reduces the diagnostics once per block of up to 64 steps.
-relax and stream are the one-step reference it is tested against.
+A state is a plain (n_cells, 3) array of distribution triples, and density
+is the one definition of a cell's density.  Every run goes through advance,
+one kernel over a batch of states; run is its batch-of-one case.  advance
+keeps the states component-major with periodic ghost cells, so a step is one
+matmul whose output view does the streaming, and reduces the diagnostics
+once per block of up to 64 steps.  relax and stream, on (n_cells, 3)
+arrays, are the one-step reference it is tested against.
 """
 
 from __future__ import annotations
@@ -31,16 +33,18 @@ PROFILE_KINDS = (SMOOTH, HAT, STEP, CUSTOM)
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Periodic lattice: n_cells cells of width dx."""
+    """Periodic lattice of n_cells cells of width dx = 1 / n_cells; its length
+    is n_cells * dx, which need not round to exactly 1.0."""
 
     n_cells: int
-    dx: float
 
     def __post_init__(self):
         if self.n_cells <= 0:
             raise ValueError(f"n_cells must be positive, got {self.n_cells}")
-        if not self.dx > 0:
-            raise ValueError(f"dx must be positive, got dx={self.dx}")
+
+    @property
+    def dx(self) -> float:
+        return 1.0 / self.n_cells
 
     @property
     def length(self) -> float:
@@ -51,10 +55,8 @@ class Grid1D:
 
 
 def default_grid(n_cells: int = 200) -> Grid1D:
-    """Unit-length periodic grid."""
-    if n_cells <= 0:
-        raise ValueError(f"n_cells must be positive, got {n_cells}")
-    return Grid1D(n_cells=n_cells, dx=1.0 / n_cells)
+    """Unit-length periodic grid, 200 cells unless told otherwise."""
+    return Grid1D(n_cells)
 
 
 @dataclass(frozen=True)
@@ -104,23 +106,16 @@ class InitialProfile:
         return self.sample_at(grid.positions(), grid.length)
 
 
-@dataclass(frozen=True)
-class LatticeState:
-    """Distribution triples per cell, shape (n_cells, 3), plus the time index."""
+def density(f) -> np.ndarray:
+    """Cell densities f1 + f2 + f3 of states f (..., 3), added in that order.
 
-    f: np.ndarray
-    step_count: int = 0
-
-    def density(self) -> np.ndarray:
-        return self.f[:, 0] + self.f[:, 1] + self.f[:, 2]
-
-    def mass(self) -> float:
-        """Sum of the cell densities, so it rounds the same in any layout of f."""
-        return float(self.density().sum())
+    A run's mass is density(f).sum(), so it rounds the same in any layout.
+    """
+    return f[..., 0] + f[..., 1] + f[..., 2]
 
 
-def init_state(profile: InitialProfile, grid: Grid1D, p: SchemeParameters) -> LatticeState:
-    """Equilibrium initialization from the sampled density.
+def init_state(profile: InitialProfile, grid: Grid1D, p: SchemeParameters) -> np.ndarray:
+    """Equilibrium state (n_cells, 3) of the sampled density.
 
     Rejects profiles with negative density; warns when the equilibrium
     weights themselves are negative for (V, alpha), since then even a
@@ -135,28 +130,27 @@ def init_state(profile: InitialProfile, grid: Grid1D, p: SchemeParameters) -> La
             "initial distributions will not all be non-negative",
             stacklevel=2,
         )
-    return LatticeState(f=equilibrium_distributions(rho0, p), step_count=0)
+    return equilibrium_distributions(rho0, p)
 
 
-def relax(state: LatticeState, p: SchemeParameters, matrix: np.ndarray = None) -> LatticeState:
-    """Collision: multiply every cell's triple by R (precomputable via matrix).
+def relax(f: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Collision: multiply every cell's triple of f (n_cells, 3) by R.
 
     One step of the reference that advance is tested against.
     """
-    R = build_relaxation_matrix(p) if matrix is None else matrix
-    return LatticeState(f=state.f @ R.T, step_count=state.step_count)
+    return f @ R.T
 
 
-def stream(state: LatticeState) -> LatticeState:
+def stream(f: np.ndarray) -> np.ndarray:
     """Transport: left movers shift one cell down, right movers one cell up.
 
     A permutation: it keeps the multiset of values, and mass up to rounding.
     One step of the reference that advance is tested against.
     """
-    f = state.f.copy()
+    f = f.copy()
     f[:, 0] = np.roll(f[:, 0], -1)
     f[:, 2] = np.roll(f[:, 2], 1)
-    return LatticeState(f=f, step_count=state.step_count)
+    return f
 
 
 @dataclass(frozen=True)
@@ -196,9 +190,15 @@ SNAPSHOT_CSV_HEADER = "step,cell,x,f1,f2,f3,rho"
 
 @dataclass(frozen=True)
 class RunResult:
+    """One case of run_batch: its diagnostics, the final state f (n_cells, 3),
+    and snapshots[j] (n_cells, 3), the state at step snap_steps[j].  f and
+    snapshots are views of advance's BatchRun, under its field names.
+    """
+
     diagnostics: RunDiagnostics
-    final_state: LatticeState
-    snapshots: list
+    f: np.ndarray
+    snap_steps: tuple
+    snapshots: np.ndarray
 
 
 def exact_density(profile: InitialProfile, grid: Grid1D, p: SchemeParameters,
@@ -235,12 +235,12 @@ def _block_steps(batch: int, n_cells: int) -> int:
 
 
 def _step_stats(states: np.ndarray):
-    """Per-step min f, min and max density, and mass of states (k, B, 3, n).
+    """Per-step min f, and min, max and sum of the density of states (k, B, 3, n).
 
-    Density and mass round exactly as LatticeState's; the sign of a zero
-    extremum depends on the traversal order, so advance makes it +0.0.
+    The sums are those of density() in the cell-major layout; the sign of a
+    zero extremum depends on the traversal order, so advance makes it +0.0.
     """
-    rho = states[:, :, 0] + states[:, :, 1] + states[:, :, 2]
+    rho = density(states.transpose(0, 1, 3, 2))
     return states.min(axis=(2, 3)), rho.min(axis=2), rho.max(axis=2), rho.sum(axis=2)
 
 
@@ -364,29 +364,24 @@ def run_batch(cases, grid: Grid1D, n_steps: int, snap_every: int = 0) -> list:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if not cases:
         return []
-    states = [init_state(profile, grid, p) for profile, p in cases]
-    out = advance(np.stack([st.f for st in states]),
-                  np.stack([build_relaxation_matrix(p) for _, p in cases]),
-                  n_steps, snap_every)
+    f0 = np.stack([init_state(profile, grid, p) for profile, p in cases])
+    out = advance(f0, np.stack([build_relaxation_matrix(p) for _, p in cases]), n_steps, snap_every)
+    rho0 = density(f0)
     results = []
-    for b, ((profile, p), state0) in enumerate(zip(cases, states)):
-        rho0 = state0.density()
-        min_rho0, max_rho0 = float(rho0.min()), float(rho0.max())
+    for b, (profile, p) in enumerate(cases):
+        min_rho0, max_rho0 = float(rho0[b].min()), float(rho0[b].max())
         min_rho, max_rho = float(out.min_rho[b]), float(out.max_rho[b])
-        final = LatticeState(f=out.f[b], step_count=n_steps)
         rho_exact = exact_density(profile, grid, p, n_steps)
         diag = RunDiagnostics(
             min_f_over_run=float(out.min_f[b]),
             min_rho=min_rho,
             max_rho=max_rho,
             mass_drift=float(out.mass_drift[b]),
-            l1_error=float(np.sum(np.abs(final.density() - rho_exact)) * grid.dx),
+            l1_error=float(np.sum(np.abs(density(out.f[b]) - rho_exact)) * grid.dx),
             overshoot=float(np.maximum(max_rho - max_rho0, 0.0)),   # NaN stays NaN
             undershoot=float(np.maximum(min_rho0 - min_rho, 0.0)),
         )
-        snapshots = [LatticeState(f=out.snapshots[j, b], step_count=step)
-                     for j, step in enumerate(out.snap_steps)]
-        results.append(RunResult(diagnostics=diag, final_state=final, snapshots=snapshots))
+        results.append(RunResult(diag, out.f[b], out.snap_steps, out.snapshots[:, b]))
     return results
 
 
@@ -410,17 +405,17 @@ def write_diagnostics_csv(diag: RunDiagnostics, out) -> None:
     out.write(diag.as_csv_row() + "\n")
 
 
-def write_snapshots_csv(snapshots, grid: Grid1D, out) -> None:
-    """Long-format CSV, one row per (snapshot step, cell), 17 significant digits.
+def write_snapshots_csv(result: RunResult, grid: Grid1D, out) -> None:
+    """Long-format CSV of result's snapshots, one row per (step, cell), 17 digits.
 
     Each row is one '%' of a line format after a prebuilt "cell,x," prefix.
     """
     if not hasattr(out, "write"):
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            write_snapshots_csv(snapshots, grid, fh)
+            write_snapshots_csv(result, grid, fh)
         return
     cell_x = list(map("%d,%.17g,".__mod__, enumerate(grid.positions().tolist())))
     out.write(SNAPSHOT_CSV_HEADER + "\n")
-    for st in snapshots:
-        line = f"{st.step_count},%s%.17g,%.17g,%.17g,%.17g\n"
-        out.write("".join(map(line.__mod__, zip(cell_x, *st.f.T.tolist(), st.density().tolist()))))
+    for step, f in zip(result.snap_steps, result.snapshots):
+        line = f"{step},%s%.17g,%.17g,%.17g,%.17g\n"
+        out.write("".join(map(line.__mod__, zip(cell_x, *f.T.tolist(), density(f).tolist()))))

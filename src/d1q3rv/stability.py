@@ -175,8 +175,8 @@ def gamma_feasible_interval(V, u, s, s_prime) -> GammaInterval:
 
 
 def pinned_gamma(V, u, s) -> float:
-    """The value gamma is forced to when s' = 0 (alpha then drops out)."""
-    return -u * s * V
+    """The value gamma is forced to when s' = 0 (alpha then drops out); a zero is +0.0."""
+    return -u * s * V + 0.0
 
 
 def alpha_from_gamma(gamma, V, u, s, s_prime):

@@ -155,7 +155,9 @@ def test_check_interval_with_nan_bounds_states_no_comparison(capsys):
 
 def test_check_alpha_unconstrained_when_second_rate_zero(capsys):
     assert main(["check", "--V", "0", "--u", "0", "--s", "1", "--sp", "0"]) == 0
-    assert "alpha-unconstrained" in capsys.readouterr().out
+    # -u * s * V is -0.0 here; the pinned value prints as 0
+    assert capsys.readouterr().out == ("gamma interval: [0, 0]\n"
+                                       "alpha-unconstrained (s' = 0 pins gamma at 0)\n")
 
 
 def test_region_writes_files_and_summary(tmp_path, capsys):
@@ -271,6 +273,19 @@ def test_reproduce_stdout_is_pinned(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "1eda8c588bb36a1a84a438d9769c7b967b14e15278dd06466d5a0ac6a24957c5")
+
+
+def test_simulate_output_files_are_pinned(tmp_path, capsys):
+    out_csv = tmp_path / "d.csv"
+    assert main(["simulate", "--V", "0.25", "--u", "0.25", "--s", "1.6", "--sp", "1.3",
+                 "--alpha=-0.17548076923076938", "--profile", "hat", "--ncells", "37",
+                 "--steps", "150", "--snap-every", "7", "--out", str(out_csv)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("d.csv", "d.snapshots.csv")}
+    assert digests == {
+        "d.csv": "489f3550378dad230e6dfa5cfcbd66706cfe474aa14d9905a67206ce79ecae63",
+        "d.snapshots.csv": "ff550d0a1f71695a284858c4fcae3b9f71a3140deba7dc8bacea58715ee49559",
+    }
 
 
 def test_reproduce_batched_results_match_serial_runs(capsys):

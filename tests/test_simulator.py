@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 from d1q3rv.scheme import (SchemeParameters, build_relaxation_matrix,
                            equilibrium_distributions)
 from d1q3rv.simulator import (CUSTOM, HAT, SMOOTH, STEP, Grid1D, InitialProfile,
-                              LatticeState, _block_steps, advance, default_grid,
+                              _block_steps, advance, default_grid, density,
                               exact_density, init_state, relax, run, run_batch, stream,
                               write_diagnostics_csv, write_snapshots_csv)
 
@@ -19,7 +20,8 @@ def params(V=0.25, u=0.0, s=1.0, s_prime=1.0, alpha=0.0, lam=1.0):
 # ----------------------------------------------------------------------- grid
 
 def test_grid_derived_quantities():
-    g = Grid1D(n_cells=200, dx=0.005)
+    g = Grid1D(n_cells=200)
+    assert g.dx == 0.005
     assert g.length == pytest.approx(1.0)
     assert g.positions().shape == (200,)
     assert g.positions()[1] == pytest.approx(0.005)
@@ -27,9 +29,7 @@ def test_grid_derived_quantities():
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        Grid1D(n_cells=0, dx=0.1)
-    with pytest.raises(ValueError):
-        Grid1D(n_cells=10, dx=-0.1)
+        Grid1D(n_cells=0)
 
 
 @pytest.mark.parametrize("n_cells", [0, -3])
@@ -95,16 +95,16 @@ def test_profile_width_must_be_positive(width):
 
 def test_init_constant_density_rest_state():
     g = default_grid(8)
-    st = init_state(InitialProfile(kind=CUSTOM, values=np.ones(8)), g, params(V=0.0, alpha=0.0))
-    assert np.allclose(st.f, 1.0 / 3.0, atol=1e-15)
+    f = init_state(InitialProfile(kind=CUSTOM, values=np.ones(8)), g, params(V=0.0, alpha=0.0))
+    assert f.shape == (8, 3) and np.allclose(f, 1.0 / 3.0, atol=1e-15)
 
 
 def test_init_step_cells_are_zero_or_equilibrium():
     g = default_grid(40)
     p = params()
-    st = init_state(InitialProfile(kind=STEP), g, p)
+    f = init_state(InitialProfile(kind=STEP), g, p)
     feq1 = equilibrium_distributions(1.0, p)
-    for trip in st.f:
+    for trip in f:
         assert np.allclose(trip, 0.0) or np.allclose(trip, feq1)
 
 
@@ -112,8 +112,8 @@ def test_init_conserves_profile_mass():
     g = default_grid(200)
     p = params(V=0.7, alpha=0.3)
     profile = InitialProfile(kind=SMOOTH, low=0.2, high=2.0)
-    st = init_state(profile, g, p)
-    assert st.mass() == pytest.approx(profile.sample(g).sum(), rel=1e-13)
+    f = init_state(profile, g, p)
+    assert density(f).sum() == pytest.approx(profile.sample(g).sum(), rel=1e-13)
 
 
 def test_init_rejects_negative_density():
@@ -130,53 +130,53 @@ def test_init_warns_on_negative_equilibrium_weights():
 
 def test_relax_identity_at_zero_rates():
     g = default_grid(16)
-    st = init_state(InitialProfile(kind=HAT), g, params())
-    out = relax(st, params(s=0.0, s_prime=0.0))
-    assert np.allclose(out.f, st.f, atol=1e-14)
+    f = init_state(InitialProfile(kind=HAT), g, params())
+    out = relax(f, build_relaxation_matrix(params(s=0.0, s_prime=0.0)))
+    assert np.allclose(out, f, atol=1e-14)
 
 
 def test_relax_projects_at_unit_rates():
     g = default_grid(16)
     p = params(V=0.3, alpha=0.1, s=1.0, s_prime=1.0)
     rng = np.random.default_rng(2)
-    st = LatticeState(f=rng.uniform(0, 1, (16, 3)))
-    out = relax(st, p)
-    assert np.allclose(out.f, equilibrium_distributions(st.density(), p), atol=1e-13)
+    f = rng.uniform(0, 1, (16, 3))
+    out = relax(f, build_relaxation_matrix(p))
+    assert np.allclose(out, equilibrium_distributions(density(f), p), atol=1e-13)
 
 
 def test_relax_preserves_equilibrium_cells():
     p = params(V=0.4, u=0.2, s=1.7, s_prime=0.6, alpha=-0.3)
-    st = LatticeState(f=equilibrium_distributions(np.linspace(0.5, 2.0, 12), p))
-    out = relax(st, p)
-    assert np.allclose(out.f, st.f, atol=1e-13)
+    f = equilibrium_distributions(np.linspace(0.5, 2.0, 12), p)
+    out = relax(f, build_relaxation_matrix(p))
+    assert np.allclose(out, f, atol=1e-13)
 
 
 def test_stream_moves_right_mover_up_one_cell():
     f = np.zeros((8, 3))
     f[3, 2] = 1.0
-    out = stream(LatticeState(f=f))
-    assert out.f[4, 2] == 1.0 and out.f.sum() == 1.0
+    out = stream(f)
+    assert out[4, 2] == 1.0 and out.sum() == 1.0
 
 
 def test_stream_moves_left_mover_down_one_cell():
     f = np.zeros((8, 3))
     f[0, 0] = 1.0
-    out = stream(LatticeState(f=f))
-    assert out.f[7, 0] == 1.0 and out.f.sum() == 1.0
+    out = stream(f)
+    assert out[7, 0] == 1.0 and out.sum() == 1.0
 
 
 def test_stream_periodicity():
     rng = np.random.default_rng(4)
-    st = LatticeState(f=rng.uniform(0, 1, (9, 3)))
-    out = st
+    f = rng.uniform(0, 1, (9, 3))
+    out = f
     for _ in range(9):
         out = stream(out)
-    assert np.array_equal(out.f, st.f)
+    assert np.array_equal(out, f)
 
 
 def test_stream_inverse():
     rng = np.random.default_rng(6)
-    st = LatticeState(f=rng.uniform(0, 1, (11, 3)))
+    f0 = rng.uniform(0, 1, (11, 3))
 
     def unstream(f):
         f = f.copy()
@@ -184,16 +184,16 @@ def test_stream_inverse():
         f[:, 2] = np.roll(f[:, 2], -1)
         return f
 
-    assert np.array_equal(unstream(stream(st).f), st.f)
-    assert np.array_equal(stream(LatticeState(f=unstream(st.f))).f, st.f)
+    assert np.array_equal(unstream(stream(f0)), f0)
+    assert np.array_equal(stream(unstream(f0)), f0)
 
 
 def test_stream_preserves_value_multiset_and_min():
     rng = np.random.default_rng(8)
-    st = LatticeState(f=rng.uniform(-1, 1, (20, 3)))
-    out = stream(st)
-    assert sorted(out.f.ravel()) == sorted(st.f.ravel())
-    assert out.f.min() == st.f.min()
+    f = rng.uniform(-1, 1, (20, 3))
+    out = stream(f)
+    assert sorted(out.ravel()) == sorted(f.ravel())
+    assert out.min() == f.min()
 
 
 # --------------------------------------------------------------------- kernel
@@ -202,22 +202,23 @@ def reference_advance(f0, R, n_steps, snap_every=0):
     """The step-by-step loop advance replaces: stream(relax(...)) per step,
     diagnostics folded with Python's min/max, every zero extremum taken as
     +0.0, and the drift starting at NaN when the initial mass is not finite."""
-    state = LatticeState(f=f0)
-    rho = state.density()
-    min_f, min_rho, max_rho = float(state.f.min()), float(rho.min()), float(rho.max())
-    mass0 = state.mass()
+    f = f0
+    rho = density(f)
+    min_f, min_rho, max_rho = float(f.min()), float(rho.min()), float(rho.max())
+    mass0 = float(rho.sum())
     drift = 0.0 if np.isfinite(mass0) else np.nan
-    snapshots = [(0, state.f)] if snap_every > 0 else []
+    snapshots = [(0, f)] if snap_every > 0 else []
     for step in range(1, n_steps + 1):
-        state = stream(relax(state, None, R))
-        rho = state.density()
-        min_f = min(min_f, float(state.f.min()))
+        f = stream(relax(f, R))
+        rho = density(f)
+        mass = float(rho.sum())
+        min_f = min(min_f, float(f.min()))
         min_rho = min(min_rho, float(rho.min()))
         max_rho = max(max_rho, float(rho.max()))
-        drift = max(drift, abs(state.mass() - mass0) / abs(mass0) if mass0 else abs(state.mass()))
+        drift = max(drift, abs(mass - mass0) / abs(mass0) if mass0 else abs(mass))
         if snap_every > 0 and (step % snap_every == 0 or step == n_steps):
-            snapshots.append((step, state.f))
-    return state.f, (min_f + 0.0, min_rho + 0.0, max_rho + 0.0, drift), snapshots
+            snapshots.append((step, f))
+    return f, (min_f + 0.0, min_rho + 0.0, max_rho + 0.0, drift), snapshots
 
 
 def bitwise_equal(a, b):
@@ -241,7 +242,7 @@ def assert_matches_reference(out, b, f0, R, n_steps, snap_every=0):
 def initial(profile, n_cells, p):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # negative equilibrium weights are expected here
-        return init_state(profile, default_grid(n_cells), p).f, build_relaxation_matrix(p)
+        return init_state(profile, default_grid(n_cells), p), build_relaxation_matrix(p)
 
 
 KERNEL_CASES = [
@@ -442,10 +443,9 @@ def test_run_identity_dynamics():
     g = default_grid(40)
     p = params(V=0.0, s=0.0, s_prime=0.0, alpha=-2.0)
     result = run(InitialProfile(kind=HAT), g, p, 25)
-    st0 = init_state(InitialProfile(kind=HAT), g, p)
-    assert np.allclose(result.final_state.f, st0.f, atol=1e-13)
+    f0 = init_state(InitialProfile(kind=HAT), g, p)
+    assert np.allclose(result.f, f0, atol=1e-13)
     assert result.diagnostics.l1_error <= 1e-13
-    assert result.final_state.step_count == 25
 
 
 def test_run_identity_dynamics_constant_profile():
@@ -455,8 +455,8 @@ def test_run_identity_dynamics_constant_profile():
     p = params(V=0.0, s=0.0, s_prime=0.0, alpha=0.7)
     profile = InitialProfile(kind=CUSTOM, values=np.full(24, 1.3))
     result = run(profile, g, p, 11)
-    st0 = init_state(profile, g, p)
-    assert np.allclose(result.final_state.f, st0.f, atol=1e-13)
+    f0 = init_state(profile, g, p)
+    assert np.allclose(result.f, f0, atol=1e-13)
     assert result.diagnostics.l1_error <= 1e-13
 
 
@@ -524,7 +524,13 @@ def test_run_far_outside_region_amplifies_exponentially():
 
 def test_run_snapshots_cadence():
     result = run(InitialProfile(kind=HAT), default_grid(20), params(), 10, snap_every=4)
-    assert [st.step_count for st in result.snapshots] == [0, 4, 8, 10]
+    assert result.snap_steps == (0, 4, 8, 10)
+    # run hands back the kernel's own arrays for the same case, bit for bit
+    f0, R = initial(InitialProfile(kind=HAT), 20, params())
+    out = advance(f0[None], R[None], 10, snap_every=4)
+    assert bitwise_equal(result.f, out.f[0])
+    assert result.snapshots.shape == (4, 20, 3)
+    assert bitwise_equal(result.snapshots, out.snapshots[:, 0])
 
 
 def test_exact_density_integer_shift_rolls_samples():
@@ -561,10 +567,10 @@ def test_snapshots_csv_shape():
     g = default_grid(10)
     result = run(InitialProfile(kind=HAT), g, params(), 4, snap_every=2)
     buf = io.StringIO()
-    write_snapshots_csv(result.snapshots, g, buf)
+    write_snapshots_csv(result, g, buf)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "step,cell,x,f1,f2,f3,rho"
-    assert len(lines) == 1 + len(result.snapshots) * 10
+    assert len(lines) == 1 + len(result.snap_steps) * 10
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0"
 
@@ -574,14 +580,15 @@ def test_snapshots_csv_bytes_match_per_value_format():
     result = run(InitialProfile(kind=STEP), g, params(s=1.9, s_prime=1.4, alpha=1 / 7), 6,
                  snap_every=3)
     odd = np.array([[-0.0, 5e-324, 1 / 3], [-1e300, 2.5, 1e-17]] + [[0.1, 0.2, 0.3]] * 5)
-    snapshots = result.snapshots + [LatticeState(f=odd, step_count=99)]
+    result = dataclasses.replace(result, snap_steps=result.snap_steps + (99,),
+                                 snapshots=np.concatenate([result.snapshots, odd[None]]))
     buf = io.StringIO()
-    write_snapshots_csv(snapshots, g, buf)
+    write_snapshots_csv(result, g, buf)
     x = g.positions()
     expect = ["step,cell,x,f1,f2,f3,rho"]
-    for st in snapshots:
-        rho = st.density()
+    for step, f in zip(result.snap_steps, result.snapshots):
+        rho = density(f)
         for k in range(g.n_cells):
-            vals = (x[k], *st.f[k], rho[k])
-            expect.append(f"{st.step_count},{k}," + ",".join(format(v, ".17g") for v in vals))
+            vals = (x[k], *f[k], rho[k])
+            expect.append(f"{step},{k}," + ",".join(format(v, ".17g") for v in vals))
     assert buf.getvalue() == "\n".join(expect) + "\n"

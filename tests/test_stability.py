@@ -223,6 +223,7 @@ def test_alpha_feasible_degenerate_rate():
     assert alpha_feasible(0.0, 0.0, 1.0, 0.0)       # pinned 0, interval {0}
     assert not alpha_feasible(0.5, 0.3, 1.0, 0.0)   # upper bound -|sV| < 0
     assert pinned_gamma(0.5, 0.3, 1.0) == pytest.approx(-0.15)
+    assert not np.signbit(pinned_gamma(0.0, 0.1, 1.0))   # -0.1 * 1.0 * 0.0 is -0.0
 
 
 def test_alpha_feasible_arrays_match_scalar_calls():
