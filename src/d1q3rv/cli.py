@@ -4,8 +4,9 @@ Subcommands: matrix (inspect the relaxation operator), check (stability
 verdicts / feasible intervals), region (scan and plot (s, s') regions),
 simulate (advection runs with diagnostics), reproduce (bundled benchmark
 parameter sets).  Exit codes: 0 success or stable, 1 unstable/infeasible,
-2 usage error, 3 output failure, 4 invalid input data, all set by main.  Each
-flag's type carries its range rule, and every usage error is one ``error:`` line.
+2 usage error, 3 output failure, 4 invalid input data or a request too large
+for memory, all set by main.  Each flag's type carries its range rule, and
+every usage error is one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -294,6 +295,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:   # such as a --grid or --ncells NumPy cannot allocate
+        print(f"error: not enough memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 4
 
 

@@ -27,6 +27,16 @@ _EYE = np.eye(3)
 # low-degree polynomials of O(1) inputs, so double precision leaves margin.
 TAU_MAT = 1e-12
 
+# Working memory a batched path may hold beyond its result: advance's history
+# block and a relaxation_matrices chunk are sized to stay within it.
+WORKING_SET_BYTES = 2**20
+
+# Tuples per relaxation_matrices chunk.  A chunk's six (3, 3) factors, the
+# product's temporaries and its slices of the inputs peak at about 710 B per
+# tuple plus 75 KiB (tracemalloc); 896 B per tuple keeps it about a tenth
+# under WORKING_SET_BYTES.
+_CHUNK = WORKING_SET_BYTES // 896
+
 
 @dataclass(frozen=True)
 class SchemeParameters:
@@ -159,16 +169,31 @@ def build_relaxation_matrix(p: SchemeParameters) -> np.ndarray:
     return relaxation_matrices(p.V, p.u, p.s, p.s_prime, p.alpha, p.lam)
 
 
+def _relaxation_chunk(V, u, s, sp, al, lam) -> np.ndarray:
+    """R for float64 scalars, shape (3, 3), or for 1-d operands, shape (n, 3, 3)."""
+    o, z = np.ones(V.shape)[()], np.zeros(V.shape)[()]
+    return _relaxation_product(_M_inv(lam, o, z), _T(-u, lam, o, z), _S(s, sp, z),
+                               _T(u, lam, o, z), _E(V, al, lam, o, z), _M(lam, o, z))
+
+
 def relaxation_matrices(V, u, s, s_prime, alpha, lam=1.0) -> np.ndarray:
     """Relaxation operators R, shape broadcast(inputs) + (3, 3).
 
     Scalar inputs give one (3, 3) matrix, built from float64 scalars; arrays
-    give a stack, built without per-tuple Python calls.
+    give a stack, built without per-tuple Python calls.  The stack is built
+    in chunks of the flattened broadcast shape into the preallocated result,
+    so its working memory beyond the result stays within WORKING_SET_BYTES
+    for any batch size.  A chunk runs the same builders and product as a
+    scalar call, so a tuple's R has the same bytes either way.
     """
-    V, u, s, sp, al, lam = _operands(V, u, s, s_prime, alpha, lam)
-    o, z = np.ones(V.shape)[()], np.zeros(V.shape)[()]
-    return _relaxation_product(_M_inv(lam, o, z), _T(-u, lam, o, z), _S(s, sp, z),
-                               _T(u, lam, o, z), _E(V, al, lam, o, z), _M(lam, o, z))
+    ops = _operands(V, u, s, s_prime, alpha, lam)
+    if not ops[0].shape:
+        return _relaxation_chunk(*ops)
+    out = np.empty(ops[0].shape + (3, 3))
+    rows = out.reshape(-1, 3, 3)
+    for i in range(0, len(rows), _CHUNK):
+        rows[i:i + _CHUNK] = _relaxation_chunk(*(a.flat[i:i + _CHUNK] for a in ops))
+    return out
 
 
 def equilibrium_weights(p: SchemeParameters) -> np.ndarray:

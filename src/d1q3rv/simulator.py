@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 from dataclasses import dataclass
 
-from .scheme import (SchemeParameters, build_relaxation_matrix,
+from .scheme import (WORKING_SET_BYTES, SchemeParameters, build_relaxation_matrix,
                      equilibrium_distributions, equilibrium_weights)
 
 SMOOTH = "smooth"
@@ -223,13 +223,14 @@ def exact_density(profile: InitialProfile, grid: Grid1D, p: SchemeParameters,
 
 def _block_steps(batch: int, n_cells: int) -> int:
     """Steps per history block: 64, fewer where a block's float64 arrays would
-    pass 1 MiB, and 1 where even a one-step block is larger.
+    pass WORKING_SET_BYTES (1 MiB), and 1 where even a one-step block is larger.
 
     They are the history (k+1, B, 3, n_cells + 2(k+1)) with k spare values
     and the (k, B, n_cells) density rows _step_stats reduces.
     """
     k = 64
-    while k > 1 and 8 * batch * (3 * (k + 1) * (n_cells + 2 * k + 2) + k * n_cells) + 8 * k > 2**20:
+    while k > 1 and (8 * batch * (3 * (k + 1) * (n_cells + 2 * k + 2) + k * n_cells) + 8 * k
+                     > WORKING_SET_BYTES):
         k -= 1
     return k
 

@@ -258,6 +258,19 @@ def test_simulate_negative_density_exits_4(capsys):
                  "--alpha", "0", "--low", "-1"]) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["region", "--V", "0.5", "--grid", "2000000"],
+    ["simulate", "--V", "0.25", "--s", "1", "--sp", "1", "--alpha", "0",
+     "--ncells", "2000000000000", "--steps", "1"],
+])
+def test_request_too_large_for_memory_exits_4_with_one_line(argv, capsys):
+    # NumPy refuses these allocations (terabytes) at once, so nothing large is made.
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
+    assert err.startswith("error: not enough memory: Unable to allocate "), err
+
+
 def test_reproduce_report_shape(capsys):
     assert main(["reproduce"]) == 0
     out = capsys.readouterr().out

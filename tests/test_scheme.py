@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from d1q3rv.scheme import (TAU_MAT, SchemeParameters, basis_commutator, build_E, build_M,
-                           build_relaxation_matrix, build_S, build_T,
+from d1q3rv.scheme import (_CHUNK, TAU_MAT, SchemeParameters, basis_commutator, build_E,
+                           build_M, build_relaxation_matrix, build_S, build_T,
                            change_basis_relaxation_matrix, equilibrium_distributions,
                            equilibrium_weights, inverse_M, inverse_T, mats_close,
                            moments_from_distributions, relaxation_matrices)
@@ -129,17 +131,55 @@ def test_relaxation_fixes_equilibrium():
         assert np.max(np.abs(build_relaxation_matrix(p) @ feq - feq)) <= TOL
 
 
+def _tuples(rng, n):
+    return (rng.uniform(-1.5, 1.5, n), rng.uniform(-1, 1, n), rng.uniform(-0.5, 2.5, n),
+            rng.uniform(-0.5, 2.5, n), rng.uniform(-2, 2, n), rng.choice([0.5, 1.0, 3.0], n))
+
+
+def _scalar_calls(*args):
+    """R through one scalar call per tuple, stacked in the broadcast shape."""
+    cols = np.broadcast_arrays(*args)
+    rows = zip(*(c.ravel().tolist() for c in cols))
+    return np.array([relaxation_matrices(*t) for t in rows]).reshape(cols[0].shape + (3, 3))
+
+
 def test_batched_matches_scalar_construction():
-    rng = np.random.default_rng(13)
-    V, u = rng.uniform(-1.5, 1.5, 50), rng.uniform(-1, 1, 50)
-    s, sp = rng.uniform(-0.5, 2.5, 50), rng.uniform(-0.5, 2.5, 50)
-    alpha = rng.uniform(-2, 2, 50)
-    lam = rng.choice([0.5, 1.0, 3.0], 50)
+    V, u, s, sp, alpha, lam = _tuples(np.random.default_rng(13), 50)
     batch = relaxation_matrices(V, u, s, sp, alpha, lam)
     assert batch.shape == (50, 3, 3)
     for k in range(50):
         Rk = build_relaxation_matrix(params(V[k], u[k], s[k], sp[k], alpha[k], lam[k]))
-        assert np.max(np.abs(batch[k] - Rk)) <= TOL
+        assert batch[k].tobytes() == Rk.tobytes()
+
+
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 0])
+def test_batches_across_chunk_boundaries_are_the_bytes_of_scalar_calls(n):
+    args = _tuples(np.random.default_rng(n), n)
+    batch = relaxation_matrices(*args)
+    assert batch.shape == (n, 3, 3)
+    assert batch.tobytes() == _scalar_calls(*args).tobytes()
+
+
+def test_broadcast_batch_over_several_chunks_is_the_bytes_of_scalar_calls():
+    rng = np.random.default_rng(29)
+    n, m = 5, _CHUNK // 2 + 7   # chunk boundaries fall inside rows of the (n, m) grid
+    args = (rng.uniform(-1.5, 1.5, (n, 1)), rng.uniform(-1, 1, m), 1.6,
+            rng.uniform(-0.5, 2.5, m), rng.uniform(-2, 2, (n, 1)), 3.0)
+    batch = relaxation_matrices(*args)
+    assert batch.shape == (n, m, 3, 3) and n * m > 2 * _CHUNK
+    assert batch.tobytes() == _scalar_calls(*args).tobytes()
+
+
+def test_batched_working_memory_stays_within_one_mebibyte():
+    # Beyond its result, a batch holds at most one chunk's working set.
+    args = _tuples(np.random.default_rng(50), 50_000)
+    tracemalloc.start()
+    try:
+        R = relaxation_matrices(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= R.nbytes + 2**20, (peak, R.nbytes)
 
 
 def test_relaxation_matrices_broadcast_mixed_shapes():
@@ -157,19 +197,15 @@ def test_relaxation_matrices_broadcast_mixed_shapes():
 
 
 def test_scalar_calls_agree_with_batched_rows():
-    # Scalar calls run the batched expressions on float64 scalars: the closed
-    # form and the chain bounds keep every bit, R differs at most by matmul
-    # rounding of a single (3, 3) product against a stacked one.
-    rng = np.random.default_rng(4242)
+    # Scalar calls run the batched expressions on float64 scalars, and the
+    # closed form, the chain bounds and R keep every bit.
     n = 10_000
-    V, u = rng.uniform(-1.5, 1.5, n), rng.uniform(-1, 1, n)
-    s, sp = rng.uniform(-0.5, 2.5, n), rng.uniform(-0.5, 2.5, n)
-    alpha, lam = rng.uniform(-2, 2, n), rng.choice([0.5, 1.0, 3.0], n)
+    V, u, s, sp, alpha, lam = _tuples(np.random.default_rng(4242), n)
     u[::5] = 0.0
     sp[::7] = 0.0
     rows = list(zip(*(c.tolist() for c in (V, u, s, sp, alpha, lam))))
     scalar_R = np.array([relaxation_matrices(*t) for t in rows])
-    assert np.max(np.abs(scalar_R - relaxation_matrices(V, u, s, sp, alpha, lam))) <= 1e-15
+    assert scalar_R.tobytes() == relaxation_matrices(V, u, s, sp, alpha, lam).tobytes()
     scalar_closed = np.array([relaxation_entries_closed_form(*t[:5]) for t in rows])
     assert scalar_closed.tobytes() == relaxation_entries_closed_form(V, u, s, sp, alpha).tobytes()
     scalar_bounds = np.array([chain_bounds(*t[:4]) for t in rows]).T
