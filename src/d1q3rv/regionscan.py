@@ -11,9 +11,12 @@ necessary region outlined with a dotted boundary.
 from __future__ import annotations
 
 import io
+import itertools
+import re
 import numpy as np
 from dataclasses import dataclass
 
+from .scheme import WORKING_SET_BYTES
 from .stability import _feasible_interval, necessary_region
 
 FEASIBLE = "FEASIBLE"
@@ -25,6 +28,13 @@ _CLASS_CODES = {name: code for code, name in enumerate(_CLASS_NAMES)}
 _CLASS_BYTES = {name.encode(): code for name, code in _CLASS_CODES.items()}
 
 CSV_HEADER = "V,u,s,s_prime,class,gamma_lower,gamma_upper"
+
+# parse_csv tokenizes a file in pieces of about this many bytes: 1,600-1,900
+# rows of a region CSV, whose row and field objects take about 0.75 MiB
+# (tracemalloc), within WORKING_SET_BYTES.  A piece ends just after a byte
+# that bytes.split() splits on, so no row spans two pieces.
+_PIECE_BYTES = WORKING_SET_BYTES // 8
+_WHITESPACE = re.compile(rb"\s")
 
 
 def default_u_list(V: float) -> tuple:
@@ -132,67 +142,112 @@ def _floats(spellings: list) -> list:
         return [float(x.decode(errors="replace")) for x in spellings]
 
 
-def _axis(column):
-    """A grid axis from a column of spellings: (sorted distinct values, each row's index).
+def _ids(ids: dict, column: list, first_row: int) -> np.ndarray:
+    """Each row's spelling id; a spelling new to ids takes the number of its row."""
+    return np.fromiter(map(ids.setdefault, column, itertools.count(first_row)), np.intp,
+                       len(column))
+
+
+def _axis(ids: dict, column_ids: np.ndarray):
+    """A grid axis from spelling ids: (sorted distinct values, each row's index).
 
     Converts each distinct spelling to float once.  np.unique runs on the
     floats, so spellings of one value ('0.5' and '0.50', '0' and '-0') share
     an index; a spelling that is not a number raises ValueError.
     """
-    spellings = list(dict.fromkeys(column))
-    values, inverse = np.unique(np.array(_floats(spellings)), return_inverse=True)
-    index = dict(zip(spellings, inverse.tolist()))
-    return values, np.fromiter(map(index.__getitem__, column), np.intp, len(column))
+    values, inverse = np.unique(np.array(_floats(list(ids))), return_inverse=True)
+    index = np.empty(len(column_ids), np.intp)
+    index[list(ids.values())] = inverse
+    return values, index[column_ids]
+
+
+def _pieces(data: bytes):
+    """data in pieces, each ending just after the first ASCII whitespace byte at
+    or past _PIECE_BYTES into it (the last piece, at the end of data)."""
+    start = 0
+    while start < len(data):
+        cut = _WHITESPACE.search(data, start + _PIECE_BYTES - 1)
+        end = cut.end() if cut else len(data)
+        yield data[start:end]
+        start = end
 
 
 def parse_csv(source) -> RegionGrid:
     """Read back a grid written by emit_csv (exact round trip).
 
     source is a path or a text or binary file, tokenized as bytes: rows are
-    split on ASCII whitespace, which no field contains.  Python's float
-    converts each distinct s and s' spelling once, and only FEASIBLE rows'
-    gamma fields.  Raises ValueError on empty input, a wrong header, no rows,
-    malformed rows, or rows that are not one grid: one V and one u, each
-    (s, s') cell once.
+    split on ASCII whitespace, which no field contains.  The text is
+    tokenized a piece of about _PIECE_BYTES at a time, so beyond the text and
+    the result it holds one piece's fields, a few integers per row and the
+    FEASIBLE rows' gamma spellings.  Python's float converts each distinct s
+    and s' spelling once, and only FEASIBLE rows' gamma fields.
+    Raises ValueError on empty input, a wrong header, no rows, rows without
+    exactly seven fields, or rows that are not one grid: one V and one u,
+    each (s, s') cell once.
     """
     if not hasattr(source, "read"):
         with open(source, "rb") as fh:
             return parse_csv(fh)
     data = source.read()
-    lines = (data.encode() if isinstance(data, str) else data).split()
-    del data   # hold the text in one form at a time: it sets the peak memory
-    if not lines:
-        raise ValueError("empty region CSV: no header")
-    if lines[0] != CSV_HEADER.encode():
-        raise ValueError(f"unrecognized CSV header: {lines[0].decode(errors='replace')!r}")
-    if len(lines) == 1:
-        raise ValueError("region CSV has a header but no rows")
+    if isinstance(data, str):
+        data = data.encode()
     n_fields = CSV_HEADER.count(",") + 1
-    fields = b",".join(lines[1:]).split(b",")
-    if len(fields) != n_fields * (len(lines) - 1):
-        raise ValueError(f"region CSV rows must have {n_fields} fields")
-    V, u, s, sp, names, lower, upper = (fields[k::n_fields] for k in range(n_fields))
-    try:
-        flat_codes = np.fromiter(map(_CLASS_BYTES.__getitem__, names), np.int8, len(names))
-    except KeyError as exc:
-        raise ValueError(f"unknown region class {exc.args[0].decode(errors='replace')!r}") from None
-    for column in (V, u):  # one spelling, as emit_csv writes, or else one value
-        if column.count(column[0]) != len(column) and len(set(_floats(list(set(column))))) != 1:
+    header, n_rows = None, 0
+    V, u, s, sp = {}, {}, {}, {}   # distinct spellings in order; s and s' map each to an id
+    codes, i, j, lower, upper = [], [], [], [], []
+    for piece in _pieces(data):
+        rows = piece.split()
+        if header is None and rows:
+            header = rows.pop(0)
+            if header != CSV_HEADER.encode():
+                raise ValueError(f"unrecognized CSV header: {header.decode(errors='replace')!r}")
+        if not rows:
+            continue
+        # ",\n" joins the rows, so each row but the first starts its V field with
+        # "\n": a row with too many or too few fields moves a mark out of the V column
+        fields = b",\n".join(rows).split(b",")
+        V_col = fields[::n_fields]
+        if len(fields) != n_fields * len(rows) or b"".join(V_col).count(b"\n") != len(rows) - 1:
+            raise ValueError(f"region CSV rows must have {n_fields} fields")
+        names = fields[4::n_fields]
+        try:
+            piece_codes = np.fromiter(map(_CLASS_BYTES.__getitem__, names), np.int8, len(names))
+        except KeyError as exc:
+            name = exc.args[0].decode(errors="replace")
+            raise ValueError(f"unknown region class {name!r}") from None
+        codes.append(piece_codes)
+        V.update(dict.fromkeys(V_col))
+        u.update(dict.fromkeys(fields[1::n_fields]))
+        i.append(_ids(s, fields[2::n_fields], n_rows))
+        j.append(_ids(sp, fields[3::n_fields], n_rows))
+        n_rows += len(rows)
+        feasible = np.flatnonzero(piece_codes == _CLASS_CODES[FEASIBLE]).tolist()
+        lo, hi = fields[5::n_fields], fields[6::n_fields]
+        lower += [lo[k] for k in feasible]
+        upper += [hi[k] for k in feasible]
+    del data   # hold the text no longer than the pieces need it: it sets the peak memory
+    if header is None:
+        raise ValueError("empty region CSV: no header")
+    if not codes:
+        raise ValueError("region CSV has a header but no rows")
+    V = list(dict.fromkeys(x.lstrip() for x in V))   # without the row marks
+    for spellings in (V, list(u)):  # one spelling, as emit_csv writes, or else one value
+        if len(spellings) > 1 and len(set(_floats(spellings))) != 1:
             raise ValueError("region CSV rows must share one V and one u")
-    s_vals, i = _axis(s)
-    sp_vals, j = _axis(sp)
+    s_vals, i = _axis(s, np.concatenate(i))
+    sp_vals, j = _axis(sp, np.concatenate(j))
     shape = (len(s_vals), len(sp_vals))
     cell = i * shape[1] + j  # row-major index into the grid
     if (np.bincount(cell, minlength=shape[0] * shape[1]) != 1).any():
         raise ValueError("region CSV must hold each (s, s') grid cell exactly once")
+    flat_codes = np.concatenate(codes)
     codes = np.zeros(cell.size, np.int8)
     codes[cell] = flat_codes
-    rows = np.flatnonzero(flat_codes == _CLASS_CODES[FEASIBLE]).tolist()
     gamma = np.full((2, cell.size), np.nan)
-    gamma[:, cell[rows]] = _floats([lower[k] for k in rows]), _floats([upper[k] for k in rows])
-    return RegionGrid(V=float(V[0]), u=float(u[0]), s_values=s_vals, s_prime_values=sp_vals,
-                      codes=codes.reshape(shape), gamma_lower=gamma[0].reshape(shape),
-                      gamma_upper=gamma[1].reshape(shape))
+    gamma[:, cell[flat_codes == _CLASS_CODES[FEASIBLE]]] = _floats(lower), _floats(upper)
+    return RegionGrid(V=float(V[0]), u=float(next(iter(u))), s_values=s_vals,
+                      s_prime_values=sp_vals, codes=codes.reshape(shape),
+                      gamma_lower=gamma[0].reshape(shape), gamma_upper=gamma[1].reshape(shape))
 
 
 # SVG geometry and colours, in pixels

@@ -169,6 +169,42 @@ def build_relaxation_matrix(p: SchemeParameters) -> np.ndarray:
     return relaxation_matrices(p.V, p.u, p.s, p.s_prime, p.alpha, p.lam)
 
 
+def _flat(a: np.ndarray):
+    """a's elements in row-major order as a 1-d view, or as a.flat where no view has them.
+
+    A view's slices cost nothing; a.flat copies each slice element by element.
+    """
+    if a.flags.c_contiguous:
+        return a.reshape(-1)
+    if not any(a.strides):   # one value broadcast
+        return np.broadcast_to(a.flat[0], a.size)
+    return a.flat
+
+
+def _batched(kernel, ops, chunk, *tails):
+    """kernel on the float64 operands ops, evaluated chunk tuples at a time.
+
+    kernel maps operands of one shape B to one array of shape B + tails[0],
+    or to a tuple of arrays of shapes B + tail, one per tail.  Scalar
+    operands go to kernel as they are.  Array operands go in 1-d slices of
+    their flattened broadcast shape, and each output is written into one
+    preallocated result, so the working memory beyond the results stays
+    within WORKING_SET_BYTES for any batch size.  A chunk runs the same
+    expressions as a scalar call, so each tuple's outputs have the same bytes
+    either way.
+    """
+    if not ops[0].shape:
+        return kernel(*ops)
+    outs = [np.empty(ops[0].shape + tail) for tail in tails]
+    out_rows = [out.reshape((-1,) + tail) for out, tail in zip(outs, tails)]
+    ops = [_flat(a) for a in ops]
+    for k in range(0, len(ops[0]), chunk):
+        parts = kernel(*(a[k:k + chunk] for a in ops))
+        for rows, part in zip(out_rows, parts if len(tails) > 1 else (parts,)):
+            rows[k:k + chunk] = part
+    return tuple(outs) if len(tails) > 1 else outs[0]
+
+
 def _relaxation_chunk(V, u, s, sp, al, lam) -> np.ndarray:
     """R for float64 scalars, shape (3, 3), or for 1-d operands, shape (n, 3, 3)."""
     o, z = np.ones(V.shape)[()], np.zeros(V.shape)[()]
@@ -180,20 +216,12 @@ def relaxation_matrices(V, u, s, s_prime, alpha, lam=1.0) -> np.ndarray:
     """Relaxation operators R, shape broadcast(inputs) + (3, 3).
 
     Scalar inputs give one (3, 3) matrix, built from float64 scalars; arrays
-    give a stack, built without per-tuple Python calls.  The stack is built
-    in chunks of the flattened broadcast shape into the preallocated result,
-    so its working memory beyond the result stays within WORKING_SET_BYTES
-    for any batch size.  A chunk runs the same builders and product as a
-    scalar call, so a tuple's R has the same bytes either way.
+    give a stack, built in chunks without per-tuple Python calls (_batched):
+    its working memory beyond the result stays within WORKING_SET_BYTES for
+    any batch size, and a tuple's R has the same bytes either way.
     """
-    ops = _operands(V, u, s, s_prime, alpha, lam)
-    if not ops[0].shape:
-        return _relaxation_chunk(*ops)
-    out = np.empty(ops[0].shape + (3, 3))
-    rows = out.reshape(-1, 3, 3)
-    for i in range(0, len(rows), _CHUNK):
-        rows[i:i + _CHUNK] = _relaxation_chunk(*(a.flat[i:i + _CHUNK] for a in ops))
-    return out
+    return _batched(_relaxation_chunk, _operands(V, u, s, s_prime, alpha, lam), _CHUNK,
+                    (3, 3))
 
 
 def equilibrium_weights(p: SchemeParameters) -> np.ndarray:

@@ -34,7 +34,8 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .scheme import SchemeParameters, _operands, build_relaxation_matrix
+from .scheme import (WORKING_SET_BYTES, SchemeParameters, _batched, _operands,
+                     build_relaxation_matrix)
 
 # Verdict tolerance: entries within -TAU_STAB of zero still count as
 # non-negative (closed regions; ties resolved toward stability).
@@ -44,6 +45,12 @@ TAU_STAB = 1e-11
 # checks exclude samples this close to a boundary so rounding cannot flip
 # an exact-arithmetic equivalence.
 GUARD_BAND = 1e-9
+
+# Tuples per chunk of a batched closed form and of batched chain bounds.
+# Their temporaries peak at about 180 and 80 B per tuple (tracemalloc), so
+# 208 and 96 B per tuple keep a chunk about a seventh under WORKING_SET_BYTES.
+_CLOSED_FORM_CHUNK = WORKING_SET_BYTES // 208
+_BOUNDS_CHUNK = WORKING_SET_BYTES // 96
 
 
 @dataclass(frozen=True)
@@ -94,14 +101,8 @@ def _unbox(res, kind):
     return res if res.ndim else kind(res)
 
 
-def relaxation_entries_closed_form(V, u, s, s_prime, alpha) -> np.ndarray:
-    """The nine entries of R as explicit polynomials, shape (..., 3, 3).
-
-    Independent of the matrix-product construction in the scheme module and
-    of lam; serves as its cross-check and as the slack vector of the
-    nine-inequality route.
-    """
-    V, u, s, sp, al = _operands(V, u, s, s_prime, alpha)
+def _closed_form(V, u, s, sp, al) -> np.ndarray:
+    """The nine entries of R for float64 operands of one shape B, shape B + (3, 3)."""
     R = np.empty(V.shape + (3, 3))
     common_top = V * s * u - V * sp * u + al * sp / 6
     R[..., 0, 0] = common_top - 0.5 * V * s + s * u - 0.5 * s - sp * u - sp / 6 + 1
@@ -114,6 +115,16 @@ def relaxation_entries_closed_form(V, u, s, s_prime, alpha) -> np.ndarray:
     R[..., 2, 1] = common_top + 0.5 * V * s + sp / 3
     R[..., 2, 2] = common_top + 0.5 * V * s - s * u - 0.5 * s + sp * u - sp / 6 + 1
     return R
+
+
+def relaxation_entries_closed_form(V, u, s, s_prime, alpha) -> np.ndarray:
+    """The nine entries of R as explicit polynomials, shape (..., 3, 3).
+
+    Independent of the matrix-product construction in the scheme module and
+    of lam; serves as its cross-check and as the slack vector of the
+    nine-inequality route.  Arrays are evaluated in chunks, as R is.
+    """
+    return _batched(_closed_form, _operands(V, u, s, s_prime, alpha), _CLOSED_FORM_CHUNK, (3, 3))
 
 
 def nine_inequalities(p: SchemeParameters) -> StabilityVerdict:
@@ -134,22 +145,30 @@ def reduced_parameters(p: SchemeParameters) -> ReducedParameters:
     )
 
 
-def _chain_terms(V, u, s, s_prime):
-    """The chain's sides, in units of 2*gamma: (two lower sides, three upper sides)."""
-    V, u, s, sp = _operands(V, u, s, s_prime)
+def _chain_terms(V, u, s, sp):
+    """The chain's sides for float64 operands, in units of 2*gamma.
+
+    Returns (two lower sides, three upper sides).
+    """
     ubar = 2.0 * u * (s - sp)
     sV = s * V
     return (sp - 1.0, abs(ubar)), (2.0 - s - abs(ubar - sV), s - abs(ubar + sV), sp - abs(sV))
+
+
+def _bounds(V, u, s, sp):
+    """(lower, upper) of the chain for float64 operands."""
+    (l1, l2), (u1, u2, u3) = _chain_terms(V, u, s, sp)
+    return np.maximum(l1, l2), np.minimum(np.minimum(u1, u2), u3)
 
 
 def chain_bounds(V, u, s, s_prime):
     """Lower and upper bounds of the reduced chain, in units of 2*gamma.
 
     Vectorized; returns (lower, upper) where stability at given alpha reads
-    lower <= 2*gamma <= upper.  Scalar inputs give float64 bounds.
+    lower <= 2*gamma <= upper.  Scalar inputs give float64 bounds; arrays
+    are evaluated in chunks, as R is.
     """
-    (l1, l2), (u1, u2, u3) = _chain_terms(V, u, s, s_prime)
-    return np.maximum(l1, l2), np.minimum(np.minimum(u1, u2), u3)
+    return _batched(_bounds, _operands(V, u, s, s_prime), _BOUNDS_CHUNK, (), ())
 
 
 def reduced_condition(p: SchemeParameters) -> StabilityVerdict:
@@ -159,7 +178,7 @@ def reduced_condition(p: SchemeParameters) -> StabilityVerdict:
     (s - |u_bar + sV|) - 2g, (s' - |sV|) - 2g.
     """
     two_gamma = 2.0 * reduced_parameters(p).gamma
-    lower, upper = _chain_terms(p.V, p.u, p.s, p.s_prime)
+    lower, upper = _chain_terms(*_operands(p.V, p.u, p.s, p.s_prime))
     return _verdict([two_gamma - x for x in lower] + [x - two_gamma for x in upper], "reduced")
 
 

@@ -1,15 +1,18 @@
 import hashlib
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from d1q3rv import regionscan
 from d1q3rv.cli import main
 from d1q3rv.regionscan import (_CLASS_CODES, _CLASS_NAMES, CSV_HEADER, FEASIBLE,
                                NECESSARY_ONLY, OUTSIDE, SVG_MARGIN, SVG_SIZE, RegionGrid,
                                ScanSpec, _boundary_segments, _merge_rectangles,
                                default_u_list, emit_csv, emit_svg, parse_csv, scan)
+from d1q3rv.scheme import WORKING_SET_BYTES
 from d1q3rv.stability import necessary_region, u_zero_region
 
 
@@ -150,13 +153,19 @@ def test_parse_csv_reads_paths_binary_files_and_text_alike(tmp_path):
     _assert_same_grid(parse_csv(io.StringIO(text.replace("\n", "\r\n"), newline="")), grid)
 
 
-@pytest.mark.parametrize("text,message", [
+_ERROR_CASES = [
     ("V,u,s\n0.5,0,1\n", "unrecognized CSV header: 'V,u,s'"),
     ("V\u00e9,u\n", "unrecognized CSV header: 'V\u00e9,u'"),
     (CSV_HEADER + "\n0.5,0,1,1,UNKNOWN,,\n", "unknown region class 'UNKNOWN'"),
     (CSV_HEADER + "\n0.5,0,1,1.5.5,OUTSIDE,,\n", "could not convert string to float: '1.5.5'"),
     (CSV_HEADER + "\n0.5,0,1,1,FEASIBLE,junk,2\n", "could not convert string to float: 'junk'"),
-])
+    # eight fields and then six: 28 fields in all, but the rows are not a grid's
+    (CSV_HEADER + "\n0.5,0,0,0,OUTSIDE,,\n0.5,0,0,1,OUTSIDE,,,0.5\n0,1,0,OUTSIDE,,\n"
+     "0.5,0,1,1,OUTSIDE,,\n", "region CSV rows must have 7 fields"),
+]
+
+
+@pytest.mark.parametrize("text,message", _ERROR_CASES)
 def test_parse_csv_errors_show_the_text(text, message):
     for source in (io.StringIO(text), io.BytesIO(text.encode())):
         with pytest.raises(ValueError) as exc:
@@ -174,12 +183,17 @@ def _respell(lines, column, spellings):
     return "\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n"
 
 
-def test_parse_csv_aliased_spellings_are_one_grid_cell():
+def _aliased_csv():
+    """A grid and its CSV with the s and s' values respelled in several ways."""
     grid = scan(small_spec(0.5, u_list=(0.25,), n=5, s_range=(0.0, 1.0), sp_range=(0.0, 1.0)))[0]
     lines = _csv_text(grid).split()
     aliases = {"0": ["0", "0.0", "-0", "0.00"], "0.5": ["0.5", "0.50", "0.500"]}
     text = _respell(lines, 2, aliases)
-    text = _respell(text.split(), 3, aliases)
+    return grid, _respell(text.split(), 3, aliases)
+
+
+def test_parse_csv_aliased_spellings_are_one_grid_cell():
+    grid, text = _aliased_csv()
     assert text != _csv_text(grid)
     _assert_same_grid(parse_csv(io.StringIO(text)), grid)  # -0.0 == 0.0 as numbers
 
@@ -230,15 +244,65 @@ def _edit_rows(lines, how):
     return "\n".join([lines[0]] + rows) + "\n"
 
 
-@pytest.mark.parametrize("how", ["drop", "drop last", "duplicate", "other V", "other u"])
+_NOT_ONE_GRID = ["drop", "drop last", "duplicate", "other V", "other u"]
+
+
+def _respelled_V(lines):
+    """lines as one text with the second row's V respelled, which is the same V."""
+    return "\n".join(lines[:2] + [lines[2].replace("0.5,", "0.50,", 1)] + lines[3:])
+
+
+@pytest.mark.parametrize("how", _NOT_ONE_GRID)
 def test_parse_csv_rejects_rows_that_are_not_one_grid(how):
-    buf = io.StringIO()
-    emit_csv(scan(small_spec(0.5, u_list=(0.25,), n=5))[0], buf)
-    lines = buf.getvalue().split()
-    # the same V spelled another way is the same V
-    parse_csv(io.StringIO("\n".join(lines[:2] + [lines[2].replace("0.5,", "0.50,", 1)] + lines[3:])))
+    lines = _csv_text(scan(small_spec(0.5, u_list=(0.25,), n=5))[0]).split()
+    parse_csv(io.StringIO(_respelled_V(lines)))
     with pytest.raises(ValueError, match="grid cell exactly once|share one"):
         parse_csv(io.StringIO(_edit_rows(lines, how)))
+
+
+def _outcome(text):
+    """parse_csv of text as (V, u and the arrays' bytes), or as its error message."""
+    try:
+        grid = parse_csv(io.BytesIO(text.encode()))
+    except ValueError as exc:
+        return str(exc)
+    arrays = (grid.s_values, grid.s_prime_values, grid.codes, grid.gamma_lower, grid.gamma_upper)
+    return (repr(grid.V), repr(grid.u)) + tuple((a.dtype, a.shape, a.tobytes()) for a in arrays)
+
+
+@pytest.mark.parametrize("piece_bytes", [1, 7, 100])
+def test_parse_csv_piece_boundaries_change_nothing(piece_bytes, monkeypatch):
+    text = _csv_text(scan(small_spec(0.5, u_list=(0.25,), n=23))[0])
+    lines = _csv_text(scan(small_spec(0.0, u_list=(0.0,), n=5))[0]).split()
+    lines[1] = "-0,-0," + lines[1].split(",", 2)[2]   # the first row's spelling is returned
+    small = _csv_text(scan(small_spec(0.5, u_list=(0.25,), n=5))[0]).split()
+    texts = ([text, text.replace("\n", "\r\n"), text.replace("\n", "\n\n \t"), " \n\t" + text,
+              "\n".join(lines) + "\n", _aliased_csv()[1], _respelled_V(small)]
+             + [_edit_rows(small, how) for how in _NOT_ONE_GRID]
+             + [text for text, _ in _ERROR_CASES])
+    expect = [_outcome(t) for t in texts]
+    assert expect[4][:2] == ("-0.0", "-0.0")
+    assert expect[-len(_ERROR_CASES):] == [message for _, message in _ERROR_CASES]
+    monkeypatch.setattr(regionscan, "_PIECE_BYTES", piece_bytes)
+    assert [_outcome(t) for t in texts] == expect
+
+
+def test_parse_csv_working_memory_is_bounded(tmp_path):
+    # Beyond the file's bytes and the result, parse_csv holds one piece's rows
+    # and fields, the FEASIBLE rows' gamma spellings and a few integers per row.
+    grid = scan(ScanSpec(V=2 / 3, u_list=(0.0,)))[0]   # 221^2, the most FEASIBLE rows at V = 2/3
+    path = tmp_path / "g.csv"
+    emit_csv(grid, path)
+    tracemalloc.start()
+    try:
+        back = parse_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_same_grid(back, grid)
+    result = sum(a.nbytes for a in (back.s_values, back.s_prime_values, back.codes,
+                                    back.gamma_lower, back.gamma_upper))
+    assert peak <= path.stat().st_size + result + 3 * WORKING_SET_BYTES, (peak, result)
 
 
 def test_csv_determinism():

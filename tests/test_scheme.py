@@ -3,13 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from d1q3rv.scheme import (_CHUNK, TAU_MAT, SchemeParameters, basis_commutator, build_E,
-                           build_M, build_relaxation_matrix, build_S, build_T,
-                           change_basis_relaxation_matrix, equilibrium_distributions,
+from d1q3rv.scheme import (_CHUNK, TAU_MAT, WORKING_SET_BYTES, SchemeParameters,
+                           basis_commutator, build_E, build_M, build_relaxation_matrix, build_S,
+                           build_T, change_basis_relaxation_matrix, equilibrium_distributions,
                            equilibrium_weights, inverse_M, inverse_T, mats_close,
                            moments_from_distributions, relaxation_matrices)
-from d1q3rv.stability import (chain_bounds, necessary_slacks, relaxation_entries_closed_form,
-                              u_zero_slacks)
+from d1q3rv.stability import (_BOUNDS_CHUNK, _CLOSED_FORM_CHUNK, chain_bounds, necessary_slacks,
+                              relaxation_entries_closed_form, u_zero_slacks)
 
 TOL = 1e-12
 
@@ -180,6 +180,55 @@ def test_batched_working_memory_stays_within_one_mebibyte():
     finally:
         tracemalloc.stop()
     assert peak <= R.nbytes + 2**20, (peak, R.nbytes)
+
+
+# The other batched calls that run in chunks: (function, number of inputs, tuples per chunk)
+_CHUNKED = {"closed form": (relaxation_entries_closed_form, 5, _CLOSED_FORM_CHUNK),
+            "chain bounds": (chain_bounds, 4, _BOUNDS_CHUNK)}
+
+
+def _batch_and_scalar_calls(fn, *args):
+    """fn on arrays, and fn through one scalar call per tuple, as arrays of one shape."""
+    batch = fn(*args)
+    batch = np.stack(batch, axis=-1) if isinstance(batch, tuple) else batch
+    cols = np.broadcast_arrays(*args)
+    rows = [fn(*t) for t in zip(*(c.ravel().tolist() for c in cols))]
+    return batch, np.array(rows).reshape(batch.shape)
+
+
+@pytest.mark.parametrize("name", sorted(_CHUNKED))
+def test_closed_form_and_bounds_across_chunk_boundaries_are_the_bytes_of_scalar_calls(name):
+    fn, n_args, chunk = _CHUNKED[name]
+    for n in (chunk - 1, chunk + 1, 0):
+        batch, scalar = _batch_and_scalar_calls(fn, *_tuples(np.random.default_rng(n), n)[:n_args])
+        assert batch.shape[0] == n and batch.tobytes() == scalar.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_CHUNKED))
+def test_closed_form_and_bounds_broadcast_over_several_chunks_are_the_bytes_of_scalar_calls(name):
+    fn, n_args, chunk = _CHUNKED[name]
+    rng = np.random.default_rng(31)
+    m = chunk // 2 + 7   # chunk boundaries fall inside rows
+    mixed = (rng.uniform(-1.5, 1.5, (5, 1)), rng.uniform(-1, 1, m), 1.6,
+             rng.uniform(-0.5, 2.5, m), rng.uniform(-2, 2, (5, 1)))
+    grid = (2 / 3, 0.4, rng.uniform(0, 2.2, (3, m)), rng.uniform(0, 2.2, (3, m)), 0.3)
+    for args in (mixed, grid):
+        batch, scalar = _batch_and_scalar_calls(fn, *args[:n_args])
+        assert batch.size > 2 * chunk and batch.tobytes() == scalar.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_CHUNKED))
+def test_closed_form_and_bounds_working_memory_stays_within_one_mebibyte(name):
+    fn, n_args, _ = _CHUNKED[name]
+    args = _tuples(np.random.default_rng(50), 100_000)[:n_args]
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
+    assert peak <= result + WORKING_SET_BYTES, (peak, result)
 
 
 def test_relaxation_matrices_broadcast_mixed_shapes():
