@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import re
 import numpy as np
 from dataclasses import dataclass
 
@@ -29,12 +28,12 @@ _CLASS_BYTES = {name.encode(): code for name, code in _CLASS_CODES.items()}
 
 CSV_HEADER = "V,u,s,s_prime,class,gamma_lower,gamma_upper"
 
-# parse_csv tokenizes a file in pieces of about this many bytes: 1,600-1,900
-# rows of a region CSV, whose row and field objects take about 0.75 MiB
-# (tracemalloc), within WORKING_SET_BYTES.  A piece ends just after a byte
-# that bytes.split() splits on, so no row spans two pieces.
+# parse_csv reads and tokenizes a file in pieces of about this many bytes:
+# 1,600-1,900 rows of a region CSV, whose row and field objects take about
+# 0.75 MiB (tracemalloc), within WORKING_SET_BYTES.  A piece ends just after
+# its last byte that bytes.split() splits on, so no row spans two pieces.
 _PIECE_BYTES = WORKING_SET_BYTES // 8
-_WHITESPACE = re.compile(rb"\s")
+_NOT_WHITESPACE = bytes(sorted(set(range(256)) - set(b" \t\n\r\x0b\x0c")))
 
 
 def default_u_list(V: float) -> tuple:
@@ -116,7 +115,8 @@ def emit_csv(grid: RegionGrid, out) -> None:
 
     out is a text-mode file object or a path.  Non-feasible rows leave the
     gamma fields empty.  Each value is formatted once, as format(v, '.17g'),
-    and each s row is one join of pieces; identical grids give identical bytes.
+    a gamma value once however many cells share it, and each s row is one
+    join of pieces; identical grids give identical bytes.
     """
     if not hasattr(out, "write"):
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -128,8 +128,12 @@ def emit_csv(grid: RegionGrid, out) -> None:
     pieces[..., 1] = list(map("%.17g,".__mod__, grid.s_prime_values.tolist()))
     pieces[..., 2] = np.array([f"{name},,\n" for name in _CLASS_NAMES], object)[grid.codes]
     feasible = grid.codes == _CLASS_CODES[FEASIBLE]
-    pieces[feasible, 2] = list(map(f"{FEASIBLE},%.17g,%.17g\n".__mod__, zip(
-        grid.gamma_lower[feasible].tolist(), grid.gamma_upper[feasible].tolist())))
+    # a grid has few distinct gamma values: format each bit pattern once
+    gamma = np.array((grid.gamma_lower[feasible], grid.gamma_upper[feasible]), float)
+    bits, inverse = np.unique(gamma.view(np.int64).ravel(), return_inverse=True)
+    text = np.array(list(map("%.17g".__mod__, bits.view(float).tolist())), object)
+    pieces[feasible, 2] = list(map(f"{FEASIBLE},%s,%s\n".__mod__,
+                                   zip(*text[inverse.reshape(gamma.shape)].tolist())))
     out.write(CSV_HEADER + "\n")
     out.writelines("".join(row.ravel().tolist()) for row in pieces)
 
@@ -161,24 +165,26 @@ def _axis(ids: dict, column_ids: np.ndarray):
     return values, index[column_ids]
 
 
-def _pieces(data: bytes):
-    """data in pieces, each ending just after the first ASCII whitespace byte at
-    or past _PIECE_BYTES into it (the last piece, at the end of data)."""
-    start = 0
-    while start < len(data):
-        cut = _WHITESPACE.search(data, start + _PIECE_BYTES - 1)
-        end = cut.end() if cut else len(data)
-        yield data[start:end]
-        start = end
+def _pieces(source):
+    """The bytes read from source, _PIECE_BYTES at a time, in pieces that each
+    end just after the last ASCII whitespace byte read so far: the bytes after
+    it, a row cut by the read, open the next piece.  A str read is encoded."""
+    rest = b""
+    while chunk := source.read(_PIECE_BYTES):
+        data = rest + (chunk.encode() if isinstance(chunk, str) else chunk)
+        piece = data.rstrip(_NOT_WHITESPACE)   # up to its last whitespace byte
+        rest = data[len(piece):]
+        yield piece
+    yield rest
 
 
 def parse_csv(source) -> RegionGrid:
     """Read back a grid written by emit_csv (exact round trip).
 
     source is a path or a text or binary file, tokenized as bytes: rows are
-    split on ASCII whitespace, which no field contains.  The text is
-    tokenized a piece of about _PIECE_BYTES at a time, so beyond the text and
-    the result it holds one piece's fields, a few integers per row and the
+    split on ASCII whitespace, which no field contains.  The text is read and
+    tokenized a piece of about _PIECE_BYTES at a time, so beyond the result it
+    holds one piece's bytes and fields, a few integers per row and the
     FEASIBLE rows' gamma spellings.  Python's float converts each distinct s
     and s' spelling once, and only FEASIBLE rows' gamma fields.
     Raises ValueError on empty input, a wrong header, no rows, rows without
@@ -188,14 +194,11 @@ def parse_csv(source) -> RegionGrid:
     if not hasattr(source, "read"):
         with open(source, "rb") as fh:
             return parse_csv(fh)
-    data = source.read()
-    if isinstance(data, str):
-        data = data.encode()
     n_fields = CSV_HEADER.count(",") + 1
     header, n_rows = None, 0
     V, u, s, sp = {}, {}, {}, {}   # distinct spellings in order; s and s' map each to an id
     codes, i, j, lower, upper = [], [], [], [], []
-    for piece in _pieces(data):
+    for piece in _pieces(source):
         rows = piece.split()
         if header is None and rows:
             header = rows.pop(0)
@@ -225,7 +228,6 @@ def parse_csv(source) -> RegionGrid:
         lo, hi = fields[5::n_fields], fields[6::n_fields]
         lower += [lo[k] for k in feasible]
         upper += [hi[k] for k in feasible]
-    del data   # hold the text no longer than the pieces need it: it sets the peak memory
     if header is None:
         raise ValueError("empty region CSV: no header")
     if not codes:

@@ -181,27 +181,28 @@ def _flat(a: np.ndarray):
     return a.flat
 
 
-def _batched(kernel, ops, chunk, *tails):
+def _batched(kernel, ops, chunk, *tails, dtype=float):
     """kernel on the float64 operands ops, evaluated chunk tuples at a time.
 
     kernel maps operands of one shape B to one array of shape B + tails[0],
-    or to a tuple of arrays of shapes B + tail, one per tail.  Scalar
-    operands go to kernel as they are.  Array operands go in 1-d slices of
-    their flattened broadcast shape, and each output is written into one
-    preallocated result, so the working memory beyond the results stays
-    within WORKING_SET_BYTES for any batch size.  A chunk runs the same
+    or to a tuple of arrays of shapes B + tail, one per tail, all of dtype.
+    Scalar operands go to kernel as they are.  Array operands go in 1-d
+    slices of their flattened broadcast shape, and each output is written
+    into one preallocated result, so the working memory beyond the results
+    stays within WORKING_SET_BYTES for any batch size.  A chunk runs the same
     expressions as a scalar call, so each tuple's outputs have the same bytes
     either way.
     """
     if not ops[0].shape:
         return kernel(*ops)
-    outs = [np.empty(ops[0].shape + tail) for tail in tails]
+    outs = [np.empty(ops[0].shape + tail, dtype) for tail in tails]
     out_rows = [out.reshape((-1,) + tail) for out, tail in zip(outs, tails)]
     ops = [_flat(a) for a in ops]
     for k in range(0, len(ops[0]), chunk):
         parts = kernel(*(a[k:k + chunk] for a in ops))
         for rows, part in zip(out_rows, parts if len(tails) > 1 else (parts,)):
             rows[k:k + chunk] = part
+        del parts, part   # so the next chunk's temporaries do not meet this one's outputs
     return tuple(outs) if len(tails) > 1 else outs[0]
 
 

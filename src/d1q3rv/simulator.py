@@ -160,11 +160,14 @@ class RunDiagnostics:
     advance reduces them once per block of up to 64 steps, a block whose
     buffers it keeps under 1 MiB (or at one step when a single step's are
     larger), so a run's memory is that block and does not grow with its
-    number of steps.  The extrema and the drift skip NaN steps and keep a
-    NaN start; a zero min_f_over_run, min_rho or max_rho is +0.0, and a
-    non-finite initial mass gives a NaN mass_drift.  mass_drift is the
-    largest relative change of mass (the sum of cell densities) seen at any
-    step; overshoot/undershoot measure density excursions beyond the
+    number of steps.  Each block's per-step values are written in one pass
+    into buffers allocated once per run, and folded into the running values
+    with one np.fmin and one np.fmax call.  The extrema and the drift skip
+    NaN steps and keep a NaN start; a zero min_f_over_run, min_rho or
+    max_rho is +0.0, and a non-finite initial mass gives a NaN mass_drift.
+    mass_drift is the largest relative change of mass (the sum of cell
+    densities) seen at any step, taken once from the least and the greatest
+    mass; overshoot/undershoot measure density excursions beyond the
     initial range, the signature of spurious oscillations; l1_error
     compares the final density with the exactly advected initial profile.
     """
@@ -225,32 +228,30 @@ def _block_steps(batch: int, n_cells: int) -> int:
     """Steps per history block: 64, fewer where a block's float64 arrays would
     pass WORKING_SET_BYTES (1 MiB), and 1 where even a one-step block is larger.
 
-    They are the history (k+1, B, 3, n_cells + 2(k+1)) with k spare values
-    and the (k, B, n_cells) density rows _step_stats reduces.
+    They are the history (k+1, B, 3, n_cells + 2(k+1)) with k spare values,
+    the (k, B, n_cells) densities and the (4, k, B) per-step statistics that
+    _step_stats writes.
     """
     k = 64
-    while k > 1 and (8 * batch * (3 * (k + 1) * (n_cells + 2 * k + 2) + k * n_cells) + 8 * k
-                     > WORKING_SET_BYTES):
+    while k > 1 and (8 * batch * (3 * (k + 1) * (n_cells + 2 * k + 2) + k * n_cells + 4 * k)
+                     + 8 * k > WORKING_SET_BYTES):
         k -= 1
     return k
 
 
-def _step_stats(states: np.ndarray):
-    """Per-step min f, and min, max and sum of the density of states (k, B, 3, n).
+def _step_stats(states: np.ndarray, rho: np.ndarray, out: np.ndarray) -> None:
+    """Per-step min f, and min, sum and max of the density, of states (k, B, 3, n).
 
-    The sums are those of density() in the cell-major layout; the sign of a
-    zero extremum depends on the traversal order, so advance makes it +0.0.
+    Writes the densities into rho (k, B, n), added (f1 + f2) + f3 as density()
+    adds them, and the four statistics, in that order, into out (4, k, B); the
+    sums are bitwise those of density(f).sum().  The sign of a zero extremum
+    depends on the traversal order, so advance makes it +0.0.
     """
-    rho = density(states.transpose(0, 1, 3, 2))
-    return states.min(axis=(2, 3)), rho.min(axis=2), rho.max(axis=2), rho.sum(axis=2)
-
-
-def _fold(running: np.ndarray, steps: np.ndarray, ufunc) -> None:
-    """Fold the rows of steps (k, B) into running (B,) in place with ufunc,
-    np.fmin or np.fmax: NaN steps are skipped and a NaN start is kept.  The
-    sign of a zero is left to ufunc; advance makes every zero extremum +0.0.
-    """
-    ufunc(running, ufunc.reduce(steps, axis=0), out=running, where=~np.isnan(running))
+    np.add.reduce(states, axis=2, out=rho)
+    np.minimum.reduce(states, axis=(2, 3), out=out[0])
+    np.minimum.reduce(rho, axis=2, out=out[1])
+    np.add.reduce(rho, axis=2, out=out[2])
+    np.maximum.reduce(rho, axis=2, out=out[3])
 
 
 @dataclass(frozen=True)
@@ -289,12 +290,18 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     the slots' interiors, in no second layout.  _block_steps sets k: at most
     64 steps and about 1 MiB of block arrays, so memory stays O(B * n_cells).
 
+    Once per block, _step_stats writes every step's min f and density min,
+    sum and max into buffers allocated once per call; one np.fmin folds the
+    minima and the least mass, and one np.fmax the greatest mass and max rho,
+    so NaN steps are skipped and a NaN start is kept.  The mass drift is
+    formed once, at the end, from the least and the greatest mass.
+
     The states and snapshots are bitwise equal to stream(relax(...)) applied
-    step by step; the diagnostics fold its per-step values with np.fmin and
-    np.fmax, so NaN steps are skipped, a NaN start is kept and a zero
-    extremum is +0.0.  There are two exceptions.  Where a
-    product underflows below half the smallest subnormal, a zero may have
-    the other sign than the reference's (the values are equal as numbers).
+    step by step, and the diagnostics to a fold of its steps' values with
+    Python's min and max, with every zero extremum +0.0.  There are two
+    exceptions.  Where a product underflows below half the smallest
+    subnormal, a zero may have the other sign than the reference's (the
+    values are equal as numbers).
     With n_cells = 1, relax multiplies a one-row state through a
     matrix-vector product, which rounds otherwise; advance then equals the
     reference run on two equal cells.  A run's result does not depend on
@@ -331,9 +338,17 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     snapshots[:1] = f0   # step 0, when there are snapshots
     last = block
     hist[last, :, :, interior] = f0.transpose(0, 2, 1)
-    min_f, min_rho, max_rho, mass0 = (v[0] for v in _step_stats(hist[last:, :, :, interior]))
-    drift = np.where(np.isfinite(mass0), 0.0, np.nan)   # no drift from a non-finite mass
-    scale = np.where(mass0 != 0, np.abs(mass0), 1.0)   # drift is |mass| when mass0 == 0
+    rho = np.empty((block, batch, n_cells))
+    stats = np.empty((4, block, batch))
+    _step_stats(hist[last:, :, :, interior], rho[:1], stats[:, :1])
+    mass0 = stats[2, 0].copy()
+    start = np.where(np.isfinite(mass0), mass0, np.nan)   # no drift from a non-finite mass
+    # min f, min rho and min mass fold with np.fmin, max mass and max rho with
+    # np.fmax: NaN steps are skipped, and as neither makes a NaN, only a NaN
+    # start stays NaN, so the masks are fixed.
+    running = np.stack((stats[0, 0], stats[1, 0], start, start, stats[3, 0]))
+    lows, highs = running[:3], running[3:]
+    keep_lows, keep_highs = ~np.isnan(lows), ~np.isnan(highs)
     done, snapped = 0, 1
     while done < n_steps:
         k = min(block, n_steps - done)
@@ -341,15 +356,19 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
         for j in range(k):
             np.matmul(R, ins[j], out=outs[j])
         last = k
-        step_min_f, step_min_rho, step_max_rho, mass = _step_stats(hist[1:k + 1, :, :, interior])
-        _fold(min_f, step_min_f, np.fmin)
-        _fold(min_rho, step_min_rho, np.fmin)
-        _fold(max_rho, step_max_rho, np.fmax)
-        _fold(drift, np.abs(mass - mass0) / scale, np.fmax)
+        step = stats[:, :k]
+        _step_stats(hist[1:k + 1, :, :, interior], rho[:k], step)
+        np.fmin(lows, np.fmin.reduce(step[:3], axis=1), out=lows, where=keep_lows)
+        np.fmax(highs, np.fmax.reduce(step[2:], axis=1), out=highs, where=keep_highs)
         while snapped < len(snap_steps) and snap_steps[snapped] <= done + k:
             snapshots[snapped] = hist[snap_steps[snapped] - done, :, :, interior].transpose(0, 2, 1)
             snapped += 1
         done += k
+    min_f, min_rho, low_mass, high_mass, max_rho = running
+    # The largest |mass - mass0| of any step is that of the least or the
+    # greatest mass, as rounding is monotone; drift is |mass| when mass0 == 0.
+    scale = np.where(mass0 != 0, np.abs(mass0), 1.0)
+    drift = np.maximum(np.abs(low_mass - mass0), np.abs(high_mass - mass0)) / scale
     return BatchRun(f=hist[last, :, :, interior].transpose(0, 2, 1).copy(), min_f=min_f + 0.0,
                     min_rho=min_rho + 0.0, max_rho=max_rho + 0.0, mass_drift=drift,
                     snap_steps=snap_steps, snapshots=snapshots)

@@ -46,11 +46,13 @@ TAU_STAB = 1e-11
 # an exact-arithmetic equivalence.
 GUARD_BAND = 1e-9
 
-# Tuples per chunk of a batched closed form and of batched chain bounds.
-# Their temporaries peak at about 180 and 80 B per tuple (tracemalloc), so
-# 208 and 96 B per tuple keep a chunk about a seventh under WORKING_SET_BYTES.
+# Tuples per chunk of a batched closed form, of batched chain bounds and of
+# batched necessary conditions.  Their temporaries peak at about 180, 80 and
+# 160 B per tuple (tracemalloc), so 208, 96 and 184 B per tuple keep a chunk
+# about a seventh under WORKING_SET_BYTES.
 _CLOSED_FORM_CHUNK = WORKING_SET_BYTES // 208
 _BOUNDS_CHUNK = WORKING_SET_BYTES // 96
+_NECESSARY_CHUNK = WORKING_SET_BYTES // 184
 
 
 @dataclass(frozen=True)
@@ -276,14 +278,8 @@ def u_zero_alpha_bounds(V, s, s_prime):
     return alpha_interval(V, 0.0, s, s_prime)
 
 
-def necessary_slacks(V, s, s_prime):
-    """Signed residuals of the conditions every stable (s, s') must satisfy.
-
-    For v = |V|: 0 <= s v <= s' <= 2, s v <= 1, 0 <= s <= 2,
-    s' <= min(2 - s v, s + 1, 3 - s), s <= 2/(1+v).  These hold whatever u
-    and alpha are, so they bound the union of all stability regions.
-    """
-    V, s, sp = _operands(V, s, s_prime)
+def _necessary(V, s, sp):
+    """The ten necessary-condition slacks for float64 operands of one shape B, shape B + (10,)."""
     v = np.abs(V)
     sv = s * v
     return np.stack((
@@ -292,9 +288,30 @@ def necessary_slacks(V, s, s_prime):
     ), axis=-1)
 
 
+def _necessary_holds(V, s, sp):
+    """Whether every necessary-condition slack is >= -TAU_STAB, for operands of one shape."""
+    return _necessary(V, s, sp).min(axis=-1) >= -TAU_STAB
+
+
+def necessary_slacks(V, s, s_prime):
+    """Signed residuals of the conditions every stable (s, s') must satisfy.
+
+    For v = |V|: 0 <= s v <= s' <= 2, s v <= 1, 0 <= s <= 2,
+    s' <= min(2 - s v, s + 1, 3 - s), s <= 2/(1+v).  These hold whatever u
+    and alpha are, so they bound the union of all stability regions.  Arrays
+    are evaluated in chunks, as R is.
+    """
+    return _batched(_necessary, _operands(V, s, s_prime), _NECESSARY_CHUNK, (10,))
+
+
 def necessary_region(V, s, s_prime):
-    """Necessary-condition polytope in (s, s'); superset of every stable region."""
-    return _unbox(necessary_slacks(V, s, s_prime).min(axis=-1) >= -TAU_STAB, bool)
+    """Necessary-condition polytope in (s, s'); superset of every stable region.
+
+    Arrays are evaluated in chunks, as R is, so the slack stack of a grid is
+    never built whole.
+    """
+    return _unbox(_batched(_necessary_holds, _operands(V, s, s_prime), _NECESSARY_CHUNK, (),
+                           dtype=bool), bool)
 
 
 def u_bar_bound_check(p: SchemeParameters) -> bool:

@@ -344,11 +344,12 @@ def test_advance_snapshot_cadence_across_blocks():
 
 
 def test_advance_block_stays_under_a_mebibyte():
-    for batch, n_cells in ((1, 200), (12, 200)):
+    for batch, n_cells in ((1, 200), (12, 200), (1, 600), (100, 2)):
         k = _block_steps(batch, n_cells)
         history = (k + 1) * batch * 3 * (n_cells + 2 * (k + 1)) + k   # ghost-padded, k spare
         density = k * batch * n_cells                                  # rows _step_stats reduces
-        assert 8 * (history + density) <= 2**20
+        stats = 4 * k * batch                                          # what _step_stats writes
+        assert 8 * (history + density + stats) <= 2**20
     assert _block_steps(1, 200) == 64
     assert _block_steps(12, 200) == 11
     assert _block_steps(3, 4000) == 1
@@ -367,6 +368,42 @@ def test_advance_matches_step_loop_at_edge_shapes(batch, n_cells):
         out = advance(f0, R, n_steps, snap_every=2)
         for b in range(batch):
             assert_matches_reference(out, b, f0[b], R[b], n_steps, snap_every=2)
+
+
+def _infinite_or_overflowing(kind, batch, n_cells, n_steps, rng):
+    """f0 and R for runs across block seams whose diagnostics meet inf or NaN.
+
+    "infinite": a +inf and a -inf cell half the lattice apart.  R > 0 spreads
+    each by a cell a step, so f holds both infinities and no NaN through
+    n_steps, and every mass is NaN.  "overflowing": a finite start and a
+    mixed-sign R that overflows to +-inf about mid-run and then to NaN, so
+    only the later steps are NaN.
+    """
+    f0 = rng.uniform(0.5, 1, (batch, n_cells, 3))
+    if kind == "infinite":
+        f0[:, 0], f0[:, n_cells // 2] = np.inf, -np.inf
+        return f0, rng.uniform(0.1, 1, (batch, 3, 3))
+    return f0, rng.uniform(-1, 1, (batch, 3, 3)) * 10.0 ** (600 / n_steps)
+
+
+@pytest.mark.parametrize("kind", ["infinite", "overflowing"])
+@pytest.mark.parametrize("batch,n_cells", [(1, 600), (12, 200), (3, 4000)])
+def test_advance_matches_step_loop_on_non_finite_runs_across_block_seams(kind, batch, n_cells):
+    n_steps = 2 * _block_steps(batch, n_cells) + 3
+    assert n_steps < n_cells // 4   # the infinities do not meet
+    f0, R = _infinite_or_overflowing(kind, batch, n_cells, n_steps, np.random.default_rng(batch))
+    with np.errstate(all="ignore"):
+        out = advance(f0, R, n_steps, snap_every=1)
+        for b in range(batch):
+            assert_matches_reference(out, b, f0[b], R[b], n_steps, snap_every=1)
+    nan_steps = np.isnan(out.snapshots).any(axis=(2, 3))
+    if kind == "infinite":
+        assert not nan_steps.any() and np.isinf(out.f).any()
+        assert np.isnan(out.mass_drift).all()
+        assert (out.min_f == -np.inf).all() and (out.max_rho == np.inf).all()
+    else:
+        assert not nan_steps[:n_steps // 4].any() and nan_steps[-1].all()
+        assert not np.isnan([out.min_f, out.min_rho, out.max_rho, out.mass_drift]).any()
 
 
 def test_advance_one_cell_is_two_equal_cells():

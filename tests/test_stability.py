@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from d1q3rv.scheme import SchemeParameters, build_relaxation_matrix
-from d1q3rv.stability import (TAU_STAB, alpha_feasible, alpha_from_gamma, alpha_interval,
-                              chain_bounds, gamma_feasible_interval, matrix_entry_verdict,
-                              necessary_region, nine_inequalities, pinned_gamma,
+from d1q3rv.scheme import WORKING_SET_BYTES, SchemeParameters, build_relaxation_matrix
+from d1q3rv.stability import (TAU_STAB, _necessary, _necessary_holds, alpha_feasible,
+                              alpha_from_gamma, alpha_interval, chain_bounds,
+                              gamma_feasible_interval, matrix_entry_verdict, necessary_region,
+                              necessary_slacks, nine_inequalities, pinned_gamma,
                               reduced_condition, reduced_parameters,
                               relaxation_entries_closed_form, u_bar_bound_check,
                               u_zero_alpha_bounds, u_zero_region)
@@ -352,6 +355,24 @@ def test_necessary_region_reduces_at_zero_velocity():
     got = necessary_region(0.0, S, SP)
     expect = (S <= 2.0 + TAU_STAB) & (SP <= np.minimum(2.0, np.minimum(S + 1, 3 - S)) + TAU_STAB)
     assert np.array_equal(got, expect)
+
+
+def test_necessary_grid_is_the_unchunked_expression_in_bounded_memory():
+    # a region grid: the slack stack of all 221^2 cells would take 3.7 MiB
+    ax = np.linspace(0.0, 2.2, 221)
+    S, SP = np.meshgrid(ax, ax, indexing="ij")
+    whole = np.broadcast_arrays(np.float64(2 / 3), S, SP)
+    for fn, kernel in ((necessary_slacks, _necessary), (necessary_region, _necessary_holds)):
+        tracemalloc.start()
+        try:
+            got = fn(2 / 3, S, SP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = kernel(*whole)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert peak <= got.nbytes + WORKING_SET_BYTES, (peak, got.nbytes)
 
 
 def test_necessary_region_contains_every_feasible_point():
