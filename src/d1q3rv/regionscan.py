@@ -10,7 +10,6 @@ necessary region outlined with a dotted boundary.
 
 from __future__ import annotations
 
-import io
 import itertools
 import numpy as np
 from dataclasses import dataclass
@@ -332,20 +331,19 @@ def emit_svg(grid: RegionGrid, out) -> None:
     def py(spv):
         return SVG_MARGIN + (y1 - spv) / (y1 - y0) * H
 
-    buf = io.StringIO()
-    buf.write('<?xml version="1.0" encoding="UTF-8"?>\n')
-    buf.write(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+    out.write('<?xml version="1.0" encoding="UTF-8"?>\n')
+    out.write(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
               f'width="{SVG_SIZE}" height="{SVG_SIZE}" '
               f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n')
-    buf.write(f'<rect x="0" y="0" width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>\n')
-    buf.write(f'<text x="{SVG_SIZE / 2:.1f}" y="{SVG_MARGIN / 2:.1f}" text-anchor="middle" '
+    out.write(f'<rect x="0" y="0" width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>\n')
+    out.write(f'<text x="{SVG_SIZE / 2:.1f}" y="{SVG_MARGIN / 2:.1f}" text-anchor="middle" '
               f'font-size="13">V = {grid.V:g}, u = {grid.u:g}</text>\n')
 
     feasible = grid.codes == _CLASS_CODES[FEASIBLE]
     i0, i1, j0, j1 = np.array(_merge_rectangles(feasible), int).reshape(-1, 4).T
     rx, ry = px(s[i0] - ds / 2), py(sp[j1] + dsp / 2)
     boxes = zip(*(v.tolist() for v in (rx, ry, px(s[i1] + ds / 2) - rx, py(sp[j0] - dsp / 2) - ry)))
-    buf.write("".join(map('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
+    out.write("".join(map('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
                           f'fill="{FEASIBLE_FILL}" stroke="none"/>\n'.__mod__, boxes)))
 
     necessary = grid.codes >= _CLASS_CODES[NECESSARY_ONLY]
@@ -353,29 +351,28 @@ def emit_svg(grid: RegionGrid, out) -> None:
         ia, ja, ib, jb = _boundary_segments(necessary).T
         ends = (px(s[0] + ia * ds), py(sp[0] + ja * dsp), px(s[0] + ib * ds), py(sp[0] + jb * dsp))
         path = " ".join(map("M %.2f %.2f L %.2f %.2f".__mod__, zip(*(v.tolist() for v in ends))))
-        buf.write(f'<path d="{path}" stroke="{BOUNDARY_STROKE}" stroke-width="1" '
+        out.write(f'<path d="{path}" stroke="{BOUNDARY_STROKE}" stroke-width="1" '
                   f'stroke-dasharray="2,3" fill="none"/>\n')
 
     # axes with ticks and labels
     ax_y = py(y0)
     ax_x = px(x0)
-    buf.write(f'<line x1="{ax_x:.1f}" y1="{ax_y:.1f}" x2="{px(x1):.1f}" y2="{ax_y:.1f}" '
+    out.write(f'<line x1="{ax_x:.1f}" y1="{ax_y:.1f}" x2="{px(x1):.1f}" y2="{ax_y:.1f}" '
               f'stroke="black" stroke-width="1"/>\n')
-    buf.write(f'<line x1="{ax_x:.1f}" y1="{ax_y:.1f}" x2="{ax_x:.1f}" y2="{py(y1):.1f}" '
+    out.write(f'<line x1="{ax_x:.1f}" y1="{ax_y:.1f}" x2="{ax_x:.1f}" y2="{py(y1):.1f}" '
               f'stroke="black" stroke-width="1"/>\n')
     for t in _ticks(x0, x1):
-        buf.write(f'<line x1="{px(t):.1f}" y1="{ax_y:.1f}" x2="{px(t):.1f}" y2="{ax_y + 4:.1f}" '
+        out.write(f'<line x1="{px(t):.1f}" y1="{ax_y:.1f}" x2="{px(t):.1f}" y2="{ax_y + 4:.1f}" '
                   f'stroke="black" stroke-width="1"/>\n')
-        buf.write(f'<text x="{px(t):.1f}" y="{ax_y + 16:.1f}" text-anchor="middle" '
+        out.write(f'<text x="{px(t):.1f}" y="{ax_y + 16:.1f}" text-anchor="middle" '
                   f'font-size="10">{t:g}</text>\n')
     for t in _ticks(y0, y1):
-        buf.write(f'<line x1="{ax_x - 4:.1f}" y1="{py(t):.1f}" x2="{ax_x:.1f}" y2="{py(t):.1f}" '
+        out.write(f'<line x1="{ax_x - 4:.1f}" y1="{py(t):.1f}" x2="{ax_x:.1f}" y2="{py(t):.1f}" '
                   f'stroke="black" stroke-width="1"/>\n')
-        buf.write(f'<text x="{ax_x - 7:.1f}" y="{py(t) + 3:.1f}" text-anchor="end" '
+        out.write(f'<text x="{ax_x - 7:.1f}" y="{py(t) + 3:.1f}" text-anchor="end" '
                   f'font-size="10">{t:g}</text>\n')
-    buf.write(f'<text x="{px(x1) + 4:.1f}" y="{ax_y + 4:.1f}" font-size="12" '
+    out.write(f'<text x="{px(x1) + 4:.1f}" y="{ax_y + 4:.1f}" font-size="12" '
               f'font-style="italic">s</text>\n')
-    buf.write(f'<text x="{ax_x - 4:.1f}" y="{py(y1) - 8:.1f}" font-size="12" '
+    out.write(f'<text x="{ax_x - 4:.1f}" y="{py(y1) - 8:.1f}" font-size="12" '
               f'font-style="italic" text-anchor="end">s&#8242;</text>\n')
-    buf.write("</svg>\n")
-    out.write(buf.getvalue())
+    out.write("</svg>\n")

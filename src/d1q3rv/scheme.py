@@ -181,29 +181,29 @@ def _flat(a: np.ndarray):
     return a.flat
 
 
-def _batched(kernel, ops, chunk, *tails, dtype=float):
-    """kernel on the float64 operands ops, evaluated chunk tuples at a time.
+def _batched(kernel, chunk, *args):
+    """kernel on args as float64 operands (_operands), evaluated chunk tuples at a time.
 
-    kernel maps operands of one shape B to one array of shape B + tails[0],
-    or to a tuple of arrays of shapes B + tail, one per tail, all of dtype.
-    Scalar operands go to kernel as they are.  Array operands go in 1-d
-    slices of their flattened broadcast shape, and each output is written
-    into one preallocated result, so the working memory beyond the results
-    stays within WORKING_SET_BYTES for any batch size.  A chunk runs the same
-    expressions as a scalar call, so each tuple's outputs have the same bytes
-    either way.
+    kernel maps operands of one shape B to an array of shape B + tail, or to a
+    tuple of them; each result takes the first chunk's tail and dtype.  Scalar
+    operands go to kernel as they are, array operands in 1-d slices of their
+    flattened broadcast shape (an empty batch in one empty slice), so the
+    working memory beyond the results stays within WORKING_SET_BYTES for any
+    batch size.  A chunk runs a scalar call's expressions: the bytes agree.
     """
+    ops = _operands(*args)
     if not ops[0].shape:
         return kernel(*ops)
-    outs = [np.empty(ops[0].shape + tail, dtype) for tail in tails]
-    out_rows = [out.reshape((-1,) + tail) for out, tail in zip(outs, tails)]
-    ops = [_flat(a) for a in ops]
-    for k in range(0, len(ops[0]), chunk):
+    shape, ops = ops[0].shape, [_flat(a) for a in ops]
+    for k in range(0, max(len(ops[0]), 1), chunk):
         parts = kernel(*(a[k:k + chunk] for a in ops))
-        for rows, part in zip(out_rows, parts if len(tails) > 1 else (parts,)):
-            rows[k:k + chunk] = part
-        del parts, part   # so the next chunk's temporaries do not meet this one's outputs
-    return tuple(outs) if len(tails) > 1 else outs[0]
+        parts = parts if isinstance(parts, tuple) else (parts,)
+        if not k:
+            outs = [np.empty(shape + p.shape[1:], p.dtype) for p in parts]
+        for out, p in zip(outs, parts):
+            out.reshape((-1,) + p.shape[1:])[k:k + chunk] = p
+        del parts, p   # so the next chunk's temporaries do not meet this one's outputs
+    return tuple(outs) if len(outs) > 1 else outs[0]
 
 
 def _relaxation_chunk(V, u, s, sp, al, lam) -> np.ndarray:
@@ -221,8 +221,7 @@ def relaxation_matrices(V, u, s, s_prime, alpha, lam=1.0) -> np.ndarray:
     its working memory beyond the result stays within WORKING_SET_BYTES for
     any batch size, and a tuple's R has the same bytes either way.
     """
-    return _batched(_relaxation_chunk, _operands(V, u, s, s_prime, alpha, lam), _CHUNK,
-                    (3, 3))
+    return _batched(_relaxation_chunk, _CHUNK, V, u, s, s_prime, alpha, lam)
 
 
 def equilibrium_weights(p: SchemeParameters) -> np.ndarray:

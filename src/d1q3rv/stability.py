@@ -47,12 +47,12 @@ TAU_STAB = 1e-11
 GUARD_BAND = 1e-9
 
 # Tuples per chunk of a batched closed form, of batched chain bounds and of
-# batched necessary conditions.  Their temporaries peak at about 180, 80 and
+# batched slack stacks or regions.  Their temporaries peak at about 180, 80 and
 # 160 B per tuple (tracemalloc), so 208, 96 and 184 B per tuple keep a chunk
 # about a seventh under WORKING_SET_BYTES.
 _CLOSED_FORM_CHUNK = WORKING_SET_BYTES // 208
 _BOUNDS_CHUNK = WORKING_SET_BYTES // 96
-_NECESSARY_CHUNK = WORKING_SET_BYTES // 184
+_SLACKS_CHUNK = WORKING_SET_BYTES // 184
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,12 @@ def _unbox(res, kind):
     return res if res.ndim else kind(res)
 
 
+def _region(slacks, V, s, s_prime):
+    """Whether every slack of the kernel slacks is >= -TAU_STAB, in chunks; a bool for scalars."""
+    return _unbox(_batched(lambda *ops: slacks(*ops).min(axis=-1) >= -TAU_STAB, _SLACKS_CHUNK,
+                           V, s, s_prime), bool)
+
+
 def _closed_form(V, u, s, sp, al) -> np.ndarray:
     """The nine entries of R for float64 operands of one shape B, shape B + (3, 3)."""
     R = np.empty(V.shape + (3, 3))
@@ -126,7 +132,7 @@ def relaxation_entries_closed_form(V, u, s, s_prime, alpha) -> np.ndarray:
     of lam; serves as its cross-check and as the slack vector of the
     nine-inequality route.  Arrays are evaluated in chunks, as R is.
     """
-    return _batched(_closed_form, _operands(V, u, s, s_prime, alpha), _CLOSED_FORM_CHUNK, (3, 3))
+    return _batched(_closed_form, _CLOSED_FORM_CHUNK, V, u, s, s_prime, alpha)
 
 
 def nine_inequalities(p: SchemeParameters) -> StabilityVerdict:
@@ -170,7 +176,7 @@ def chain_bounds(V, u, s, s_prime):
     lower <= 2*gamma <= upper.  Scalar inputs give float64 bounds; arrays
     are evaluated in chunks, as R is.
     """
-    return _batched(_bounds, _operands(V, u, s, s_prime), _BOUNDS_CHUNK, (), ())
+    return _batched(_bounds, _BOUNDS_CHUNK, V, u, s, s_prime)
 
 
 def reduced_condition(p: SchemeParameters) -> StabilityVerdict:
@@ -242,12 +248,16 @@ def alpha_feasible(V, u, s, s_prime):
 
 
 def u_zero_slacks(V, s, s_prime):
-    """Signed residuals of the explicit u = 0 region conditions (vectorized).
+    """Signed residuals of the explicit u = 0 region conditions (vectorized, in chunks as R).
 
     Conditions, for v = |V|: 0 <= s <= 2, 0 <= s' <= 2, s' >= s v,
     s <= 2/(1+v), s' <= 3 - (1+v) s, s' <= 1 + (1-v) s, and v <= 1.
     """
-    V, s, sp = _operands(V, s, s_prime)
+    return _batched(_u_zero, _SLACKS_CHUNK, V, s, s_prime)
+
+
+def _u_zero(V, s, sp):
+    """The nine u = 0 slacks for float64 operands of one shape B, shape B + (9,)."""
     v = np.abs(V)
     return np.stack((
         s, 2.0 - s, sp, 2.0 - sp, sp - s * v, 2.0 - s * (1.0 + v),
@@ -260,9 +270,9 @@ def u_zero_region(V, s, s_prime):
 
     Negative V is folded to |V| (the region only depends on |V|).  For
     |V| <= 1 this is equivalent to the gamma interval at u = 0 being
-    nonempty.  Scalar inputs give a bool; arrays give a bool array.
+    nonempty.  Scalar inputs give a bool; arrays a bool array, in chunks.
     """
-    return _unbox(u_zero_slacks(V, s, s_prime).min(axis=-1) >= -TAU_STAB, bool)
+    return _region(_u_zero, V, s, s_prime)
 
 
 def u_zero_alpha_bounds(V, s, s_prime):
@@ -288,11 +298,6 @@ def _necessary(V, s, sp):
     ), axis=-1)
 
 
-def _necessary_holds(V, s, sp):
-    """Whether every necessary-condition slack is >= -TAU_STAB, for operands of one shape."""
-    return _necessary(V, s, sp).min(axis=-1) >= -TAU_STAB
-
-
 def necessary_slacks(V, s, s_prime):
     """Signed residuals of the conditions every stable (s, s') must satisfy.
 
@@ -301,7 +306,7 @@ def necessary_slacks(V, s, s_prime):
     and alpha are, so they bound the union of all stability regions.  Arrays
     are evaluated in chunks, as R is.
     """
-    return _batched(_necessary, _operands(V, s, s_prime), _NECESSARY_CHUNK, (10,))
+    return _batched(_necessary, _SLACKS_CHUNK, V, s, s_prime)
 
 
 def necessary_region(V, s, s_prime):
@@ -310,8 +315,7 @@ def necessary_region(V, s, s_prime):
     Arrays are evaluated in chunks, as R is, so the slack stack of a grid is
     never built whole.
     """
-    return _unbox(_batched(_necessary_holds, _operands(V, s, s_prime), _NECESSARY_CHUNK, (),
-                           dtype=bool), bool)
+    return _region(_necessary, V, s, s_prime)
 
 
 def u_bar_bound_check(p: SchemeParameters) -> bool:

@@ -8,7 +8,7 @@ from d1q3rv.scheme import (_CHUNK, TAU_MAT, WORKING_SET_BYTES, SchemeParameters,
                            build_T, change_basis_relaxation_matrix, equilibrium_distributions,
                            equilibrium_weights, inverse_M, inverse_T, mats_close,
                            moments_from_distributions, relaxation_matrices)
-from d1q3rv.stability import (_BOUNDS_CHUNK, _CLOSED_FORM_CHUNK, _NECESSARY_CHUNK, chain_bounds,
+from d1q3rv.stability import (_BOUNDS_CHUNK, _CLOSED_FORM_CHUNK, _SLACKS_CHUNK, chain_bounds,
                               necessary_slacks, relaxation_entries_closed_form, u_zero_slacks)
 
 TOL = 1e-12
@@ -185,7 +185,8 @@ def test_batched_working_memory_stays_within_one_mebibyte():
 # The other batched calls that run in chunks: (function, number of inputs, tuples per chunk)
 _CHUNKED = {"closed form": (relaxation_entries_closed_form, 5, _CLOSED_FORM_CHUNK),
             "chain bounds": (chain_bounds, 4, _BOUNDS_CHUNK),
-            "necessary slacks": (necessary_slacks, 3, _NECESSARY_CHUNK)}
+            "necessary slacks": (necessary_slacks, 3, _SLACKS_CHUNK),
+            "u = 0 slacks": (u_zero_slacks, 3, _SLACKS_CHUNK)}
 
 
 def _batch_and_scalar_calls(fn, *args):

@@ -3,14 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from d1q3rv.scheme import WORKING_SET_BYTES, SchemeParameters, build_relaxation_matrix
-from d1q3rv.stability import (TAU_STAB, _necessary, _necessary_holds, alpha_feasible,
+from d1q3rv.scheme import (WORKING_SET_BYTES, SchemeParameters, build_relaxation_matrix,
+                           relaxation_matrices)
+from d1q3rv.stability import (TAU_STAB, _necessary, _u_zero, alpha_feasible,
                               alpha_from_gamma, alpha_interval, chain_bounds,
                               gamma_feasible_interval, matrix_entry_verdict, necessary_region,
                               necessary_slacks, nine_inequalities, pinned_gamma,
                               reduced_condition, reduced_parameters,
                               relaxation_entries_closed_form, u_bar_bound_check,
-                              u_zero_alpha_bounds, u_zero_region)
+                              u_zero_alpha_bounds, u_zero_region, u_zero_slacks)
 
 
 def params(V=0.25, u=0.0, s=1.0, s_prime=1.0, alpha=0.0):
@@ -362,17 +363,36 @@ def test_necessary_grid_is_the_unchunked_expression_in_bounded_memory():
     ax = np.linspace(0.0, 2.2, 221)
     S, SP = np.meshgrid(ax, ax, indexing="ij")
     whole = np.broadcast_arrays(np.float64(2 / 3), S, SP)
-    for fn, kernel in ((necessary_slacks, _necessary), (necessary_region, _necessary_holds)):
+    for fn, kernel, region in ((necessary_slacks, _necessary, False),
+                               (necessary_region, _necessary, True),
+                               (u_zero_slacks, _u_zero, False),
+                               (u_zero_region, _u_zero, True)):
         tracemalloc.start()
         try:
             got = fn(2 / 3, S, SP)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        want = kernel(*whole)
+        want = kernel(*whole).min(axis=-1) >= -TAU_STAB if region else kernel(*whole)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert peak <= got.nbytes + WORKING_SET_BYTES, (peak, got.nbytes)
+
+
+def test_empty_batches_keep_their_shape_and_dtype():
+    e = np.empty((3, 0))
+    iv = gamma_feasible_interval(2 / 3, 0.1, e, e)
+    for got, tail, dtype in (
+        (relaxation_matrices(2 / 3, 0.1, e, e, 0.3, 2.0), (3, 3), np.float64),
+        (relaxation_entries_closed_form(2 / 3, 0.1, e, e, 0.3), (3, 3), np.float64),
+        *((bound, (), np.float64) for bound in chain_bounds(2 / 3, 0.1, e, e)),
+        (iv.lower, (), np.float64), (iv.upper, (), np.float64), (iv.empty, (), np.bool_),
+        (alpha_feasible(2 / 3, 0.1, e, e), (), np.bool_),
+        (u_zero_slacks(2 / 3, e, e), (9,), np.float64), (u_zero_region(2 / 3, e, e), (), np.bool_),
+        (necessary_slacks(2 / 3, e, e), (10,), np.float64),
+        (necessary_region(2 / 3, e, e), (), np.bool_),
+    ):
+        assert type(got) is np.ndarray and got.shape == e.shape + tail and got.dtype == dtype
 
 
 def test_necessary_region_contains_every_feasible_point():
