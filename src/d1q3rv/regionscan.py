@@ -62,6 +62,8 @@ class ScanSpec:
                 raise ValueError(f"{name}_points must be >= 2, got {npts}")
             if not rng[1] > rng[0]:
                 raise ValueError(f"{name}_range must be non-degenerate, got {rng}")
+            if not np.isfinite(rng).all():
+                raise ValueError(f"{name}_range must be finite, got {rng}")
 
     def s_values(self) -> np.ndarray:
         return np.linspace(self.s_range[0], self.s_range[1], self.s_points)
@@ -187,8 +189,8 @@ def parse_csv(source) -> RegionGrid:
     FEASIBLE rows' gamma spellings.  Python's float converts each distinct s
     and s' spelling once, and only FEASIBLE rows' gamma fields.
     Raises ValueError on empty input, a wrong header, no rows, rows without
-    exactly seven fields, or rows that are not one grid: one V and one u,
-    each (s, s') cell once.
+    exactly seven fields, rows that are not one grid: one V and one u, each
+    (s, s') cell once, or a V, u, s or s' value that is not finite.
     """
     if not hasattr(source, "read"):
         with open(source, "rb") as fh:
@@ -246,8 +248,10 @@ def parse_csv(source) -> RegionGrid:
     codes[cell] = flat_codes
     gamma = np.full((2, cell.size), np.nan)
     gamma[:, cell[flat_codes == _CLASS_CODES[FEASIBLE]]] = _floats(lower), _floats(upper)
-    return RegionGrid(V=float(V[0]), u=float(next(iter(u))), s_values=s_vals,
-                      s_prime_values=sp_vals, codes=codes.reshape(shape),
+    V, u = float(V[0]), float(next(iter(u)))
+    if not np.isfinite(np.concatenate(([V, u], s_vals, sp_vals))).all():
+        raise ValueError("region CSV values of V, u, s and s_prime must be finite")
+    return RegionGrid(V=V, u=u, s_values=s_vals, s_prime_values=sp_vals, codes=codes.reshape(shape),
                       gamma_lower=gamma[0].reshape(shape), gamma_upper=gamma[1].reshape(shape))
 
 
@@ -305,21 +309,31 @@ def _ticks(lo: float, hi: float):
     return [round(v, 6) for v in t]
 
 
+def _step(values: np.ndarray, name: str) -> float:
+    """The spacing of an axis a grid picture can draw: two or more evenly spaced values."""
+    if len(values) < 2:
+        raise ValueError(f"cannot draw a grid with fewer than two {name} values, got {len(values)}")
+    step = (values[-1] - values[0]) / (len(values) - 1)
+    if not (np.abs(np.diff(values) - step) <= 1e-9 * abs(step)).all():
+        raise ValueError(f"cannot draw a grid whose {name} values are not evenly spaced")
+    return step
+
+
 def emit_svg(grid: RegionGrid, out) -> None:
     """Render one grid to a static SVG.
 
     FEASIBLE cells are drawn as merged gray rectangles; the boundary of the
     necessary region (feasible plus necessary-only cells) is drawn dotted;
-    axes are labelled s and s'.
+    axes are labelled s and s'.  Raises ValueError, before writing, unless
+    each axis has two or more values spaced evenly to within 1e-9 relative.
     """
+    s = grid.s_values
+    sp = grid.s_prime_values
+    ds, dsp = _step(s, "s"), _step(sp, "s_prime")
     if not hasattr(out, "write"):
         with open(out, "w", encoding="utf-8", newline="") as fh:
             emit_svg(grid, fh)
         return
-    s = grid.s_values
-    sp = grid.s_prime_values
-    ds = (s[-1] - s[0]) / (len(s) - 1)
-    dsp = (sp[-1] - sp[0]) / (len(sp) - 1)
     # plot window covers cell footprints (half a cell beyond the end values)
     x0, x1 = s[0] - ds / 2, s[-1] + ds / 2
     y0, y1 = sp[0] - dsp / 2, sp[-1] + dsp / 2

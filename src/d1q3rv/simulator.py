@@ -17,6 +17,7 @@ arrays, are the one-step reference it is tested against.
 
 from __future__ import annotations
 
+import operator
 import warnings
 import numpy as np
 from dataclasses import dataclass
@@ -33,12 +34,17 @@ PROFILE_KINDS = (SMOOTH, HAT, STEP, CUSTOM)
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Periodic lattice of n_cells cells of width dx = 1 / n_cells; its length
-    is n_cells * dx, which need not round to exactly 1.0."""
+    """Periodic lattice of n_cells cells (a positive integer) of width
+    dx = 1 / n_cells; its length is n_cells * dx, which need not round to
+    exactly 1.0."""
 
     n_cells: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.n_cells)
+        except TypeError:
+            raise ValueError(f"n_cells must be an integer, got {self.n_cells!r}") from None
         if self.n_cells <= 0:
             raise ValueError(f"n_cells must be positive, got {self.n_cells}")
 

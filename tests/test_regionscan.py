@@ -28,6 +28,13 @@ def test_spec_validation():
         ScanSpec(V=0.5, s_range=(1.0, 1.0))
 
 
+@pytest.mark.parametrize("ranges", [{"s_range": (0.0, np.inf)},
+                                    {"s_prime_range": (-np.inf, 1.0)}])
+def test_spec_rejects_a_non_finite_range(ranges):
+    with pytest.raises(ValueError, match="range must be finite"):
+        ScanSpec(V=0.5, s_points=3, **ranges)
+
+
 def test_default_u_list():
     assert default_u_list(0.5) == (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0)
 
@@ -171,6 +178,14 @@ def test_parse_csv_errors_show_the_text(text, message):
         with pytest.raises(ValueError) as exc:
             parse_csv(source)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("column,spelling", [(0, "inf"), (1, "nan"), (2, "nan"), (3, "-inf")])
+def test_parse_csv_rejects_a_non_finite_value(column, spelling):
+    lines = _csv_text(scan(small_spec(0.5, u_list=(0.25,), n=5))[0]).split()
+    first = lines[1].split(",")[column]   # every row of this V, u, s or s' value
+    with pytest.raises(ValueError, match="V, u, s and s_prime must be finite"):
+        parse_csv(io.StringIO(_respell(lines, column, {first: [spelling]})))
 
 
 def _respell(lines, column, spellings):
@@ -353,6 +368,39 @@ def test_svg_empty_feasible_set_keeps_dotted_boundary():
     assert 'fill="#b0b0b0"' not in svg
     assert "stroke-dasharray" in svg
     assert ">s</text>" in svg and "&#8242;" in svg
+
+
+def _parsed_grid(s_values, s_prime_values):
+    """A parsed all-OUTSIDE grid on the given axes."""
+    rows = [f"0.5,0,{s},{sp},{OUTSIDE},," for s in s_values for sp in s_prime_values]
+    return parse_csv(io.StringIO("\n".join([CSV_HEADER] + rows) + "\n"))
+
+
+@pytest.mark.parametrize("s_values,s_prime_values,message", [
+    ((0.5,), (0, 0.5, 1), "fewer than two s values, got 1"),
+    ((0, 0.5, 1), (0.5,), "fewer than two s_prime values, got 1"),
+    ((0, 0.1, 1), (0, 0.5, 1), "s values are not evenly spaced"),
+    ((0, 0.5, 1), (0, 0.5, 0.6, 1), "s_prime values are not evenly spaced"),
+])
+def test_svg_rejects_a_grid_it_cannot_draw(s_values, s_prime_values, message, tmp_path):
+    grid = _parsed_grid(s_values, s_prime_values)
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=message):
+        emit_svg(grid, buf)
+    with pytest.raises(ValueError, match=message):
+        emit_svg(grid, tmp_path / "g.svg")
+    assert buf.getvalue() == "" and not (tmp_path / "g.svg").exists()
+
+
+def test_svg_draws_every_spec_grid_and_its_parsed_copy():
+    for spec in (small_spec(0.5, n=2), small_spec(2 / 3, n=221),
+                 small_spec(0.25, s_range=(0.1, 0.3), sp_range=(1.0, 2.0), n=7)):
+        grid = scan(spec)[0]
+        drawn = io.StringIO()
+        emit_svg(grid, drawn)
+        parsed = io.StringIO()
+        emit_svg(parse_csv(io.StringIO(_csv_text(grid))), parsed)
+        assert parsed.getvalue() == drawn.getvalue()
 
 
 def test_svg_is_well_formed_xml():

@@ -38,6 +38,16 @@ def test_default_grid_rejects_non_positive_cells(n_cells):
         default_grid(n_cells)
 
 
+@pytest.mark.parametrize("n_cells", [2.5, 3.0, "3"])
+def test_grid_rejects_a_non_integer_cell_count(n_cells):
+    with pytest.raises(ValueError, match="n_cells must be an integer"):
+        Grid1D(n_cells)
+
+
+def test_grid_takes_numpy_integers():
+    assert Grid1D(np.int64(4)).positions().tolist() == [0.0, 0.25, 0.5, 0.75]
+
+
 # ------------------------------------------------------------------- profiles
 
 def test_step_profile_values():
