@@ -23,9 +23,14 @@ feasible alpha interval.  Everything is pure.  The vectorized functions
 alpha_feasible, u_zero_slacks, u_zero_region, necessary_slacks,
 necessary_region) accept scalars or numpy arrays; a scalar call evaluates
 the same expressions on NumPy float64 scalars and returns float64 chain
-bounds, Python floats or bools.  The verdict routes and the alpha intervals
-take scalars only.  TAU_STAB and GUARD_BAND are constants, not arguments.
-A NaN slack makes a verdict unstable; NaN input is never feasible.
+bounds, Python floats or bools.  Arrays go through scheme._batched, the one
+chunk loop: a kernel on operands of one shape fixes each result's trailing
+shape and dtype, and the working memory beyond the results stays within
+WORKING_SET_BYTES.  The u = 0 region and the necessary region are one rule,
+every slack of their kernel >= -TAU_STAB, so neither builds its slack stack
+whole.  The verdict routes and the alpha intervals take scalars only.
+TAU_STAB and GUARD_BAND are constants, not arguments.  A NaN slack makes a
+verdict unstable; NaN input is never feasible.
 """
 
 from __future__ import annotations
