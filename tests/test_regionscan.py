@@ -26,13 +26,10 @@ def test_spec_validation():
         ScanSpec(V=0.5, s_points=1)
     with pytest.raises(ValueError):
         ScanSpec(V=0.5, s_range=(1.0, 1.0))
-
-
-@pytest.mark.parametrize("ranges", [{"s_range": (0.0, np.inf)},
-                                    {"s_prime_range": (-np.inf, 1.0)}])
-def test_spec_rejects_a_non_finite_range(ranges):
-    with pytest.raises(ValueError, match="range must be finite"):
-        ScanSpec(V=0.5, s_points=3, **ranges)
+    with pytest.raises(ValueError, match="s_range must be finite"):
+        ScanSpec(V=0.5, s_range=(0.0, np.inf), s_points=3)
+    with pytest.raises(ValueError, match="s_prime_range must be finite"):
+        ScanSpec(V=0.5, s_prime_range=(-np.inf, 1.0))
 
 
 def test_default_u_list():
