@@ -20,7 +20,7 @@ from __future__ import annotations
 import operator
 import warnings
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from .scheme import (WORKING_SET_BYTES, SchemeParameters, build_relaxation_matrix,
                      equilibrium_distributions, equilibrium_weights)
@@ -187,13 +187,10 @@ class RunDiagnostics:
     undershoot: float
 
     def as_csv_row(self) -> str:
-        vals = (self.min_f_over_run, self.min_rho, self.max_rho, self.mass_drift,
-                self.l1_error, self.overshoot, self.undershoot)
-        return ",".join(format(v, ".17g") for v in vals)
+        return ",".join(format(v, ".17g") for v in astuple(self))
 
 
-DIAGNOSTICS_CSV_HEADER = ("min_f_over_run,min_rho,max_rho,mass_drift,"
-                          "l1_error,overshoot,undershoot")
+DIAGNOSTICS_CSV_HEADER = ",".join(field.name for field in fields(RunDiagnostics))
 SNAPSHOT_CSV_HEADER = "step,cell,x,f1,f2,f3,rho"
 
 
@@ -393,22 +390,16 @@ def run_batch(cases, grid: Grid1D, n_steps: int, snap_every: int = 0) -> list:
     f0 = np.stack([init_state(profile, grid, p) for profile, p in cases])
     out = advance(f0, np.stack([build_relaxation_matrix(p) for _, p in cases]), n_steps, snap_every)
     rho0 = density(f0)
-    results = []
-    for b, (profile, p) in enumerate(cases):
-        min_rho0, max_rho0 = float(rho0[b].min()), float(rho0[b].max())
-        min_rho, max_rho = float(out.min_rho[b]), float(out.max_rho[b])
-        rho_exact = exact_density(profile, grid, p, n_steps)
-        diag = RunDiagnostics(
-            min_f_over_run=float(out.min_f[b]),
-            min_rho=min_rho,
-            max_rho=max_rho,
-            mass_drift=float(out.mass_drift[b]),
-            l1_error=float(np.sum(np.abs(density(out.f[b]) - rho_exact)) * grid.dx),
-            overshoot=float(np.maximum(max_rho - max_rho0, 0.0)),   # NaN stays NaN
-            undershoot=float(np.maximum(min_rho0 - min_rho, 0.0)),
-        )
-        results.append(RunResult(diag, out.f[b], out.snap_steps, out.snapshots[:, b]))
-    return results
+    exact = np.stack([exact_density(profile, grid, p, n_steps) for profile, p in cases])
+    with np.errstate(invalid="ignore"):   # inf - inf is NaN, silently, as for floats
+        overshoot = np.maximum(out.max_rho - rho0.max(axis=1), 0.0)   # NaN stays NaN
+        undershoot = np.maximum(rho0.min(axis=1) - out.min_rho, 0.0)
+    columns = {name: col.tolist() for name, col in dict(
+        min_f_over_run=out.min_f, min_rho=out.min_rho, max_rho=out.max_rho,
+        mass_drift=out.mass_drift, overshoot=overshoot, undershoot=undershoot,
+        l1_error=np.sum(np.abs(density(out.f) - exact), axis=1) * grid.dx).items()}
+    return [RunResult(RunDiagnostics(**{name: col[b] for name, col in columns.items()}),
+                      out.f[b], out.snap_steps, out.snapshots[:, b]) for b in range(len(cases))]
 
 
 def run(profile: InitialProfile, grid: Grid1D, p: SchemeParameters, n_steps: int,

@@ -285,6 +285,19 @@ def test_run_that_is_nan_from_the_start_reports_nan_diagnostics():
     assert diag.as_csv_row() == ",".join(["nan"] * 7)
 
 
+def test_run_of_an_infinite_profile_warns_once_from_the_l1_error():
+    # The final and the exact density both hold inf, so the L1 error's
+    # subtraction makes a NaN and warns; the overshoot's inf - inf also makes
+    # a NaN but, as for Python floats, silently.
+    profile = InitialProfile(kind=CUSTOM, values=np.r_[np.inf, np.ones(23)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        diag = run(profile, default_grid(24), params(), 5).diagnostics
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (RuntimeWarning, "invalid value encountered in subtract")]
+    assert diag.as_csv_row() == "0.20833333333333331,1,inf,nan,nan,nan,0"
+
+
 def test_advance_batch_equals_single_runs():
     cases = [initial(profile, 24, params(*row)) for row, profile, _ in KERNEL_CASES[:6]]
     f0 = np.stack([f for f, _ in cases])
@@ -604,7 +617,7 @@ def test_diagnostics_csv_round_trip():
     buf = io.StringIO()
     write_diagnostics_csv(d, buf)
     header, row = buf.getvalue().strip().split("\n")
-    assert header.split(",")[0] == "min_f_over_run"
+    assert header == "min_f_over_run,min_rho,max_rho,mass_drift,l1_error,overshoot,undershoot"
     vals = [float(v) for v in row.split(",")]
     assert vals[0] == d.min_f_over_run
     assert vals[4] == d.l1_error
