@@ -52,10 +52,14 @@ class ScanSpec:
     s_prime_points: int = 221
 
     def __post_init__(self):
+        if not np.isfinite(self.V):
+            raise ValueError(f"V must be finite, got {self.V}")
         if self.u_list is None:
             object.__setattr__(self, "u_list", default_u_list(self.V))
         else:
             object.__setattr__(self, "u_list", tuple(float(u) for u in self.u_list))
+        if not np.isfinite(self.u_list).all():
+            raise ValueError(f"u_list must be finite, got {self.u_list}")
         for rng, npts, name in ((self.s_range, self.s_points, "s"),
                                 (self.s_prime_range, self.s_prime_points, "s_prime")):
             if npts < 2:
@@ -190,13 +194,15 @@ def parse_csv(source) -> RegionGrid:
     and s' spelling once, and only FEASIBLE rows' gamma fields.
     Raises ValueError on empty input, a wrong header, no rows, rows without
     exactly seven fields, rows that are not one grid: one V and one u, each
-    (s, s') cell once, or a V, u, s or s' value that is not finite.
+    (s, s') cell once, a V, u, s or s' value that is not finite, gamma text
+    on a row that is not FEASIBLE, or a FEASIBLE gamma bound that is not
+    finite.
     """
     if not hasattr(source, "read"):
         with open(source, "rb") as fh:
             return parse_csv(fh)
     n_fields = CSV_HEADER.count(",") + 1
-    header, n_rows = None, 0
+    header, n_rows, gamma_bytes = None, 0, 0
     V, u, s, sp = {}, {}, {}, {}   # distinct spellings in order; s and s' map each to an id
     codes, i, j, lower, upper = [], [], [], [], []
     for piece in _pieces(source):
@@ -229,6 +235,7 @@ def parse_csv(source) -> RegionGrid:
         lo, hi = fields[5::n_fields], fields[6::n_fields]
         lower += [lo[k] for k in feasible]
         upper += [hi[k] for k in feasible]
+        gamma_bytes += len(b"".join(lo)) + len(b"".join(hi))
     if header is None:
         raise ValueError("empty region CSV: no header")
     if not codes:
@@ -247,10 +254,16 @@ def parse_csv(source) -> RegionGrid:
     codes = np.zeros(cell.size, np.int8)
     codes[cell] = flat_codes
     gamma = np.full((2, cell.size), np.nan)
-    gamma[:, cell[flat_codes == _CLASS_CODES[FEASIBLE]]] = _floats(lower), _floats(upper)
+    feasible = cell[flat_codes == _CLASS_CODES[FEASIBLE]]
+    gamma[:, feasible] = _floats(lower), _floats(upper)
     V, u = float(V[0]), float(next(iter(u)))
     if not np.isfinite(np.concatenate(([V, u], s_vals, sp_vals))).all():
         raise ValueError("region CSV values of V, u, s and s_prime must be finite")
+    if gamma_bytes != len(b"".join(lower)) + len(b"".join(upper)):   # emit_csv leaves them empty
+        raise ValueError(f"region CSV gamma fields must be empty on {OUTSIDE} and "
+                         f"{NECESSARY_ONLY} rows")
+    if not np.isfinite(gamma[:, feasible]).all():
+        raise ValueError(f"region CSV gamma bounds of {FEASIBLE} rows must be finite")
     return RegionGrid(V=V, u=u, s_values=s_vals, s_prime_values=sp_vals, codes=codes.reshape(shape),
                       gamma_lower=gamma[0].reshape(shape), gamma_upper=gamma[1].reshape(shape))
 

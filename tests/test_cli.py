@@ -243,6 +243,14 @@ def test_simulate_writes_diagnostics_and_snapshots(tmp_path, capsys):
     snap = tmp_path / "diag.snapshots.csv"
     assert snap.exists()
     assert snap.read_text().startswith("step,cell,x,f1,f2,f3,rho")
+    capsys.readouterr()
+    # without --snap-every only the diagnostics are written
+    alone = tmp_path / "alone.csv"
+    assert main(["simulate", "--V", "0.25", "--u", "0", "--s", "1", "--sp", "1",
+                 "--alpha", "0", "--ncells", "20", "--steps", "10", "--out", str(alone)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {alone}\n")
+    assert alone.read_bytes() == out_csv.read_bytes()
+    assert not (tmp_path / "alone.snapshots.csv").exists()
 
 
 def test_simulate_negative_weights_give_one_note_line(capsys):
@@ -340,9 +348,13 @@ def test_out_of_range_value_exits_2_with_one_line(argv, flag, capsys):
         assert err.startswith(f"error: argument {flag}: must ")
 
 
-def test_malformed_integer_names_int(capsys):
-    err = usage_error(["simulate", *SCHEME, "--steps", "x"], capsys)
-    assert err == "error: argument --steps: invalid int value: 'x'\n"
+@pytest.mark.parametrize("argv,err", [
+    (["simulate", *SCHEME, "--steps", "x"], "error: argument --steps: invalid int value: 'x'\n"),
+    (["region", "--V", "1/2", "--u-list", "0,abc"],
+     "error: argument --u-list: not a comma-separated number list: '0,abc'\n"),
+], ids=["int", "number-list"])
+def test_malformed_value_names_the_expected_form(argv, err, capsys):
+    assert usage_error(argv, capsys) == err
 
 
 @pytest.mark.parametrize("argv", [

@@ -30,6 +30,12 @@ def test_spec_validation():
         ScanSpec(V=0.5, s_range=(0.0, np.inf), s_points=3)
     with pytest.raises(ValueError, match="s_prime_range must be finite"):
         ScanSpec(V=0.5, s_prime_range=(-np.inf, 1.0))
+    with pytest.raises(ValueError, match="V must be finite, got nan"):
+        ScanSpec(V=np.nan, u_list=(0.0,), s_points=5, s_prime_points=5)
+    with pytest.raises(ValueError, match="V must be finite, got -inf"):
+        ScanSpec(V=-np.inf)
+    with pytest.raises(ValueError, match=r"u_list must be finite, got \(0.0, inf\)"):
+        ScanSpec(V=0.5, u_list=(0.0, np.inf))
 
 
 def test_default_u_list():
@@ -163,6 +169,12 @@ _ERROR_CASES = [
     (CSV_HEADER + "\n0.5,0,1,1,UNKNOWN,,\n", "unknown region class 'UNKNOWN'"),
     (CSV_HEADER + "\n0.5,0,1,1.5.5,OUTSIDE,,\n", "could not convert string to float: '1.5.5'"),
     (CSV_HEADER + "\n0.5,0,1,1,FEASIBLE,junk,2\n", "could not convert string to float: 'junk'"),
+    (CSV_HEADER + "\n0.5,0,1,1,FEASIBLE,nan,inf\n",
+     "region CSV gamma bounds of FEASIBLE rows must be finite"),
+    (CSV_HEADER + "\n0.5,0,1,1,FEASIBLE,-1,0.5\n0.5,0,1,2,OUTSIDE,zzz,\n",
+     "region CSV gamma fields must be empty on OUTSIDE and NECESSARY_ONLY rows"),
+    (CSV_HEADER + "\n0.5,0,1,1,NECESSARY_ONLY,,0\n",
+     "region CSV gamma fields must be empty on OUTSIDE and NECESSARY_ONLY rows"),
     # eight fields and then six: 28 fields in all, but the rows are not a grid's
     (CSV_HEADER + "\n0.5,0,0,0,OUTSIDE,,\n0.5,0,0,1,OUTSIDE,,,0.5\n0,1,0,OUTSIDE,,\n"
      "0.5,0,1,1,OUTSIDE,,\n", "region CSV rows must have 7 fields"),
@@ -217,13 +229,13 @@ def test_parse_csv_rejects_an_unparsable_rate():
         parse_csv(io.StringIO(_respell(lines, 2, {s0: [s0, "0.5.5"]})))
 
 
-def test_parse_csv_ignores_gamma_fields_of_rows_not_feasible():
+@pytest.mark.parametrize("name", [OUTSIDE, NECESSARY_ONLY])
+def test_parse_csv_rejects_gamma_fields_of_rows_not_feasible(name):
     grid = scan(small_spec(0.5, u_list=(0.25,), n=23))[0]
     assert grid.count(OUTSIDE) and grid.count(NECESSARY_ONLY) and grid.count(FEASIBLE)
     text = _csv_text(grid)
-    for name in (OUTSIDE, NECESSARY_ONLY):
-        text = text.replace(f",{name},,", f",{name},junk,-")
-    _assert_same_grid(parse_csv(io.StringIO(text)), grid)
+    with pytest.raises(ValueError, match="gamma fields must be empty"):
+        parse_csv(io.StringIO(text.replace(f",{name},,", f",{name},junk,-", 1)))
 
 
 @pytest.mark.parametrize("text", [

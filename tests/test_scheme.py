@@ -408,6 +408,8 @@ def test_commutator_rejects_density_breaking_basis():
         basis_commutator(bad, p)
     with pytest.raises(ValueError):
         change_basis_relaxation_matrix(bad, p)
+    with pytest.raises(ValueError, match=r"must be 3x3, got shape \(2, 2\)"):
+        basis_commutator(np.eye(2), p)
 
 
 def test_commutator_rejects_singular_basis():
