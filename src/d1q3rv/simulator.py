@@ -8,11 +8,9 @@ profile, which is what exhibits (or rules out) spurious oscillations.
 
 A state is a plain (n_cells, 3) array of distribution triples, and density
 is the one definition of a cell's density.  Every run goes through advance,
-one kernel over a batch of states; run is its batch-of-one case.  advance
-keeps the states component-major with periodic ghost cells, so a step is one
-matmul whose output view does the streaming, and reduces the diagnostics
-once per block of up to 64 steps.  relax and stream, on (n_cells, 3)
-arrays, are the one-step reference it is tested against.
+one kernel over a batch of states; run_batch builds each run's record from
+advance's arrays, and run is its batch-of-one case.  relax and stream, on
+(n_cells, 3) arrays, are the one-step reference advance is tested against.
 """
 
 from __future__ import annotations
@@ -161,21 +159,14 @@ def stream(f: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunDiagnostics:
-    """Scalars accumulated over a run.
+    """One run's record; its fields, in order, are the CSV columns.
 
-    advance reduces them once per block of up to 64 steps, a block whose
-    buffers it keeps under 1 MiB (or at one step when a single step's are
-    larger), so a run's memory is that block and does not grow with its
-    number of steps.  Each block's per-step values are written in one pass
-    into buffers allocated once per run, and folded into the running values
-    with one np.fmin and one np.fmax call.  The extrema and the drift skip
-    NaN steps and keep a NaN start; a zero min_f_over_run, min_rho or
-    max_rho is +0.0, and a non-finite initial mass gives a NaN mass_drift.
-    mass_drift is the largest relative change of mass (the sum of cell
-    densities) seen at any step, taken once from the least and the greatest
-    mass; overshoot/undershoot measure density excursions beyond the
-    initial range, the signature of spurious oscillations; l1_error
-    compares the final density with the exactly advected initial profile.
+    min_f_over_run, min_rho, max_rho and mass_drift are advance's min_f,
+    min_rho, max_rho and mass_drift for the run.  mass_drift is the largest
+    relative change of mass (the sum of cell densities) seen at any step;
+    overshoot/undershoot measure density excursions beyond the initial
+    range, the signature of spurious oscillations; l1_error compares the
+    final density with the exactly advected initial profile.
     """
 
     min_f_over_run: float
@@ -262,10 +253,8 @@ class BatchRun:
     """What advance returns for B runs of n_cells cells.
 
     f holds the final states, shape (B, n_cells, 3).  min_f, min_rho, max_rho
-    and mass_drift, each of shape (B,), are taken over steps 0 to n_steps:
-    NaN steps are skipped and a NaN start is kept, a zero extremum is +0.0,
-    and a non-finite initial mass gives a NaN mass_drift.  snapshots[j]
-    holds the states at step snap_steps[j].
+    and mass_drift, each of shape (B,), are taken over steps 0 to n_steps.
+    snapshots[j] holds the states at step snap_steps[j].
     """
 
     f: np.ndarray
@@ -296,8 +285,10 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     Once per block, _step_stats writes every step's min f and density min,
     sum and max into buffers allocated once per call; one np.fmin folds the
     minima and the least mass, and one np.fmax the greatest mass and max rho,
-    so NaN steps are skipped and a NaN start is kept.  The mass drift is
-    formed once, at the end, from the least and the greatest mass.
+    so NaN steps are skipped and a NaN start is kept.  A zero min_f, min_rho
+    or max_rho is +0.0.  The mass drift is formed once, at the end, from the
+    least and the greatest mass; it is NaN where the initial mass is not
+    finite.
 
     The states and snapshots are bitwise equal to stream(relax(...)) applied
     step by step, and the diagnostics to a fold of its steps' values with
