@@ -202,7 +202,7 @@ def parse_csv(source) -> RegionGrid:
         with open(source, "rb") as fh:
             return parse_csv(fh)
     n_fields = CSV_HEADER.count(",") + 1
-    header, n_rows, gamma_bytes = None, 0, 0
+    header, n_rows, empty_gamma = None, 0, 0
     V, u, s, sp = {}, {}, {}, {}   # distinct spellings in order; s and s' map each to an id
     codes, i, j, lower, upper = [], [], [], [], []
     for piece in _pieces(source):
@@ -235,7 +235,7 @@ def parse_csv(source) -> RegionGrid:
         lo, hi = fields[5::n_fields], fields[6::n_fields]
         lower += [lo[k] for k in feasible]
         upper += [hi[k] for k in feasible]
-        gamma_bytes += len(b"".join(lo)) + len(b"".join(hi))
+        empty_gamma += lo.count(b"") + hi.count(b"")
     if header is None:
         raise ValueError("empty region CSV: no header")
     if not codes:
@@ -259,7 +259,8 @@ def parse_csv(source) -> RegionGrid:
     V, u = float(V[0]), float(next(iter(u)))
     if not np.isfinite(np.concatenate(([V, u], s_vals, sp_vals))).all():
         raise ValueError("region CSV values of V, u, s and s_prime must be finite")
-    if gamma_bytes != len(b"".join(lower)) + len(b"".join(upper)):   # emit_csv leaves them empty
+    # no FEASIBLE row has an empty gamma field now; emit_csv leaves both of the others' empty
+    if empty_gamma != 2 * (n_rows - len(lower)):
         raise ValueError(f"region CSV gamma fields must be empty on {OUTSIDE} and "
                          f"{NECESSARY_ONLY} rows")
     if not np.isfinite(gamma[:, feasible]).all():
