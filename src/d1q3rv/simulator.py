@@ -385,11 +385,11 @@ def run_batch(cases, grid: Grid1D, n_steps: int, snap_every: int = 0) -> list:
     with np.errstate(invalid="ignore"):   # inf - inf is NaN, silently, as for floats
         overshoot = np.maximum(out.max_rho - rho0.max(axis=1), 0.0)   # NaN stays NaN
         undershoot = np.maximum(rho0.min(axis=1) - out.min_rho, 0.0)
-    columns = {name: col.tolist() for name, col in dict(
-        min_f_over_run=out.min_f, min_rho=out.min_rho, max_rho=out.max_rho,
-        mass_drift=out.mass_drift, overshoot=overshoot, undershoot=undershoot,
-        l1_error=np.sum(np.abs(density(out.f) - exact), axis=1) * grid.dx).items()}
-    return [RunResult(RunDiagnostics(**{name: col[b] for name, col in columns.items()}),
+    l1_error = np.sum(np.abs(density(out.f) - exact), axis=1) * grid.dx
+    columns = dict(min_f_over_run=out.min_f, min_rho=out.min_rho, max_rho=out.max_rho,
+                   mass_drift=out.mass_drift, l1_error=l1_error, overshoot=overshoot,
+                   undershoot=undershoot)
+    return [RunResult(RunDiagnostics(**{name: float(col[b]) for name, col in columns.items()}),
                       out.f[b], out.snap_steps, out.snapshots[:, b]) for b in range(len(cases))]
 
 
