@@ -24,13 +24,14 @@ alpha_feasible, u_zero_slacks, u_zero_region, necessary_slacks,
 necessary_region) accept scalars or numpy arrays; a scalar call evaluates
 the same expressions on NumPy float64 scalars and returns float64 chain
 bounds, Python floats or bools.  Arrays go through scheme._batched, the one
-chunk loop: a kernel on operands of one shape fixes each result's trailing
-shape and dtype, and the working memory beyond the results stays within
-WORKING_SET_BYTES.  The u = 0 region and the necessary region are one rule,
-every slack of their kernel >= -TAU_STAB, so neither builds its slack stack
-whole.  The verdict routes and the alpha intervals take scalars only.
-TAU_STAB and GUARD_BAND are constants, not arguments.  A NaN slack makes a
-verdict unstable; NaN input is never feasible.
+chunk loop, at one chunk size for every kernel here (_CHUNK): each result's
+trailing shape and dtype come from the kernel, and the working memory beyond
+the results stays within WORKING_SET_BYTES.  The u = 0 region and the
+necessary region are one rule, every slack of their kernel >= -TAU_STAB, so
+neither builds its slack stack whole.  The verdict routes and the alpha
+intervals take scalars only.  TAU_STAB and GUARD_BAND are constants, not
+arguments.  A NaN slack makes a verdict unstable; NaN input is never
+feasible.
 """
 
 from __future__ import annotations
@@ -51,13 +52,10 @@ TAU_STAB = 1e-11
 # an exact-arithmetic equivalence.
 GUARD_BAND = 1e-9
 
-# Tuples per chunk of a batched closed form, of batched chain bounds and of
-# batched slack stacks or regions.  Their temporaries peak at about 180, 80 and
-# 160 B per tuple (tracemalloc), so 208, 96 and 184 B per tuple keep a chunk
-# about a seventh under WORKING_SET_BYTES.
-_CLOSED_FORM_CHUNK = WORKING_SET_BYTES // 208
-_BOUNDS_CHUNK = WORKING_SET_BYTES // 96
-_SLACKS_CHUNK = WORKING_SET_BYTES // 184
+# Tuples per chunk of every batched kernel here.  The closed form peaks at about
+# 180 B per tuple (tracemalloc), the most of them, so 208 keeps a chunk about a
+# seventh under WORKING_SET_BYTES.
+_CHUNK = WORKING_SET_BYTES // 208
 
 
 @dataclass(frozen=True)
@@ -110,7 +108,7 @@ def _unbox(res, kind):
 
 def _region(slacks, V, s, s_prime):
     """Whether every slack of the kernel slacks is >= -TAU_STAB, in chunks; a bool for scalars."""
-    return _unbox(_batched(lambda *ops: slacks(*ops).min(axis=-1) >= -TAU_STAB, _SLACKS_CHUNK,
+    return _unbox(_batched(lambda *ops: slacks(*ops).min(axis=-1) >= -TAU_STAB, _CHUNK,
                            V, s, s_prime), bool)
 
 
@@ -137,7 +135,7 @@ def relaxation_entries_closed_form(V, u, s, s_prime, alpha) -> np.ndarray:
     of lam; serves as its cross-check and as the slack vector of the
     nine-inequality route.  Arrays are evaluated in chunks, as R is.
     """
-    return _batched(_closed_form, _CLOSED_FORM_CHUNK, V, u, s, s_prime, alpha)
+    return _batched(_closed_form, _CHUNK, V, u, s, s_prime, alpha)
 
 
 def nine_inequalities(p: SchemeParameters) -> StabilityVerdict:
@@ -181,7 +179,7 @@ def chain_bounds(V, u, s, s_prime):
     lower <= 2*gamma <= upper.  Scalar inputs give float64 bounds; arrays
     are evaluated in chunks, as R is.
     """
-    return _batched(_bounds, _BOUNDS_CHUNK, V, u, s, s_prime)
+    return _batched(_bounds, _CHUNK, V, u, s, s_prime)
 
 
 def reduced_condition(p: SchemeParameters) -> StabilityVerdict:
@@ -258,7 +256,7 @@ def u_zero_slacks(V, s, s_prime):
     Conditions, for v = |V|: 0 <= s <= 2, 0 <= s' <= 2, s' >= s v,
     s <= 2/(1+v), s' <= 3 - (1+v) s, s' <= 1 + (1-v) s, and v <= 1.
     """
-    return _batched(_u_zero, _SLACKS_CHUNK, V, s, s_prime)
+    return _batched(_u_zero, _CHUNK, V, s, s_prime)
 
 
 def _u_zero(V, s, sp):
@@ -311,7 +309,7 @@ def necessary_slacks(V, s, s_prime):
     and alpha are, so they bound the union of all stability regions.  Arrays
     are evaluated in chunks, as R is.
     """
-    return _batched(_necessary, _SLACKS_CHUNK, V, s, s_prime)
+    return _batched(_necessary, _CHUNK, V, s, s_prime)
 
 
 def necessary_region(V, s, s_prime):

@@ -8,8 +8,9 @@ from d1q3rv.scheme import (_CHUNK, TAU_MAT, WORKING_SET_BYTES, SchemeParameters,
                            build_T, change_basis_relaxation_matrix, equilibrium_distributions,
                            equilibrium_weights, inverse_M, inverse_T, mats_close,
                            moments_from_distributions, relaxation_matrices)
-from d1q3rv.stability import (_BOUNDS_CHUNK, _CLOSED_FORM_CHUNK, _SLACKS_CHUNK, chain_bounds,
-                              necessary_slacks, relaxation_entries_closed_form, u_zero_slacks)
+from d1q3rv.stability import _CHUNK as _KERNEL_CHUNK
+from d1q3rv.stability import (chain_bounds, necessary_slacks, relaxation_entries_closed_form,
+                              u_zero_slacks)
 
 TOL = 1e-12
 
@@ -182,11 +183,11 @@ def test_batched_working_memory_stays_within_one_mebibyte():
     assert peak <= R.nbytes + 2**20, (peak, R.nbytes)
 
 
-# The other batched calls that run in chunks: (function, number of inputs, tuples per chunk)
-_CHUNKED = {"closed form": (relaxation_entries_closed_form, 5, _CLOSED_FORM_CHUNK),
-            "chain bounds": (chain_bounds, 4, _BOUNDS_CHUNK),
-            "necessary slacks": (necessary_slacks, 3, _SLACKS_CHUNK),
-            "u = 0 slacks": (u_zero_slacks, 3, _SLACKS_CHUNK)}
+# The other batched calls, all in chunks of _KERNEL_CHUNK tuples: (function, number of inputs)
+_CHUNKED = {"closed form": (relaxation_entries_closed_form, 5),
+            "chain bounds": (chain_bounds, 4),
+            "necessary slacks": (necessary_slacks, 3),
+            "u = 0 slacks": (u_zero_slacks, 3)}
 
 
 def _batch_and_scalar_calls(fn, *args):
@@ -200,28 +201,28 @@ def _batch_and_scalar_calls(fn, *args):
 
 @pytest.mark.parametrize("name", sorted(_CHUNKED))
 def test_closed_form_and_bounds_across_chunk_boundaries_are_the_bytes_of_scalar_calls(name):
-    fn, n_args, chunk = _CHUNKED[name]
-    for n in (chunk - 1, chunk + 1, 0):
+    fn, n_args = _CHUNKED[name]
+    for n in (_KERNEL_CHUNK - 1, _KERNEL_CHUNK + 1, 0):
         batch, scalar = _batch_and_scalar_calls(fn, *_tuples(np.random.default_rng(n), n)[:n_args])
         assert batch.shape[0] == n and batch.tobytes() == scalar.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(_CHUNKED))
 def test_closed_form_and_bounds_broadcast_over_several_chunks_are_the_bytes_of_scalar_calls(name):
-    fn, n_args, chunk = _CHUNKED[name]
+    fn, n_args = _CHUNKED[name]
     rng = np.random.default_rng(31)
-    m = chunk // 2 + 7   # chunk boundaries fall inside rows
+    m = _KERNEL_CHUNK // 2 + 7   # chunk boundaries fall inside rows
     mixed = (rng.uniform(-1.5, 1.5, (5, 1)), rng.uniform(-1, 1, m), 1.6,
              rng.uniform(-0.5, 2.5, m), rng.uniform(-2, 2, (5, 1)))
     grid = (2 / 3, 0.4, rng.uniform(0, 2.2, (3, m)), rng.uniform(0, 2.2, (3, m)), 0.3)
     for args in (mixed, grid):
         batch, scalar = _batch_and_scalar_calls(fn, *args[:n_args])
-        assert batch.size > 2 * chunk and batch.tobytes() == scalar.tobytes()
+        assert batch.size > 2 * _KERNEL_CHUNK and batch.tobytes() == scalar.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(_CHUNKED))
 def test_closed_form_and_bounds_working_memory_stays_within_one_mebibyte(name):
-    fn, n_args, _ = _CHUNKED[name]
+    fn, n_args = _CHUNKED[name]
     args = _tuples(np.random.default_rng(50), 100_000)[:n_args]
     tracemalloc.start()
     try:
