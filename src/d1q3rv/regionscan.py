@@ -98,20 +98,26 @@ class RegionGrid:
 
 
 def scan(spec: ScanSpec) -> list:
-    """Classify the grid for every u in the spec; one RegionGrid per u."""
+    """Classify the grid for every u in the spec; one RegionGrid per u.
+
+    A finite spec whose products overflow classifies without NumPy warnings:
+    an inf slack or bound compares as IEEE floats do, and a cell whose chain
+    bounds are NaN is never FEASIBLE.
+    """
     s = spec.s_values()
     sp = spec.s_prime_values()
     S, SP = np.meshgrid(s, sp, indexing="ij")
-    outer = np.where(necessary_region(spec.V, S, SP), _CLASS_CODES[NECESSARY_ONLY],
-                     _CLASS_CODES[OUTSIDE])
-    grids = []
-    for u in spec.u_list:
-        iv, feasible = _feasible_interval(spec.V, u, S, SP)
-        grids.append(RegionGrid(
-            V=spec.V, u=float(u), s_values=s, s_prime_values=sp,
-            codes=np.where(feasible, _CLASS_CODES[FEASIBLE], outer).astype(np.int8),
-            gamma_lower=np.where(feasible, iv.lower, np.nan),
-            gamma_upper=np.where(feasible, iv.upper, np.nan)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        outer = np.where(necessary_region(spec.V, S, SP), _CLASS_CODES[NECESSARY_ONLY],
+                         _CLASS_CODES[OUTSIDE])
+        grids = []
+        for u in spec.u_list:
+            iv, feasible = _feasible_interval(spec.V, u, S, SP)
+            grids.append(RegionGrid(
+                V=spec.V, u=float(u), s_values=s, s_prime_values=sp,
+                codes=np.where(feasible, _CLASS_CODES[FEASIBLE], outer).astype(np.int8),
+                gamma_lower=np.where(feasible, iv.lower, np.nan),
+                gamma_upper=np.where(feasible, iv.upper, np.nan)))
     return grids
 
 

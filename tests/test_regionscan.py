@@ -56,6 +56,13 @@ def test_scan_unit_velocity_confines_first_rate():
     assert s_of_feasible.max() <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("huge, counts", [(1e300, (1, 1, 23)), (1e308, (0, 2, 23))])
+def test_scan_of_overflowing_spec_classifies_without_warnings(huge, counts):
+    # Every warning fails the suite, so this also checks that scan raises none.
+    grid = scan(ScanSpec(V=huge, u_list=(huge,), s_points=5, s_prime_points=5))[0]
+    assert tuple(grid.count(c) for c in (FEASIBLE, NECESSARY_ONLY, OUTSIDE)) == counts
+
+
 @pytest.mark.parametrize("V", [0.0, 0.25, 0.5, 1.0])
 def test_unit_rates_cell_always_feasible(V):
     for u in default_u_list(V) or (0.0,):
