@@ -208,12 +208,11 @@ def exact_density(profile: InitialProfile, grid: Grid1D, p: SchemeParameters,
     shifted positions.  A non-finite displacement gives an all-NaN reference.
     """
     shift_cells = float(p.V) * n_steps
-    rho0 = profile.sample(grid)
     if not np.isfinite(shift_cells):
         return np.full(grid.n_cells, np.nan)
     nearest = round(shift_cells)
     if abs(shift_cells - nearest) < 1e-9:
-        return np.roll(rho0, nearest % grid.n_cells)
+        return np.roll(profile.sample(grid), nearest % grid.n_cells)
     x = grid.positions() - shift_cells * grid.dx
     return profile.sample_at(np.mod(x, grid.length), grid.length)
 
