@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 from dataclasses import dataclass
 
-from .scheme import WORKING_SET_BYTES
+from .scheme import WORKING_SET_BYTES, _integer
 from .stability import _feasible_interval, necessary_region
 
 FEASIBLE = "FEASIBLE"
@@ -62,7 +62,7 @@ class ScanSpec:
             raise ValueError(f"u_list must be finite, got {self.u_list}")
         for rng, npts, name in ((self.s_range, self.s_points, "s"),
                                 (self.s_prime_range, self.s_prime_points, "s_prime")):
-            if npts < 2:
+            if _integer(npts, f"{name}_points") < 2:
                 raise ValueError(f"{name}_points must be >= 2, got {npts}")
             if not rng[1] > rng[0]:
                 raise ValueError(f"{name}_range must be non-degenerate, got {rng}")

@@ -15,6 +15,7 @@ are float64; every function is pure.
 
 from __future__ import annotations
 
+import operator
 import numpy as np
 from dataclasses import dataclass
 
@@ -64,6 +65,14 @@ class SchemeParameters:
 def mats_close(a, b, tol: float = TAU_MAT) -> bool:
     """Entrywise comparison with absolute tolerance."""
     return bool(np.max(np.abs(np.asarray(a, float) - np.asarray(b, float))) <= tol)
+
+
+def _integer(value, name: str) -> int:
+    """value as an int by operator.index, so NumPy integers pass; a ValueError naming it otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 _SCALAR_TYPES = frozenset((float, int, np.float64))

@@ -15,12 +15,11 @@ advance's arrays, and run is its batch-of-one case.  relax and stream, on
 
 from __future__ import annotations
 
-import operator
 import warnings
 import numpy as np
 from dataclasses import astuple, dataclass, fields
 
-from .scheme import (WORKING_SET_BYTES, SchemeParameters, build_relaxation_matrix,
+from .scheme import (WORKING_SET_BYTES, SchemeParameters, _integer, build_relaxation_matrix,
                      equilibrium_distributions, equilibrium_weights)
 
 SMOOTH = "smooth"
@@ -39,11 +38,7 @@ class Grid1D:
     n_cells: int
 
     def __post_init__(self):
-        try:
-            operator.index(self.n_cells)
-        except TypeError:
-            raise ValueError(f"n_cells must be an integer, got {self.n_cells!r}") from None
-        if self.n_cells <= 0:
+        if _integer(self.n_cells, "n_cells") <= 0:
             raise ValueError(f"n_cells must be positive, got {self.n_cells}")
 
     @property
@@ -217,6 +212,13 @@ def exact_density(profile: InitialProfile, grid: Grid1D, p: SchemeParameters,
     return profile.sample_at(np.mod(x, grid.length), grid.length)
 
 
+def _check_counts(n_steps, snap_every) -> None:
+    """A ValueError naming n_steps or snap_every unless it is an integer >= 0."""
+    for value, name in ((n_steps, "n_steps"), (snap_every, "snap_every")):
+        if _integer(value, name) < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def _block_steps(batch: int, n_cells: int) -> int:
     """Steps per history block: 64, fewer where a block's float64 arrays would
     pass WORKING_SET_BYTES (1 MiB), and 1 where even a one-step block is larger.
@@ -301,15 +303,15 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     the rest of its batch.
 
     snap_every > 0 records the states every that many steps (step 0 and the
-    final step included).
+    final step included), and 0 records none.  n_steps and snap_every must
+    be integers >= 0 (NumPy integers too); anything else is a ValueError.
     """
     f0 = np.ascontiguousarray(f0, dtype=float)
     R = np.asarray(R, dtype=float)
     if f0.ndim != 3 or f0.shape[2] != 3 or f0.shape[1] == 0 or R.shape != (len(f0), 3, 3):
         raise ValueError(f"expected f0 of shape (B, n_cells >= 1, 3) and R of shape (B, 3, 3), "
                          f"got {f0.shape} and {R.shape}")
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    _check_counts(n_steps, snap_every)
     batch, n_cells, _ = f0.shape
     block = _block_steps(batch, n_cells)
     edge = block + 1
@@ -371,10 +373,10 @@ def run_batch(cases, grid: Grid1D, n_steps: int, snap_every: int = 0) -> list:
     """Run every (profile, params) pair of cases on grid with one advance call.
 
     Returns one RunResult per case, in order, each equal to what run gives
-    for that case alone.
+    for that case alone.  The step counts are checked, as advance checks
+    them, before any case is initialized.
     """
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    _check_counts(n_steps, snap_every)
     if not cases:
         return []
     f0 = np.stack([init_state(profile, grid, p) for profile, p in cases])

@@ -36,6 +36,12 @@ def test_spec_validation():
         ScanSpec(V=-np.inf)
     with pytest.raises(ValueError, match=r"u_list must be finite, got \(0.0, inf\)"):
         ScanSpec(V=0.5, u_list=(0.0, np.inf))
+    with pytest.raises(ValueError, match=r"^s_points must be an integer, got 2.5$"):
+        ScanSpec(V=0.5, u_list=(0.0,), s_points=2.5, s_prime_points=5)
+    with pytest.raises(ValueError, match=r"^s_prime_points must be an integer, got 5.0$"):
+        ScanSpec(V=0.5, u_list=(0.0,), s_points=5, s_prime_points=5.0)
+    grid = scan(ScanSpec(V=0.5, u_list=(0.0,), s_points=np.int64(3), s_prime_points=np.int32(4)))[0]
+    assert grid.codes.shape == (3, 4)
 
 
 def test_default_u_list():

@@ -487,6 +487,13 @@ def test_advance_rejects_bad_shapes_and_step_counts():
         advance(f0[None], R[None], -1)
     with pytest.raises(ValueError, match="n_cells"):
         advance(np.empty((1, 0, 3)), R[None], 3)
+    with pytest.raises(ValueError, match="^n_steps must be an integer, got 2.5$"):
+        advance(f0[None], R[None], 2.5)
+    with pytest.raises(ValueError, match="^snap_every must be an integer, got 2.5$"):
+        advance(f0[None], R[None], 3, snap_every=2.5)
+    with pytest.raises(ValueError, match="^snap_every must be >= 0, got -3$"):
+        advance(f0[None], R[None], 3, snap_every=-3)
+    assert advance(f0[None], R[None], np.int64(3), snap_every=np.int32(2)).snap_steps == (0, 2, 3)
 
 
 # ------------------------------------------------------------------------ runs
@@ -495,6 +502,16 @@ def test_run_batch_of_no_cases_is_empty():
     assert run_batch([], default_grid(8), 5) == []
     with pytest.raises(ValueError):
         run_batch([], default_grid(8), -1)
+
+
+def test_run_batch_checks_step_counts_before_initializing_cases():
+    # init_state would reject this negative density, so each error must name the count
+    profile, p = InitialProfile(kind=STEP, low=-1.0), params()
+    for counts, name in (((2.5,), "n_steps"), ((3, 2.5), "snap_every"), ((3, -3), "snap_every")):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            run_batch([(profile, p)], default_grid(8), *counts)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            run(profile, default_grid(8), p, *counts)
 
 
 def test_run_identity_dynamics():
