@@ -99,9 +99,12 @@ class InitialProfile:
             return self.low + (self.high - self.low) * np.maximum(0.0, 1.0 - d / w)
         return np.where(d <= w, self.high, self.low)
 
-    def sample(self, grid: Grid1D) -> np.ndarray:
+    def _check_fits(self, grid: Grid1D) -> None:
         if self.kind == CUSTOM and len(np.asarray(self.values)) != grid.n_cells:
             raise ValueError(f"custom profile has {len(self.values)} values for {grid.n_cells} cells")
+
+    def sample(self, grid: Grid1D) -> np.ndarray:
+        self._check_fits(grid)
         return self.sample_at(grid.positions(), grid.length)
 
 
@@ -202,6 +205,7 @@ def exact_density(profile: InitialProfile, grid: Grid1D, p: SchemeParameters,
     profile discontinuities), otherwise the profile is re-sampled at the
     shifted positions.  A non-finite displacement gives an all-NaN reference.
     """
+    profile._check_fits(grid)
     shift_cells = float(p.V) * n_steps
     if not np.isfinite(shift_cells):
         return np.full(grid.n_cells, np.nan)

@@ -625,6 +625,9 @@ def test_exact_density_fractional_shift_resamples():
     x = g.positions() - 0.3 * g.dx
     expect = InitialProfile(kind=SMOOTH).sample_at(np.mod(x, g.length), g.length)
     assert np.allclose(ref, expect, atol=1e-15)
+    for n_steps in (1, 0):   # a fractional and an integer shift
+        with pytest.raises(ValueError, match="7 values for 200 cells"):
+            exact_density(InitialProfile(kind=CUSTOM, values=np.ones(7)), g, p, n_steps)
 
 
 # --------------------------------------------------------------------- output
