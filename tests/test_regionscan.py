@@ -64,7 +64,7 @@ def test_scan_unit_velocity_confines_first_rate():
 
 @pytest.mark.parametrize("huge, counts", [(1e300, (1, 1, 23)), (1e308, (0, 2, 23))])
 def test_scan_of_overflowing_spec_classifies_without_warnings(huge, counts):
-    # Every warning fails the suite, so this also checks that scan raises none.
+    # Every warning fails the suite, so this also checks that scan emits none.
     grid = scan(ScanSpec(V=huge, u_list=(huge,), s_points=5, s_prime_points=5))[0]
     assert tuple(grid.count(c) for c in (FEASIBLE, NECESSARY_ONLY, OUTSIDE)) == counts
 
