@@ -3,21 +3,17 @@
 from .scheme import (
     SchemeParameters,
     MomentVector,
+    RelaxationFactors,
     TAU_MAT,
     VELOCITIES,
     basis_commutator,
-    build_E,
-    build_M,
-    build_S,
-    build_T,
     build_relaxation_matrix,
     change_basis_relaxation_matrix,
     equilibrium_distributions,
     equilibrium_weights,
-    inverse_M,
-    inverse_T,
     mats_close,
     moments_from_distributions,
+    relaxation_factors,
     relaxation_matrices,
 )
 from .stability import (

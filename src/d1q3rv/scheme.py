@@ -18,6 +18,7 @@ from __future__ import annotations
 import operator
 import numpy as np
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # Discrete velocities c_j in lattice units; distribution index j maps to
 # velocity c_j * lambda, so matrix row/column 0 belongs to the left mover.
@@ -93,37 +94,24 @@ def _operands(*xs):
     return np.broadcast_arrays(*arrays)
 
 
-def _stack(rows) -> np.ndarray:
-    """3x3 matrix from nested rows of equally shaped entries.
+def _factors(V, u, s, sp, al, lam) -> np.ndarray:
+    """R's six factors (M^-1, T(-u), S, T(u), E, M), in product order.
 
-    0-d entries give shape (3, 3); entries of shape B give B + (3, 3).  The
-    builders below take o and z, the ones and zeros of that shape.
+    Float64 scalars give shape (6, 3, 3); 1-d operands of length n give a
+    (6, n, 3, 3) view.
     """
-    a = np.array(rows, dtype=float)
-    return a if a.ndim == 2 else np.moveaxis(a, (0, 1), (-2, -1))
-
-
-def _M(lam, o, z):
+    o, z = np.ones(V.shape)[()], np.zeros(V.shape)[()]
     l2 = lam * lam
-    return _stack([[o, o, o], [-lam, z, lam], [l2, -2.0 * l2, l2]])
+    a, b, c = o / 3.0, 1.0 / (2.0 * lam), 1.0 / (6.0 * l2)
 
+    def shift(v):
+        return [[o, z, z], [-lam * v, o, z], [3.0 * l2 * (v * v), -6.0 * lam * v, o]]
 
-def _M_inv(lam, o, z):
-    a, b, c = o / 3.0, 1.0 / (2.0 * lam), 1.0 / (6.0 * (lam * lam))
-    return _stack([[a, -b, c], [a, z, -2.0 * c], [a, b, c]])
-
-
-def _T(u, lam, o, z):
-    """T(u); its inverse is T(-u), since shifting by u and then by -u is the identity."""
-    return _stack([[o, z, z], [-lam * u, o, z], [3.0 * (lam * lam) * (u * u), -6.0 * lam * u, o]])
-
-
-def _S(s, s_prime, z):
-    return _stack([[z, z, z], [z, s, z], [z, z, s_prime]])
-
-
-def _E(V, alpha, lam, o, z):
-    return _stack([[o, z, z], [V * lam, z, z], [alpha * (lam * lam), z, z]])
+    f = np.array([[[a, -b, c], [a, z, -2.0 * c], [a, b, c]], shift(-u),
+                  [[z, z, z], [z, s, z], [z, z, sp]], shift(u),
+                  [[o, z, z], [V * lam, z, z], [al * l2, z, z]],
+                  [[o, o, o], [-lam, z, lam], [l2, -2.0 * l2, l2]]], dtype=float)
+    return f if f.ndim == 3 else np.moveaxis(f, (1, 2), (-2, -1))
 
 
 def _relaxation_product(M_inv, T_inv, S, T, E, M) -> np.ndarray:
@@ -131,40 +119,29 @@ def _relaxation_product(M_inv, T_inv, S, T, E, M) -> np.ndarray:
     return M_inv @ T_inv @ (_EYE + S @ (T @ E @ T_inv - _EYE)) @ T @ M
 
 
-def build_M(p: SchemeParameters) -> np.ndarray:
-    """Moment matrix: rows evaluate 1, lam*X, lam^2*(3X^2-2) at the velocities."""
-    return _M(p.lam, 1.0, 0.0)
+class RelaxationFactors(NamedTuple):
+    """The six factors of R = M^-1 T^-1 (I + S (T E T^-1 - I)) T M, as 3x3 float64 arrays.
 
-
-def inverse_M(p: SchemeParameters) -> np.ndarray:
-    """Closed-form inverse of the moment matrix (det M = 6 lam^3)."""
-    return _M_inv(p.lam, 1.0, 0.0)
-
-
-def build_T(p: SchemeParameters) -> np.ndarray:
-    """Basis shift from plain moments to moments of (c - u).
-
-    Lower triangular with unit diagonal, hence invertible for any u.
+    M is the moment matrix: its rows evaluate 1, lam*X, lam^2*(3X^2-2) at the
+    velocities, and det M = 6 lam^3, so M_inv is its closed-form inverse.  T
+    shifts plain moments to moments of (c - u); it is lower triangular with
+    unit diagonal, hence invertible for any u, and T_inv = T(-u).  S holds the
+    diagonal relaxation rates (0, s, s'): density is conserved, q and eps
+    relax.  E is the equilibrium projector in the unshifted moment basis; only
+    its first column is nonzero, as equilibria depend on the density alone.
     """
-    return _T(p.u, p.lam, 1.0, 0.0)
+
+    M_inv: np.ndarray
+    T_inv: np.ndarray
+    S: np.ndarray
+    T: np.ndarray
+    E: np.ndarray
+    M: np.ndarray
 
 
-def inverse_T(p: SchemeParameters) -> np.ndarray:
-    """Closed-form inverse of the shift matrix: T(u)^-1 = T(-u)."""
-    return _T(-p.u, p.lam, 1.0, 0.0)
-
-
-def build_S(p: SchemeParameters) -> np.ndarray:
-    """Diagonal relaxation rates: density is conserved, q and eps relax."""
-    return _S(p.s, p.s_prime, 0.0)
-
-
-def build_E(p: SchemeParameters) -> np.ndarray:
-    """Equilibrium projector in the unshifted moment basis.
-
-    Only the first column is nonzero: equilibria depend on the density alone.
-    """
-    return _E(p.V, p.alpha, p.lam, 1.0, 0.0)
+def relaxation_factors(p: SchemeParameters) -> RelaxationFactors:
+    """R's six factors for one scheme instance, built from float64 scalars."""
+    return RelaxationFactors(*_factors(*_operands(p.V, p.u, p.s, p.s_prime, p.alpha, p.lam)))
 
 
 def build_relaxation_matrix(p: SchemeParameters) -> np.ndarray:
@@ -215,13 +192,6 @@ def _batched(kernel, chunk, *args):
     return tuple(outs) if len(outs) > 1 else outs[0]
 
 
-def _relaxation_chunk(V, u, s, sp, al, lam) -> np.ndarray:
-    """R for float64 scalars, shape (3, 3), or for 1-d operands, shape (n, 3, 3)."""
-    o, z = np.ones(V.shape)[()], np.zeros(V.shape)[()]
-    return _relaxation_product(_M_inv(lam, o, z), _T(-u, lam, o, z), _S(s, sp, z),
-                               _T(u, lam, o, z), _E(V, al, lam, o, z), _M(lam, o, z))
-
-
 def relaxation_matrices(V, u, s, s_prime, alpha, lam=1.0) -> np.ndarray:
     """Relaxation operators R, shape broadcast(inputs) + (3, 3).
 
@@ -230,7 +200,8 @@ def relaxation_matrices(V, u, s, s_prime, alpha, lam=1.0) -> np.ndarray:
     its working memory beyond the result stays within WORKING_SET_BYTES for
     any batch size, and a tuple's R has the same bytes either way.
     """
-    return _batched(_relaxation_chunk, _CHUNK, V, u, s, s_prime, alpha, lam)
+    return _batched(lambda *ops: _relaxation_product(*_factors(*ops)), _CHUNK,
+                    V, u, s, s_prime, alpha, lam)
 
 
 def equilibrium_weights(p: SchemeParameters) -> np.ndarray:
@@ -293,8 +264,8 @@ def basis_commutator(C, p: SchemeParameters) -> np.ndarray:
     the change of basis.  C must be invertible with first row (1, 0, 0).
     """
     C = _check_moment_change(C)
-    S = build_S(p)
-    return (S @ C - C @ S) @ build_T(p) @ (build_E(p) - _EYE)
+    _, _, S, T, E, _ = relaxation_factors(p)
+    return (S @ C - C @ S) @ T @ (E - _EYE)
 
 
 def change_basis_relaxation_matrix(C, p: SchemeParameters) -> np.ndarray:
@@ -306,5 +277,5 @@ def change_basis_relaxation_matrix(C, p: SchemeParameters) -> np.ndarray:
     """
     C = _check_moment_change(C)
     Cinv = np.linalg.inv(C)
-    return _relaxation_product(inverse_M(p) @ Cinv, C @ inverse_T(p) @ Cinv, build_S(p),
-                               C @ build_T(p) @ Cinv, C @ build_E(p), C @ build_M(p))
+    M_inv, T_inv, S, T, E, M = relaxation_factors(p)
+    return _relaxation_product(M_inv @ Cinv, C @ T_inv @ Cinv, S, C @ T @ Cinv, C @ E, C @ M)

@@ -3,11 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from d1q3rv.scheme import (_CHUNK, TAU_MAT, WORKING_SET_BYTES, SchemeParameters,
-                           basis_commutator, build_E, build_M, build_relaxation_matrix, build_S,
-                           build_T, change_basis_relaxation_matrix, equilibrium_distributions,
-                           equilibrium_weights, inverse_M, inverse_T, mats_close,
-                           moments_from_distributions, relaxation_matrices)
+from d1q3rv.scheme import (_CHUNK, TAU_MAT, WORKING_SET_BYTES, RelaxationFactors, SchemeParameters,
+                           basis_commutator, build_relaxation_matrix, change_basis_relaxation_matrix,
+                           equilibrium_distributions, equilibrium_weights, mats_close,
+                           moments_from_distributions, relaxation_factors, relaxation_matrices)
 from d1q3rv.stability import _CHUNK as _KERNEL_CHUNK
 from d1q3rv.stability import (chain_bounds, necessary_slacks, relaxation_entries_closed_form,
                               u_zero_slacks)
@@ -27,63 +26,82 @@ def test_lambda_must_be_positive():
 
 
 def test_build_M_unit_lambda():
-    assert mats_close(build_M(params(lam=1)), [[1, 1, 1], [-1, 0, 1], [1, -2, 1]])
+    assert mats_close(relaxation_factors(params(lam=1)).M, [[1, 1, 1], [-1, 0, 1], [1, -2, 1]])
 
 
 def test_build_M_scales_with_lambda():
-    assert mats_close(build_M(params(lam=2)), [[1, 1, 1], [-2, 0, 2], [4, -8, 4]])
+    assert mats_close(relaxation_factors(params(lam=2)).M, [[1, 1, 1], [-2, 0, 2], [4, -8, 4]])
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 7.3])
 def test_build_M_determinant(lam):
     # det M = 6 lam^3, never zero
-    det = np.linalg.det(build_M(params(lam=lam)))
+    det = np.linalg.det(relaxation_factors(params(lam=lam)).M)
     assert det == pytest.approx(6 * lam**3, rel=1e-12)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
 def test_inverse_M_closed_form(lam):
-    p = params(lam=lam)
-    assert mats_close(inverse_M(p) @ build_M(p), np.eye(3))
-    assert mats_close(build_M(p) @ inverse_M(p), np.eye(3))
+    f = relaxation_factors(params(lam=lam))
+    assert mats_close(f.M_inv @ f.M, np.eye(3))
+    assert mats_close(f.M @ f.M_inv, np.eye(3))
 
 
 def test_build_T_no_shift_is_identity():
-    assert mats_close(build_T(params(u=0.0)), np.eye(3))
+    assert mats_close(relaxation_factors(params(u=0.0)).T, np.eye(3))
 
 
 def test_build_T_unit_values():
-    assert mats_close(build_T(params(u=1.0, lam=1.0)), [[1, 0, 0], [-1, 1, 0], [3, -6, 1]])
+    assert mats_close(relaxation_factors(params(u=1.0, lam=1.0)).T, [[1, 0, 0], [-1, 1, 0], [3, -6, 1]])
 
 
 @pytest.mark.parametrize("u,lam", [(0.3, 1.0), (-0.7, 2.0), (1.0, 0.5), (2.5, 3.0)])
 def test_inverse_T_by_substitution(u, lam):
-    p = params(u=u, lam=lam)
-    assert mats_close(build_T(p) @ inverse_T(p), np.eye(3))
-    assert mats_close(inverse_T(p) @ build_T(p), np.eye(3))
+    f = relaxation_factors(params(u=u, lam=lam))
+    assert mats_close(f.T @ f.T_inv, np.eye(3))
+    assert mats_close(f.T_inv @ f.T, np.eye(3))
 
 
 def test_build_S_diagonal():
-    assert mats_close(build_S(params(s=1.0, s_prime=1.0)), np.diag([0.0, 1.0, 1.0]))
-    assert mats_close(build_S(params(s=1.6, s_prime=1.3)), np.diag([0.0, 1.6, 1.3]))
-    assert mats_close(build_S(params(s=0.0, s_prime=0.0)), np.zeros((3, 3)))
+    assert mats_close(relaxation_factors(params(s=1.0, s_prime=1.0)).S, np.diag([0.0, 1.0, 1.0]))
+    assert mats_close(relaxation_factors(params(s=1.6, s_prime=1.3)).S, np.diag([0.0, 1.6, 1.3]))
+    assert mats_close(relaxation_factors(params(s=0.0, s_prime=0.0)).S, np.zeros((3, 3)))
 
 
 def test_build_E_first_column_only():
-    E = build_E(params(V=0.0, alpha=0.0, lam=1.0))
+    E = relaxation_factors(params(V=0.0, alpha=0.0, lam=1.0)).E
     assert mats_close(E, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    E = build_E(params(V=0.25, alpha=4 / 13, lam=1.0))
+    E = relaxation_factors(params(V=0.25, alpha=4 / 13, lam=1.0)).E
     assert mats_close(E[:, 0], [1.0, 0.25, 4 / 13])
     assert np.all(E[:, 1:] == 0)
 
 
 def test_E_absorbs_density_preserving_basis_change():
     # E C = E whenever the first row of C is (1, 0, 0)
-    E = build_E(params(V=0.7, alpha=-0.4, lam=2.0))
+    E = relaxation_factors(params(V=0.7, alpha=-0.4, lam=2.0)).E
     rng = np.random.default_rng(3)
     for _ in range(5):
         C = np.vstack([[1.0, 0.0, 0.0], rng.uniform(-2, 2, (2, 3))])
         assert mats_close(E @ C, E)
+
+
+def test_relaxation_factors_multiply_to_R_in_product_order():
+    p = params(V=0.7, u=-0.4, s=1.6, s_prime=1.3, alpha=-0.4, lam=2.0)
+    f = relaxation_factors(p)
+    assert isinstance(f, RelaxationFactors)
+    assert all(x.shape == (3, 3) and x.dtype == np.float64 for x in f)
+    assert np.array_equal(f.T_inv, relaxation_factors(params(V=0.7, u=0.4, lam=2.0)).T)
+    assert np.array_equal(np.diag(f.T), np.ones(3)) and not np.triu(f.T, 1).any()
+    M_inv, T_inv, S, T, E, M = f
+    R = M_inv @ T_inv @ (np.eye(3) + S @ (T @ E @ T_inv - np.eye(3))) @ T @ M
+    assert np.array_equal(R, build_relaxation_matrix(p))
+
+
+def test_relaxation_factors_of_integer_fields_are_float64():
+    ints = relaxation_factors(SchemeParameters(V=1, u=0, s=1, s_prime=2, alpha=0, lam=2))
+    floats = relaxation_factors(SchemeParameters(V=1.0, u=0.0, s=1.0, s_prime=2.0, alpha=0.0, lam=2.0))
+    for a, b in zip(ints, floats):
+        assert a.dtype == np.float64 and np.array_equal(a, b)
 
 
 def test_relaxation_identity_when_rates_vanish():
@@ -339,7 +357,8 @@ def test_moments_equal_shift_of_matrix_product():
         p = params(V=0.0, u=rng.uniform(-1, 1), lam=rng.choice([0.5, 1.0, 3.0]))
         F = rng.uniform(-1, 2, 3)
         m = moments_from_distributions(F, p)
-        ref = build_T(p) @ build_M(p) @ F
+        f = relaxation_factors(p)
+        ref = f.T @ f.M @ F
         assert np.allclose([m.rho, m.q, m.eps], ref, atol=1e-11)
 
 
@@ -444,13 +463,12 @@ def test_change_basis_differs_with_coupling():
 
 
 def test_change_basis_difference_factorization():
-    from d1q3rv.scheme import inverse_M, inverse_T
     rng = np.random.default_rng(41)
     for _ in range(50):
         p = params(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-0.5, 2.5),
                    rng.uniform(-0.5, 2.5), rng.uniform(-2, 2))
         C = random_basis_change(rng)
         lhs = change_basis_relaxation_matrix(C, p) - build_relaxation_matrix(p)
-        rhs = (inverse_M(p) @ inverse_T(p) @ np.linalg.inv(C)
-               @ basis_commutator(C, p) @ build_M(p))
+        f = relaxation_factors(p)
+        rhs = f.M_inv @ f.T_inv @ np.linalg.inv(C) @ basis_commutator(C, p) @ f.M
         assert mats_close(lhs, rhs, tol=1e-10)
