@@ -281,13 +281,14 @@ def u_zero_region(V, s, s_prime):
 def u_zero_alpha_bounds(V, s, s_prime):
     """Feasible alpha interval at u = 0; None when s' = 0 (alpha-unconstrained).
 
-    Requires u_zero_region(V, s, s_prime) to hold.  The upper endpoint never
-    exceeds 1, and the lower endpoint satisfies s' <= 3/(alpha + 2).
+    Raises ValueError outside u_zero_region(V, s, s_prime), at s' = 0 as
+    elsewhere.  The upper endpoint never exceeds 1, and the lower endpoint
+    satisfies s' <= 3/(alpha + 2).
     """
-    if s_prime == 0.0:
-        return None
     if not u_zero_region(V, s, s_prime):
         raise ValueError(f"(V={V}, s={s}, s_prime={s_prime}) is outside the u=0 stability region")
+    if s_prime == 0.0:
+        return None
     return alpha_interval(V, 0.0, s, s_prime)
 
 

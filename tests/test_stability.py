@@ -322,9 +322,22 @@ def test_u_zero_alpha_bounds_never_exceed_one_and_rate_cap():
 
 
 def test_u_zero_alpha_bounds_errors():
-    assert u_zero_alpha_bounds(0.25, 1.0, 0.0) is None
     with pytest.raises(ValueError):
         u_zero_alpha_bounds(0.25, 1.6, 1.3)
+
+
+@pytest.mark.parametrize("V,s", [(0.25, 1.0), (0.5, 3.0)])
+def test_u_zero_alpha_bounds_rejects_pinned_points_outside_the_region(V, s):
+    # s' = 0 outside the region: no alpha works, so the answer is not "unconstrained"
+    assert not u_zero_region(V, s, 0.0) and not alpha_feasible(V, 0.0, s, 0.0)
+    with pytest.raises(ValueError, match="outside the u=0 stability region"):
+        u_zero_alpha_bounds(V, s, 0.0)
+
+
+@pytest.mark.parametrize("V,s", [(0.0, 1.0), (0.25, 0.0)])
+def test_u_zero_alpha_bounds_pinned_points_inside_the_region_are_unconstrained(V, s):
+    assert u_zero_region(V, s, 0.0)
+    assert u_zero_alpha_bounds(V, s, 0.0) is None
 
 
 def test_u_zero_alpha_bounds_agree_with_verdict():
