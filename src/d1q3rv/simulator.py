@@ -81,6 +81,8 @@ class InitialProfile:
             raise ValueError("custom profiles need explicit density values")
         if self.width is not None and not self.width > 0:
             raise ValueError(f"profile width must be positive, got {self.width}")
+        if self.center is not None and not np.isfinite(self.center):
+            raise ValueError(f"profile center must be finite, got {self.center}")
 
     def sample_at(self, x, length: float) -> np.ndarray:
         """Density at positions x on a periodic domain of the given length."""

@@ -101,6 +101,13 @@ def test_profile_width_must_be_positive(width):
     assert InitialProfile(kind=HAT, width=0.05).sample(default_grid(40)).max() == 1.0
 
 
+@pytest.mark.parametrize("kind", [STEP, HAT, SMOOTH])
+@pytest.mark.parametrize("center", [float("nan"), float("inf"), float("-inf")])
+def test_profile_center_must_be_finite(kind, center):
+    with pytest.raises(ValueError, match="center"):
+        InitialProfile(kind=kind, center=center)
+
+
 # ----------------------------------------------------------------------- init
 
 def test_init_constant_density_rest_state():
