@@ -282,12 +282,13 @@ FEASIBLE_FILL = "#b0b0b0"
 BOUNDARY_STROKE = "#303030"
 
 
-def _merge_rectangles(mask: np.ndarray):
+def _merge_rectangles(mask: np.ndarray) -> np.ndarray:
     """Greedy decomposition of a cell mask into axis-aligned index rectangles.
 
     Columns (fixed i) are split into runs of consecutive True cells; runs
     identical across adjacent columns merge horizontally, so a fully True
-    mask yields a single rectangle.  Rectangles (i0, i1, j0, j1) come sorted.
+    mask yields a single rectangle.  Returns an (n, 4) int array of rows
+    (i0, i1, j0, j1) in sorted order.
     """
     edges = np.diff(np.pad(mask.astype(np.int8), ((0, 0), (1, 1))), axis=1)
     i, j0 = np.nonzero(edges == 1)
@@ -299,7 +300,7 @@ def _merge_rectangles(mask: np.ndarray):
     first[1:] = (j0[1:] != j0[:-1]) | (j1[1:] != j1[:-1]) | (i[1:] != i[:-1] + 1)
     last = np.roll(first, -1)  # the run before a start ends a rectangle; first[0] is True
     rects = np.column_stack((i[first], i[last], j0[first], j1[first]))
-    return list(map(tuple, rects[np.lexsort(rects.T[::-1])].tolist()))
+    return rects[np.lexsort(rects.T[::-1])]
 
 
 # (ia, ja, ib, jb) of the edge of cell (0, 0) toward i-1, i+1, j-1 and j+1
@@ -374,7 +375,7 @@ def emit_svg(grid: RegionGrid, out) -> None:
               f'font-size="13">V = {grid.V:g}, u = {grid.u:g}</text>\n')
 
     feasible = grid.codes == _CLASS_CODES[FEASIBLE]
-    i0, i1, j0, j1 = np.array(_merge_rectangles(feasible), int).reshape(-1, 4).T
+    i0, i1, j0, j1 = _merge_rectangles(feasible).T
     rx, ry = px(s[i0] - ds / 2), py(sp[j1] + dsp / 2)
     boxes = zip(*(v.tolist() for v in (rx, ry, px(s[i1] + ds / 2) - rx, py(sp[j0] - dsp / 2) - ry)))
     out.write("".join(map('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '

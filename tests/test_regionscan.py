@@ -469,10 +469,12 @@ def _masks():
 
 
 def test_merge_rectangles_is_the_greedy_column_run_tiling():
-    assert _merge_rectangles(np.zeros((6, 5), bool)) == []
-    assert _merge_rectangles(np.ones((6, 5), bool)) == [(0, 5, 0, 4)]
+    empty = _merge_rectangles(np.zeros((6, 5), bool))
+    assert empty.shape == (0, 4) and empty.dtype.kind == "i"
+    assert empty.tolist() == []
+    assert _merge_rectangles(np.ones((6, 5), bool)).tolist() == [[0, 5, 0, 4]]
     for mask in _masks():
-        rects = _merge_rectangles(mask)
+        rects = _merge_rectangles(mask).tolist()
         assert rects == sorted(rects)
         cover = np.zeros(mask.shape, int)
         padded = np.pad(mask, ((0, 0), (1, 1)))
