@@ -63,9 +63,9 @@ class SchemeParameters:
             raise ValueError(f"lattice velocity must be positive, got lam={self.lam}")
 
 
-def mats_close(a, b, tol: float = TAU_MAT) -> bool:
-    """Entrywise comparison with absolute tolerance."""
-    return bool(np.max(np.abs(np.asarray(a, float) - np.asarray(b, float))) <= tol)
+def mats_close(a, b) -> bool:
+    """Entrywise comparison with absolute tolerance TAU_MAT."""
+    return bool(np.max(np.abs(np.asarray(a, float) - np.asarray(b, float))) <= TAU_MAT)
 
 
 def _integer(value, name: str) -> int:

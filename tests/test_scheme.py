@@ -417,7 +417,7 @@ def test_commutator_closed_form_agrees():
         p = params(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1), rng.uniform(-0.5, 2.5),
                    rng.uniform(-0.5, 2.5), rng.uniform(-2, 2), rng.choice([0.5, 1.0, 3.0]))
         C = random_basis_change(rng)
-        assert mats_close(basis_commutator(C, p), commutator_closed_form(C, p), tol=1e-11)
+        assert mats_close(basis_commutator(C, p), commutator_closed_form(C, p))
 
 
 def test_commutator_rejects_density_breaking_basis():
@@ -471,4 +471,4 @@ def test_change_basis_difference_factorization():
         lhs = change_basis_relaxation_matrix(C, p) - build_relaxation_matrix(p)
         f = relaxation_factors(p)
         rhs = f.M_inv @ f.T_inv @ np.linalg.inv(C) @ basis_commutator(C, p) @ f.M
-        assert mats_close(lhs, rhs, tol=1e-10)
+        assert mats_close(lhs, rhs)
