@@ -18,6 +18,7 @@ from __future__ import annotations
 import warnings
 import numpy as np
 from dataclasses import astuple, dataclass, fields
+from typing import NamedTuple
 
 from .scheme import (WORKING_SET_BYTES, SchemeParameters, _integer, build_relaxation_matrix,
                      equilibrium_distributions, equilibrium_weights)
@@ -118,14 +119,16 @@ def density(f) -> np.ndarray:
     return f[..., 0] + f[..., 1] + f[..., 2]
 
 
-def init_state(profile: InitialProfile, grid: Grid1D, p: SchemeParameters) -> np.ndarray:
+def init_state(profile: InitialProfile, grid: Grid1D, p: SchemeParameters,
+               samples: np.ndarray = None) -> np.ndarray:
     """Equilibrium state (n_cells, 3) of the sampled density.
 
+    samples, when given, is profile.sample(grid), taken once by the caller.
     Rejects profiles with negative density; warns when the equilibrium
     weights themselves are negative for (V, alpha), since then even a
     non-negative density gives negative distribution values.
     """
-    rho0 = profile.sample(grid)
+    rho0 = profile.sample(grid) if samples is None else samples
     if rho0.min() < 0:
         raise ValueError(f"initial density must be non-negative, min is {rho0.min():g}")
     if equilibrium_weights(p).min() < 0:
@@ -199,13 +202,14 @@ class RunResult:
 
 
 def exact_density(profile: InitialProfile, grid: Grid1D, p: SchemeParameters,
-                  n_steps: int) -> np.ndarray:
+                  n_steps: int, samples: np.ndarray = None) -> np.ndarray:
     """Advected initial profile after n_steps time steps.
 
     The displacement is V * n_steps cells; when that is an integer the
     reference is the rolled initial samples (avoids re-sampling noise at
     profile discontinuities), otherwise the profile is re-sampled at the
     shifted positions.  A non-finite displacement gives an all-NaN reference.
+    samples, when given, is profile.sample(grid), taken once by the caller.
     """
     profile._check_fits(grid)
     shift_cells = float(p.V) * n_steps
@@ -213,7 +217,8 @@ def exact_density(profile: InitialProfile, grid: Grid1D, p: SchemeParameters,
         return np.full(grid.n_cells, np.nan)
     nearest = round(shift_cells)
     if abs(shift_cells - nearest) < 1e-9:
-        return np.roll(profile.sample(grid), nearest % grid.n_cells)
+        return np.roll(profile.sample(grid) if samples is None else samples,
+                       nearest % grid.n_cells)
     x = grid.positions() - shift_cells * grid.dx
     return profile.sample_at(np.mod(x, grid.length), grid.length)
 
@@ -230,29 +235,86 @@ def _block_steps(batch: int, n_cells: int) -> int:
     pass WORKING_SET_BYTES (1 MiB), and 1 where even a one-step block is larger.
 
     They are the history (k+1, B, 3, n_cells + 2(k+1)) with k spare values,
-    the (k, B, n_cells) densities and the (4, k, B) per-step statistics that
-    _step_stats writes.
+    the (k, B, n_cells) densities, the (k, B) masses and the (5, B) block
+    statistics that _step_stats writes.
     """
     k = 64
-    while k > 1 and (8 * batch * (3 * (k + 1) * (n_cells + 2 * k + 2) + k * n_cells + 4 * k)
+    while k > 1 and (8 * batch * (3 * (k + 1) * (n_cells + 2 * k + 2) + k * n_cells + k + 5)
                      + 8 * k > WORKING_SET_BYTES):
         k -= 1
     return k
 
 
-def _step_stats(states: np.ndarray, rho: np.ndarray, out: np.ndarray) -> None:
-    """Per-step min f, and min, sum and max of the density, of states (k, B, 3, n).
+def _step_stats(states: np.ndarray, rho: np.ndarray, masses: np.ndarray, out: np.ndarray) -> None:
+    """Least mass, min f, min rho, max rho and greatest mass, in that order,
+    over a block of steps' states (k, B, 3, n), into out (5, B).
 
     Writes the densities into rho (k, B, n), added (f1 + f2) + f3 as density()
-    adds them, and the four statistics, in that order, into out (4, k, B); the
-    sums are bitwise those of density(f).sum().  The sign of a zero extremum
-    depends on the traversal order, so advance makes it +0.0.
+    adds them, and each step's mass into masses (k, B), bitwise that of
+    density(f).sum().  A NaN step is skipped: the masses are folded over the
+    steps with np.fmin and np.fmax, and min f, min rho and max rho, one exact
+    reduction each over the whole block, are recomputed per step and folded
+    the same way when one of them is NaN.  (A NaN mass alone, as in a run
+    holding +inf and -inf, needs no recomputation.)  The sign of a zero
+    extremum depends on the traversal order, so advance makes it +0.0.
     """
     np.add.reduce(states, axis=2, out=rho)
-    np.minimum.reduce(states, axis=(2, 3), out=out[0])
-    np.minimum.reduce(rho, axis=2, out=out[1])
-    np.add.reduce(rho, axis=2, out=out[2])
-    np.maximum.reduce(rho, axis=2, out=out[3])
+    np.add.reduce(rho, axis=2, out=masses)
+    np.fmin.reduce(masses, axis=0, out=out[0])
+    np.minimum.reduce(states, axis=(0, 2, 3), out=out[1])
+    np.minimum.reduce(rho, axis=(0, 2), out=out[2])
+    np.maximum.reduce(rho, axis=(0, 2), out=out[3])
+    np.fmax.reduce(masses, axis=0, out=out[4])
+    if np.isnan(out[1:4]).any():
+        np.fmin.reduce(np.minimum.reduce(states, axis=(2, 3)), axis=0, out=out[1])
+        np.fmin.reduce(np.minimum.reduce(rho, axis=2), axis=0, out=out[2])
+        np.fmax.reduce(np.maximum.reduce(rho, axis=2), axis=0, out=out[3])
+
+
+class _StepPlan(NamedTuple):
+    """What advance's steps use that depends only on (B, n_cells): the block
+    length, the history and its per-step matmul views, the ghost-cell index and
+    the statistics buffers.  nbytes counts its arrays."""
+
+    shape: tuple
+    block: int
+    interior: slice
+    hist: np.ndarray
+    ins: list
+    outs: list
+    wrap: np.ndarray
+    rho: np.ndarray
+    masses: np.ndarray
+    stats: np.ndarray
+    nbytes: int
+
+
+def _step_plan(batch: int, n_cells: int) -> _StepPlan:
+    block = _block_steps(batch, n_cells)
+    edge = block + 1
+    width = n_cells + 2 * edge
+    slot = batch * 3 * width
+    # shifted[j] starts at cell j of slot j+1; the unused tail of its rows
+    # runs up to block - 1 values past the last slot, hence the spare values.
+    buf = np.empty((block + 1) * slot + block)
+    hist = buf[:(block + 1) * slot].reshape(block + 1, batch, 3, width)
+    shifted = np.ndarray((block, batch, 3, width - 2), buffer=buf, offset=slot * buf.itemsize,
+                         strides=np.multiply((slot + 1, 3 * width, width + 1, 1), buf.itemsize))
+    ins = [hist[j, :, :, 1 + j:width - 1 - j] for j in range(block)]
+    outs = [shifted[j, :, :, :width - 2 - 2 * j] for j in range(block)]
+    wrap = edge + (np.arange(width) - edge) % n_cells
+    rho = np.empty((block, batch, n_cells))
+    masses = np.empty((block, batch))
+    stats = np.empty((5, batch))
+    return _StepPlan((batch, n_cells), block, slice(edge, edge + n_cells), hist, ins, outs, wrap,
+                     rho, masses, stats, sum(a.nbytes for a in (buf, wrap, rho, masses, stats)))
+
+
+matmul = np.matmul   # a step looks up one global, not a global and an attribute
+# The one spare step plan, under the key None.  A call pops it for its whole
+# duration, so concurrent calls never share buffers, and puts its own plan
+# back on return unless that plan is larger than WORKING_SET_BYTES.
+_spare = {}
 
 
 @dataclass(frozen=True)
@@ -289,13 +351,15 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     the slots' interiors, in no second layout.  _block_steps sets k: at most
     64 steps and about 1 MiB of block arrays, so memory stays O(B * n_cells).
 
-    Once per block, _step_stats writes every step's min f and density min,
-    sum and max into buffers allocated once per call; one np.fmin folds the
-    minima and the least mass, and one np.fmax the greatest mass and max rho,
-    so NaN steps are skipped and a NaN start is kept.  A zero min_f, min_rho
-    or max_rho is +0.0.  The mass drift is formed once, at the end, from the
-    least and the greatest mass; it is NaN where the initial mass is not
-    finite.
+    Once per block, _step_stats reduces the block's states to min f, min
+    rho, max rho and the least and the greatest per-step mass; one np.fmin
+    folds the minima and the least mass into the run's, and one np.fmax the
+    greatest mass and max rho, so NaN steps are skipped and a NaN start is
+    kept.  A zero min_f, min_rho or max_rho is +0.0.  The mass drift is formed
+    once, at the end, from the least and the greatest mass; it is NaN where
+    the initial mass is not finite.  The step views and buffers depend only on
+    (B, n_cells); they are built once and kept as one spare plan between calls
+    (see _spare), which concurrent calls never share.
 
     The states and snapshots are bitwise equal to stream(relax(...)) applied
     step by step, and the diagnostics to a fold of its steps' values with
@@ -319,58 +383,49 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
                          f"got {f0.shape} and {R.shape}")
     _check_counts(n_steps, snap_every)
     batch, n_cells, _ = f0.shape
-    block = _block_steps(batch, n_cells)
-    edge = block + 1
-    width = n_cells + 2 * edge
-    interior = slice(edge, edge + n_cells)
-    slot = batch * 3 * width
-    # shifted[j] starts at cell j of slot j+1; the unused tail of its rows
-    # runs up to block - 1 values past the last slot, hence the spare values.
-    buf = np.empty((block + 1) * slot + block)
-    hist = buf[:(block + 1) * slot].reshape(block + 1, batch, 3, width)
-    shifted = np.ndarray((block, batch, 3, width - 2), buffer=buf, offset=slot * buf.itemsize,
-                         strides=np.multiply((slot + 1, 3 * width, width + 1, 1), buf.itemsize))
-    ins = [hist[j, :, :, 1 + j:width - 1 - j] for j in range(block)]
-    outs = [shifted[j, :, :, :width - 2 - 2 * j] for j in range(block)]
-    wrap = edge + (np.arange(width) - edge) % n_cells
+    plan = _spare.pop(None, None)
+    if plan is None or plan.shape != (batch, n_cells):
+        plan = _step_plan(batch, n_cells)
+    _, block, interior, hist, ins, outs, wrap, rho, masses, stats, _ = plan
     snap_steps = (tuple(sorted(set(range(0, n_steps + 1, snap_every)) | {n_steps}))
                   if snap_every > 0 else ())
     snapshots = np.empty((len(snap_steps), batch, n_cells, 3))
     snapshots[:1] = f0   # step 0, when there are snapshots
     last = block
     hist[last, :, :, interior] = f0.transpose(0, 2, 1)
-    rho = np.empty((block, batch, n_cells))
-    stats = np.empty((4, block, batch))
-    _step_stats(hist[last:, :, :, interior], rho[:1], stats[:, :1])
-    mass0 = stats[2, 0].copy()
-    start = np.where(np.isfinite(mass0), mass0, np.nan)   # no drift from a non-finite mass
-    # min f, min rho and min mass fold with np.fmin, max mass and max rho with
-    # np.fmax: NaN steps are skipped, and as neither makes a NaN, only a NaN
-    # start stays NaN, so the masks are fixed.
-    running = np.stack((stats[0, 0], stats[1, 0], start, start, stats[3, 0]))
+    _step_stats(hist[last:, :, :, interior], rho[:1], masses[:1], stats)
+    mass0 = masses[0].copy()
+    # running is laid out as stats: min mass, min f and min rho fold with
+    # np.fmin, max rho and max mass with np.fmax.  NaN steps are skipped, and
+    # as neither makes a NaN, only a NaN start stays NaN, so the masks are
+    # fixed; a non-finite mass0 starts both mass extrema at NaN (no drift).
+    running = stats.copy()
+    running[0] = running[4] = np.where(np.isfinite(mass0), mass0, np.nan)
     lows, highs = running[:3], running[3:]
     keep_lows, keep_highs = ~np.isnan(lows), ~np.isnan(highs)
     done, snapped = 0, 1
     while done < n_steps:
         k = min(block, n_steps - done)
         np.take(hist[last], wrap, axis=2, out=hist[0], mode="clip")
-        for j in range(k):
-            np.matmul(R, ins[j], out=outs[j])
+        for a, b in zip(ins[:k], outs[:k]):
+            matmul(R, a, b)
         last = k
-        step = stats[:, :k]
-        _step_stats(hist[1:k + 1, :, :, interior], rho[:k], step)
-        np.fmin(lows, np.fmin.reduce(step[:3], axis=1), out=lows, where=keep_lows)
-        np.fmax(highs, np.fmax.reduce(step[2:], axis=1), out=highs, where=keep_highs)
+        _step_stats(hist[1:k + 1, :, :, interior], rho[:k], masses[:k], stats)
+        np.fmin(lows, stats[:3], out=lows, where=keep_lows)
+        np.fmax(highs, stats[3:], out=highs, where=keep_highs)
         while snapped < len(snap_steps) and snap_steps[snapped] <= done + k:
             snapshots[snapped] = hist[snap_steps[snapped] - done, :, :, interior].transpose(0, 2, 1)
             snapped += 1
         done += k
-    min_f, min_rho, low_mass, high_mass, max_rho = running
+    f = hist[last, :, :, interior].transpose(0, 2, 1).copy()
+    if plan.nbytes <= WORKING_SET_BYTES:
+        _spare[None] = plan
+    low_mass, min_f, min_rho, max_rho, high_mass = running
     # The largest |mass - mass0| of any step is that of the least or the
     # greatest mass, as rounding is monotone; drift is |mass| when mass0 == 0.
     scale = np.where(mass0 != 0, np.abs(mass0), 1.0)
     drift = np.maximum(np.abs(low_mass - mass0), np.abs(high_mass - mass0)) / scale
-    return BatchRun(f=hist[last, :, :, interior].transpose(0, 2, 1).copy(), min_f=min_f + 0.0,
+    return BatchRun(f=f, min_f=min_f + 0.0,
                     min_rho=min_rho + 0.0, max_rho=max_rho + 0.0, mass_drift=drift,
                     snap_steps=snap_steps, snapshots=snapshots)
 
@@ -380,15 +435,18 @@ def run_batch(cases, grid: Grid1D, n_steps: int, snap_every: int = 0) -> list:
 
     Returns one RunResult per case, in order, each equal to what run gives
     for that case alone.  The step counts are checked, as advance checks
-    them, before any case is initialized.
+    them, before any case is initialized.  Each profile is sampled once, for
+    both its initial state and its exact reference.
     """
     _check_counts(n_steps, snap_every)
     if not cases:
         return []
-    f0 = np.stack([init_state(profile, grid, p) for profile, p in cases])
+    samples = [profile.sample(grid) for profile, _ in cases]
+    f0 = np.stack([init_state(profile, grid, p, rho) for (profile, p), rho in zip(cases, samples)])
     out = advance(f0, np.stack([build_relaxation_matrix(p) for _, p in cases]), n_steps, snap_every)
     rho0 = density(f0)
-    exact = np.stack([exact_density(profile, grid, p, n_steps) for profile, p in cases])
+    exact = np.stack([exact_density(profile, grid, p, n_steps, rho)
+                      for (profile, p), rho in zip(cases, samples)])
     with np.errstate(invalid="ignore"):   # inf - inf is NaN, silently, as for floats
         overshoot = np.maximum(out.max_rho - rho0.max(axis=1), 0.0)   # NaN stays NaN
         undershoot = np.maximum(rho0.min(axis=1) - out.min_rho, 0.0)

@@ -46,3 +46,11 @@ def test_region_workload_passes_its_output_checks_at_full_size(tmp_path):
     # two), and their sha256 digests are pinned in region_digests.json.
     attempted, failed = _one_pass("region", False, tmp_path)
     assert attempted == 7 and failed == 0
+
+
+def test_sweep_workload_passes_its_output_checks_at_full_size(tmp_path):
+    # 100 criterion-8 runs of 200 cells x 1000 steps, the benchmark's own
+    # size, each held to min f, mass drift and undershoot bounds, and
+    # reproduce's frozen step undershoots.
+    attempted, failed = _one_pass("sweep", False, tmp_path)
+    assert attempted == 101 and failed == 0

@@ -1,10 +1,13 @@
 import dataclasses
 import io
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from d1q3rv import simulator
 from d1q3rv.scheme import (SchemeParameters, build_relaxation_matrix,
                            equilibrium_distributions)
 from d1q3rv.simulator import (CUSTOM, HAT, SMOOTH, STEP, Grid1D, InitialProfile,
@@ -378,8 +381,9 @@ def test_advance_block_stays_under_a_mebibyte():
         k = _block_steps(batch, n_cells)
         history = (k + 1) * batch * 3 * (n_cells + 2 * (k + 1)) + k   # ghost-padded, k spare
         density = k * batch * n_cells                                  # rows _step_stats reduces
-        stats = 4 * k * batch                                          # what _step_stats writes
-        assert 8 * (history + density + stats) <= 2**20
+        masses = k * batch                                             # per-step masses
+        stats = 5 * batch                                              # the block's statistics
+        assert 8 * (history + density + masses + stats) <= 2**20
     assert _block_steps(1, 200) == 64
     assert _block_steps(12, 200) == 11
     assert _block_steps(3, 4000) == 1
@@ -434,6 +438,86 @@ def test_advance_matches_step_loop_on_non_finite_runs_across_block_seams(kind, b
     else:
         assert not nan_steps[:n_steps // 4].any() and nan_steps[-1].all()
         assert not np.isnan([out.min_f, out.min_rho, out.max_rho, out.mass_drift]).any()
+
+
+def test_advance_skips_a_nan_that_first_appears_mid_block():
+    # A finite start and a mixed-sign R that overflows: f first holds inf and
+    # NaN a few steps apart, mid-way through the second block, after finite
+    # steps of the same block that hold the run's density extremes.  Taking
+    # that block's one reduction (NaN) as a skipped step would lose them.
+    rng = np.random.default_rng(3)
+    f0 = rng.uniform(0.5, 1, (1, 24, 3))
+    R = rng.uniform(-1, 1, (3, 3))
+    R *= 10.0 ** (308 / 96) / np.abs(np.linalg.eigvals(R)).max()
+    block = _block_steps(1, 24)
+    n_steps = 2 * block + 3
+    with np.errstate(all="ignore"):
+        out = advance(f0, R[None], n_steps, snap_every=1)
+        assert_matches_reference(out, 0, f0[0], R, n_steps, snap_every=1)
+        rho = out.snapshots[:, 0].sum(axis=2)
+    first_nan = np.isnan(out.snapshots[:, 0]).any(axis=(1, 2)).argmax()
+    seam = first_nan - (first_nan - 1) % block      # the first step of its block
+    assert block < seam < first_nan - 1 and np.isfinite(rho[:first_nan - 1]).all()
+    assert np.isfinite([out.min_rho[0], out.max_rho[0]]).all()
+    assert out.max_rho[0] > np.abs(rho[:seam]).max() and out.min_rho[0] < -np.abs(rho[:seam]).max()
+
+
+def test_advance_leaves_nothing_for_the_next_call():
+    # The spare step plan goes from shape A to B and back, and a call of A
+    # leaves NaN and inf in every buffer; a shorter call of A on fresh data
+    # still has the bytes of a call that found no spare plan.
+    rng = np.random.default_rng(11)
+    dirty = rng.uniform(-1, 1, (2, 24, 3))
+    dirty[:, ::5] = np.nan
+    dirty[:, 1::5] = np.inf
+    fresh = rng.uniform(0, 1, (2, 24, 3))
+    R = rng.uniform(0, 1, (2, 3, 3))
+    n_steps = BLOCK // 2 + 3
+    simulator._spare.clear()
+    want = advance(fresh, R, n_steps, snap_every=4)
+    with np.errstate(all="ignore"):
+        for f0 in (dirty, rng.uniform(0, 1, (5, 7, 3)), dirty):
+            advance(f0, rng.uniform(-2, 2, (len(f0), 3, 3)), 3 * BLOCK + 5, snap_every=1)
+    assert simulator._spare[None].shape == (2, 24)
+    got = advance(fresh, R, n_steps, snap_every=4)
+    for name in ("f", "min_f", "min_rho", "max_rho", "mass_drift", "snapshots"):
+        assert bitwise_equal(getattr(got, name), getattr(want, name))
+    for b in range(2):
+        assert_matches_reference(got, b, fresh[b], R[b], n_steps, snap_every=4)
+
+
+def test_advance_in_two_threads_at_once_equals_serial_runs():
+    # Both threads step the same shape, so without the one-owner spare plan
+    # they would write each other's buffers.
+    rng = np.random.default_rng(12)
+    inputs = [(rng.uniform(0, 1, (3, 40, 3)), rng.uniform(0, 0.6, (3, 3, 3))) for _ in range(2)]
+    serial = [advance(f0, R, 2 * BLOCK + 7, snap_every=9) for f0, R in inputs]
+    start, results, errors = threading.Barrier(2), [[], []], []
+
+    def work(i):
+        try:
+            start.wait(timeout=30)
+            for _ in range(15):
+                results[i].append(advance(*inputs[i], 2 * BLOCK + 7, snap_every=9))
+        except Exception as exc:   # reported below, with the thread's result
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(thread.is_alive() for thread in threads)
+    for want, got in zip(serial, results):
+        assert len(got) == 15
+        for out in got:
+            for name in ("f", "min_f", "min_rho", "max_rho", "mass_drift", "snapshots"):
+                assert bitwise_equal(getattr(out, name), getattr(want, name))
 
 
 def test_advance_one_cell_is_two_equal_cells():
@@ -615,6 +699,26 @@ def test_run_snapshots_cadence():
     assert bitwise_equal(result.f, out.f[0])
     assert result.snapshots.shape == (4, 20, 3)
     assert bitwise_equal(result.snapshots, out.snapshots[:, 0])
+
+
+def test_run_batch_samples_each_profile_once(monkeypatch):
+    # the integer-shift reference rolls the samples the initial state was made
+    # from, so the L1 error is the one against a freshly sampled reference
+    cases = [(InitialProfile(kind=kind), params(V=0.25)) for kind in (STEP, HAT, SMOOTH)]
+    g = default_grid(200)
+    want = [exact_density(profile, g, p, 40) for profile, p in cases]
+    calls, sample = [], InitialProfile.sample
+
+    def counted(profile, grid):
+        calls.append(profile)
+        return sample(profile, grid)
+
+    monkeypatch.setattr(InitialProfile, "sample", counted)
+    results = run_batch(cases, g, 40)
+    assert calls == [profile for profile, _ in cases]
+    for (profile, p), ref, result in zip(cases, want, results):
+        l1 = np.sum(np.abs(density(result.f) - ref)) * g.dx
+        assert result.diagnostics.l1_error == l1
 
 
 def test_exact_density_integer_shift_rolls_samples():
