@@ -34,7 +34,6 @@ from .stability import (
     reduced_condition,
     reduced_parameters,
     relaxation_entries_closed_form,
-    u_bar_bound_check,
     u_zero_alpha_bounds,
     u_zero_region,
 )

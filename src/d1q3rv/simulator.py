@@ -11,6 +11,14 @@ is the one definition of a cell's density.  Every run goes through advance,
 one kernel over a batch of states; run_batch builds each run's record from
 advance's arrays, and run is its batch-of-one case.  relax and stream, on
 (n_cells, 3) arrays, are the one-step reference advance is tested against.
+
+With positive equilibrium weights w, R >= 0 is also necessary for
+non-negative runs from equilibrium data (lemma (c)).  Collision fixes
+equilibria, R w = w, so from a unit density in one cell the first step
+moves each w_k one cell along its velocity c_k into a cell of its own, and
+the second collides these into the columns R_ik w_k, whose nine values each
+stream to a slot of their own: the least f over steps 0 to 2 is
+min(0, min_ik R_ik w_k).  A zero weight w_k exempts column k.
 """
 
 from __future__ import annotations

@@ -18,7 +18,17 @@ provided:
 
 Since gamma is an affine function of alpha (for s' != 0), the chain also
 yields the feasible gamma interval at fixed (V, u, s, s') and from it the
-feasible alpha interval.  Everything is pure.  The vectorized functions
+feasible alpha interval.  Two lemmas follow from the chain alone:
+
+  (a) A feasible chain gives |u_bar| <= 1/2.  The lower sides give
+      2|u_bar| <= 4 gamma; the first two upper sides sum to
+      4 gamma <= 2 - |u_bar - sV| - |u_bar + sV| <= 2 - 2|u_bar|.  With
+      every side loosened by TAU_STAB, the bound is 1/2 + TAU_STAB.
+  (b) (s, s') = (1, 1) is feasible iff |V| <= 1.  There u_bar = 0, the lower
+      sides are 0, all three upper sides are 1 - |V|, and gamma =
+      (1 - alpha)/6 takes any value.
+
+Everything is pure.  The vectorized functions
 (relaxation_entries_closed_form, chain_bounds, gamma_feasible_interval,
 alpha_feasible, u_zero_slacks, u_zero_region, necessary_slacks,
 necessary_region) accept scalars or numpy arrays; a scalar call evaluates
@@ -287,8 +297,6 @@ def u_zero_alpha_bounds(V, s, s_prime):
     """
     if not u_zero_region(V, s, s_prime):
         raise ValueError(f"(V={V}, s={s}, s_prime={s_prime}) is outside the u=0 stability region")
-    if s_prime == 0.0:
-        return None
     return alpha_interval(V, 0.0, s, s_prime)
 
 
@@ -321,9 +329,3 @@ def necessary_region(V, s, s_prime):
     """
     return _region(_necessary, V, s, s_prime)
 
-
-def u_bar_bound_check(p: SchemeParameters) -> bool:
-    """Probe of the implication: stable => |u_bar| <= 1/2."""
-    if not reduced_condition(p).stable:
-        return True
-    return abs(reduced_parameters(p).u_bar) <= 0.5 + TAU_STAB

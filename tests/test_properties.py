@@ -1,14 +1,16 @@
 """Property-based checks of the algebraic invariants."""
 
-import numpy as np
-from hypothesis import given, settings, strategies as st
+from fractions import Fraction
 
-from d1q3rv.scheme import (SchemeParameters, build_relaxation_matrix,
+import numpy as np
+from hypothesis import example, given, settings, strategies as st, target
+
+from d1q3rv.scheme import (TAU_MAT, SchemeParameters, build_relaxation_matrix,
                            change_basis_relaxation_matrix, equilibrium_distributions,
                            moments_from_distributions, relaxation_factors)
-from d1q3rv.stability import (gamma_feasible_interval, necessary_region,
-                              nine_inequalities, reduced_condition,
-                              relaxation_entries_closed_form, u_bar_bound_check)
+from d1q3rv.stability import (TAU_STAB, chain_bounds, gamma_feasible_interval,
+                              necessary_region, nine_inequalities, reduced_condition,
+                              reduced_parameters, relaxation_entries_closed_form)
 
 finite = dict(allow_nan=False, allow_infinity=False)
 velocities = st.floats(min_value=-1.5, max_value=1.5, **finite)
@@ -64,7 +66,40 @@ def test_decision_routes_agree_outside_guard_band(p):
 
 @given(param_tuples)
 def test_stability_implies_small_u_bar(p):
-    assert u_bar_bound_check(p)
+    if reduced_condition(p).stable:
+        assert abs(reduced_parameters(p).u_bar) <= 0.5 + TAU_STAB
+
+
+def chain_sides(V, u, s, sp):
+    """The reduced chain's two lower and three upper sides, in units of 2*gamma.
+
+    Written out here, apart from the package, for Fractions and floats alike.
+    """
+    u_bar = 2 * u * (s - sp)
+    sV = s * V
+    return (sp - 1, abs(u_bar)), (2 - s - abs(u_bar - sV), s - abs(u_bar + sV), sp - abs(sV))
+
+
+def fractions(low, high):
+    return st.fractions(min_value=Fraction(low), max_value=Fraction(high), max_denominator=64)
+
+
+@settings(max_examples=200)
+@example(V=Fraction(0), u=Fraction(1, 2), s=Fraction(1), sp=Fraction(1, 2))   # |u_bar| = 1/2, tight
+@given(V=fractions(-1.5, 1.5), u=fractions(-1, 1), s=fractions(-0.5, 2.5), sp=fractions(-0.5, 2.5))
+def test_feasible_chain_has_u_bar_at_most_one_half_exactly(V, u, s, sp):
+    # Lemma (a) of d1q3rv.stability, in exact arithmetic: no tolerance
+    lower, upper = chain_sides(V, u, s, sp)
+    gap = max(lower) - min(upper)
+    u_bar = abs(2 * u * (s - sp))
+    # steer the search into the feasible set (gap <= 0), then toward large |u_bar|
+    target(float(u_bar) if gap <= 0 else -float(gap))
+    if gap <= 0:
+        assert u_bar <= Fraction(1, 2)
+    # the same sides on floats are the package's chain bounds
+    lower, upper = chain_sides(*map(float, (V, u, s, sp)))
+    bounds = chain_bounds(*map(float, (V, u, s, sp)))
+    assert abs(max(lower) - bounds[0]) <= TAU_MAT and abs(min(upper) - bounds[1]) <= TAU_MAT
 
 
 @given(param_tuples)

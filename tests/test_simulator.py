@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from d1q3rv import simulator
-from d1q3rv.scheme import (SchemeParameters, build_relaxation_matrix,
-                           equilibrium_distributions)
+from d1q3rv.scheme import (TAU_MAT, SchemeParameters, build_relaxation_matrix,
+                           equilibrium_distributions, equilibrium_weights)
 from d1q3rv.simulator import (CUSTOM, HAT, SMOOTH, STEP, Grid1D, InitialProfile,
                               _block_steps, advance, default_grid, density,
                               exact_density, init_state, relax, run, run_batch, stream,
@@ -648,6 +648,38 @@ def test_run_smooth_profile_hides_the_instability():
     p = params(0.25, 0.0, 1.9, 1.4, 0.14285714285714302)
     d = run(InitialProfile(kind=SMOOTH), default_grid(200), p, 1000).diagnostics
     assert d.undershoot <= 1e-3
+
+
+def two_steps_from_one_cell(cases):
+    """min_f of 2 advance steps from a unit equilibrium density in cell 4 of 9, per case, and (R, w)."""
+    R = np.stack([build_relaxation_matrix(p) for p in cases])
+    w = np.stack([equilibrium_weights(p) for p in cases])
+    f0 = np.zeros((len(cases), 9, 3))
+    f0[:, 4] = w
+    return advance(f0, R, 2).min_f, R, w
+
+
+def test_two_steps_from_one_cell_reach_the_least_weighted_entry():
+    # Lemma (c) of d1q3rv.simulator: with w > 0, min_f = min(0, min_ik R_ik w_k)
+    rng = np.random.default_rng(83)
+    cases = [params(rng.uniform(-1, 1), rng.uniform(-1, 1), *rng.uniform(-0.5, 2.5, 2),
+                    rng.uniform(-2, 1)) for _ in range(1200)]
+    cases = [p for p in cases if equilibrium_weights(p).min() > 0]
+    assert len(cases) >= 500
+    min_f, R, w = two_steps_from_one_cell(cases)
+    expected = np.minimum(0.0, (R * w[:, None, :]).min(axis=(1, 2)))
+    assert np.abs(min_f - expected).max() <= TAU_MAT
+    assert (expected < -0.01).sum() >= 100   # most of these operators are not >= 0
+
+
+def test_two_steps_from_one_cell_exempt_a_zero_weight_column():
+    # alpha = 1 gives w_1 = 0: the middle column's -0.5 never reaches f
+    p = params(V=-0.75, u=-0.5, s=1.6, s_prime=1.2, alpha=1.0)
+    (min_f,), (R,), (w,) = two_steps_from_one_cell([p])
+    assert w[1] == 0
+    others = (R * w)[:, [0, 2]].min()
+    assert R[:, 1].min() < others - 0.1
+    assert abs(min_f - others) <= TAU_MAT
 
 
 @pytest.mark.parametrize("kind", [SMOOTH, HAT, STEP])

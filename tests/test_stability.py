@@ -10,8 +10,8 @@ from d1q3rv.stability import (TAU_STAB, _necessary, _u_zero, alpha_feasible,
                               gamma_feasible_interval, matrix_entry_verdict, necessary_region,
                               necessary_slacks, nine_inequalities, pinned_gamma,
                               reduced_condition, reduced_parameters,
-                              relaxation_entries_closed_form, u_bar_bound_check,
-                              u_zero_alpha_bounds, u_zero_region, u_zero_slacks)
+                              relaxation_entries_closed_form, u_zero_alpha_bounds,
+                              u_zero_region, u_zero_slacks)
 
 
 def params(V=0.25, u=0.0, s=1.0, s_prime=1.0, alpha=0.0):
@@ -430,11 +430,44 @@ def test_u_bar_bound_probe():
     for _ in range(2000):
         p = params(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1), rng.uniform(-0.5, 2.5),
                    rng.uniform(-0.5, 2.5), rng.uniform(-2, 2))
-        assert u_bar_bound_check(p)
+        if reduced_condition(p).stable:
+            assert abs(reduced_parameters(p).u_bar) <= 0.5 + TAU_STAB
 
 
 def test_u_bar_bound_vacuous_on_unstable_point():
     p = params(0.25, 0.8, 2.4, 0.1, 0.0)  # |u_bar| = 0.8 * 2 * 2.3 >> 1/2, unstable
-    assert abs(2 * p.u * (p.s - p.s_prime)) > 0.5
+    assert abs(reduced_parameters(p).u_bar) > 0.5
     assert not reduced_condition(p).stable
-    assert u_bar_bound_check(p)
+
+
+def finite_floats(rng, n, below=np.inf):
+    """n seeded float64 values from random bit patterns: every exponent, both signs, finite and |x| < below."""
+    x = rng.integers(0, 2**64, 4 * n, dtype=np.uint64).view(np.float64)
+    x = x[np.abs(x) < below][:n]
+    assert len(x) == n
+    return x
+
+
+def test_unit_rates_chain_bounds_are_exact():
+    # Lemma (b) of d1q3rv.stability: at (s, s') = (1, 1), u_bar = 0 and the chain is 0 <= 2 gamma <= 1 - |V|
+    rng = np.random.default_rng(61)
+    V = finite_floats(rng, 100_000)
+    # 2.0 * u overflows from |u| = 2**1023 on; there u_bar is NaN and the cell infeasible (NaN rule)
+    u = finite_floats(rng, 100_000, below=2.0**1023)
+    lower, upper = chain_bounds(V, u, 1.0, 1.0)
+    assert lower.tobytes() == np.zeros_like(V).tobytes()
+    assert upper.tobytes() == (1.0 - np.abs(V)).tobytes()
+    for V1, u1 in zip(V[:50], u[:50]):
+        lower, upper = chain_bounds(V1, u1, 1.0, 1.0)
+        assert same_bits(lower, 0.0) and same_bits(upper, 1.0 - abs(V1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(chain_bounds(0.5, 2.0**1023, 1.0, 1.0)).all()
+        assert not alpha_feasible(0.5, -2.0**1023, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("v, feasible", [(0.0, True), (0.5, True), (1.0, True),
+                                         (1 + 1e-9, False), (1.25, False), (2.0, False)])
+def test_unit_rates_feasible_iff_velocity_at_most_one(v, feasible):
+    for V in (v, -v):
+        for u in (0.0, 0.3, -1.7):
+            assert alpha_feasible(V, u, 1.0, 1.0) is feasible
