@@ -169,12 +169,11 @@ def cmd_region(args) -> int:
 
 def cmd_simulate(args) -> int:
     p = _params(args)
-    grid = default_grid(args.ncells)
     profile = InitialProfile(kind=args.profile, center=args.center, width=args.width,
                              low=args.low, high=args.high)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        result = simulator.run(profile, grid, p, args.steps, snap_every=args.snap_every)
+        result = simulator.run(profile, default_grid(args.ncells), p, args.steps, args.snap_every)
     for w in caught:  # the library's warnings as note lines, without its source text
         print(f"note: {w.message}", file=sys.stderr)
     diag = result.diagnostics
@@ -194,7 +193,7 @@ def cmd_simulate(args) -> int:
     if result.snap_steps:
         stem, suffix = os.path.splitext(args.out)
         snap_path = f"{stem}.snapshots{suffix or '.csv'}"
-        simulator.write_snapshots_csv(result, grid, snap_path)
+        simulator.write_snapshots_csv(result, snap_path)
         print(f"wrote {args.out} and {snap_path}")
     else:
         print(f"wrote {args.out}")

@@ -127,16 +127,14 @@ def density(f) -> np.ndarray:
     return f[..., 0] + f[..., 1] + f[..., 2]
 
 
-def init_state(profile: InitialProfile, grid: Grid1D, p: SchemeParameters,
-               samples: np.ndarray = None) -> np.ndarray:
-    """Equilibrium state (n_cells, 3) of the sampled density.
+def init_state(profile: InitialProfile, grid: Grid1D, p: SchemeParameters) -> np.ndarray:
+    """Equilibrium state (n_cells, 3) of the density profile.sample(grid).
 
-    samples, when given, is profile.sample(grid), taken once by the caller.
     Rejects profiles with negative density; warns when the equilibrium
     weights themselves are negative for (V, alpha), since then even a
     non-negative density gives negative distribution values.
     """
-    rho0 = profile.sample(grid) if samples is None else samples
+    rho0 = profile.sample(grid)
     if rho0.min() < 0:
         raise ValueError(f"initial density must be non-negative, min is {rho0.min():g}")
     if equilibrium_weights(p).min() < 0:
@@ -209,15 +207,13 @@ class RunResult:
     snapshots: np.ndarray
 
 
-def exact_density(profile: InitialProfile, grid: Grid1D, p: SchemeParameters,
-                  n_steps: int, samples: np.ndarray = None) -> np.ndarray:
+def exact_density(profile: InitialProfile, grid: Grid1D, p: SchemeParameters, n_steps: int) -> np.ndarray:
     """Advected initial profile after n_steps time steps.
 
     The displacement is V * n_steps cells; when that is an integer the
-    reference is the rolled initial samples (avoids re-sampling noise at
-    profile discontinuities), otherwise the profile is re-sampled at the
+    reference is profile.sample(grid) rolled by it (avoids re-sampling noise
+    at profile discontinuities), otherwise the profile is re-sampled at the
     shifted positions.  A non-finite displacement gives an all-NaN reference.
-    samples, when given, is profile.sample(grid), taken once by the caller.
     """
     profile._check_fits(grid)
     shift_cells = float(p.V) * n_steps
@@ -225,8 +221,7 @@ def exact_density(profile: InitialProfile, grid: Grid1D, p: SchemeParameters,
         return np.full(grid.n_cells, np.nan)
     nearest = round(shift_cells)
     if abs(shift_cells - nearest) < 1e-9:
-        return np.roll(profile.sample(grid) if samples is None else samples,
-                       nearest % grid.n_cells)
+        return np.roll(profile.sample(grid), nearest % grid.n_cells)
     x = grid.positions() - shift_cells * grid.dx
     return profile.sample_at(np.mod(x, grid.length), grid.length)
 
@@ -443,18 +438,16 @@ def run_batch(cases, grid: Grid1D, n_steps: int, snap_every: int = 0) -> list:
 
     Returns one RunResult per case, in order, each equal to what run gives
     for that case alone.  The step counts are checked, as advance checks
-    them, before any case is initialized.  Each profile is sampled once, for
-    both its initial state and its exact reference.
+    them, before any case is initialized, and the cases are initialized in
+    order, so a bad case raises before any later one is looked at.
     """
     _check_counts(n_steps, snap_every)
     if not cases:
         return []
-    samples = [profile.sample(grid) for profile, _ in cases]
-    f0 = np.stack([init_state(profile, grid, p, rho) for (profile, p), rho in zip(cases, samples)])
+    f0 = np.stack([init_state(profile, grid, p) for profile, p in cases])
     out = advance(f0, np.stack([build_relaxation_matrix(p) for _, p in cases]), n_steps, snap_every)
     rho0 = density(f0)
-    exact = np.stack([exact_density(profile, grid, p, n_steps, rho)
-                      for (profile, p), rho in zip(cases, samples)])
+    exact = np.stack([exact_density(profile, grid, p, n_steps) for profile, p in cases])
     with np.errstate(invalid="ignore"):   # inf - inf is NaN, silently, as for floats
         overshoot = np.maximum(out.max_rho - rho0.max(axis=1), 0.0)   # NaN stays NaN
         undershoot = np.maximum(rho0.min(axis=1) - out.min_rho, 0.0)
@@ -486,16 +479,19 @@ def write_diagnostics_csv(diag: RunDiagnostics, out) -> None:
     out.write(diag.as_csv_row() + "\n")
 
 
-def write_snapshots_csv(result: RunResult, grid: Grid1D, out) -> None:
+def write_snapshots_csv(result: RunResult, out) -> None:
     """Long-format CSV of result's snapshots, one row per (step, cell), 17 digits.
 
-    Each row is one '%' of a line format after a prebuilt "cell,x," prefix.
+    x is the cell's position on Grid1D(n_cells), n_cells being the snapshots'
+    own cell count.  Each row is one '%' of a line format after a prebuilt
+    "cell,x," prefix.
     """
     if not hasattr(out, "write"):
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            write_snapshots_csv(result, grid, fh)
+            write_snapshots_csv(result, fh)
         return
-    cell_x = list(map("%d,%.17g,".__mod__, enumerate(grid.positions().tolist())))
+    x = Grid1D(result.snapshots.shape[1]).positions()
+    cell_x = list(map("%d,%.17g,".__mod__, enumerate(x.tolist())))
     out.write(SNAPSHOT_CSV_HEADER + "\n")
     for step, f in zip(result.snap_steps, result.snapshots):
         line = f"{step},%s%.17g,%.17g,%.17g,%.17g\n"

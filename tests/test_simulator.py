@@ -605,6 +605,16 @@ def test_run_batch_checks_step_counts_before_initializing_cases():
             run(profile, default_grid(8), p, *counts)
 
 
+def test_run_batch_raises_the_first_bad_cases_error():
+    # case 0 has a negative density, case 1 a custom profile of the wrong length
+    cases = [(InitialProfile(kind=STEP, low=-1.0), params()),
+             (InitialProfile(kind=CUSTOM, values=np.ones(3)), params())]
+    with pytest.raises(ValueError, match="^initial density must be non-negative, min is -1$"):
+        run_batch(cases, default_grid(8), 4)
+    with pytest.raises(ValueError, match="^custom profile has 3 values for 8 cells$"):
+        run_batch(cases[::-1], default_grid(8), 4)
+
+
 def test_run_identity_dynamics():
     # V = 0 with frozen rates is the identity when nothing moves: alpha = -2
     # puts all equilibrium mass on the rest velocity, so streaming is a no-op
@@ -733,21 +743,13 @@ def test_run_snapshots_cadence():
     assert bitwise_equal(result.snapshots, out.snapshots[:, 0])
 
 
-def test_run_batch_samples_each_profile_once(monkeypatch):
-    # the integer-shift reference rolls the samples the initial state was made
-    # from, so the L1 error is the one against a freshly sampled reference
+def test_run_batch_integer_shift_l1_error_matches_fresh_reference():
+    # at an integer shift (V * n_steps = 10 cells) the L1 error is the one
+    # against the exact reference exact_density gives on its own
     cases = [(InitialProfile(kind=kind), params(V=0.25)) for kind in (STEP, HAT, SMOOTH)]
     g = default_grid(200)
     want = [exact_density(profile, g, p, 40) for profile, p in cases]
-    calls, sample = [], InitialProfile.sample
-
-    def counted(profile, grid):
-        calls.append(profile)
-        return sample(profile, grid)
-
-    monkeypatch.setattr(InitialProfile, "sample", counted)
     results = run_batch(cases, g, 40)
-    assert calls == [profile for profile, _ in cases]
     for (profile, p), ref, result in zip(cases, want, results):
         l1 = np.sum(np.abs(density(result.f) - ref)) * g.dx
         assert result.diagnostics.l1_error == l1
@@ -790,7 +792,7 @@ def test_snapshots_csv_shape():
     g = default_grid(10)
     result = run(InitialProfile(kind=HAT), g, params(), 4, snap_every=2)
     buf = io.StringIO()
-    write_snapshots_csv(result, g, buf)
+    write_snapshots_csv(result, buf)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "step,cell,x,f1,f2,f3,rho"
     assert len(lines) == 1 + len(result.snap_steps) * 10
@@ -806,7 +808,7 @@ def test_snapshots_csv_bytes_match_per_value_format():
     result = dataclasses.replace(result, snap_steps=result.snap_steps + (99,),
                                  snapshots=np.concatenate([result.snapshots, odd[None]]))
     buf = io.StringIO()
-    write_snapshots_csv(result, g, buf)
+    write_snapshots_csv(result, buf)
     x = g.positions()
     expect = ["step,cell,x,f1,f2,f3,rho"]
     for step, f in zip(result.snap_steps, result.snapshots):
