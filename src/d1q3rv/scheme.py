@@ -64,8 +64,9 @@ class SchemeParameters:
 
 
 def mats_close(a, b) -> bool:
-    """Entrywise comparison with absolute tolerance TAU_MAT."""
-    return bool(np.max(np.abs(np.asarray(a, float) - np.asarray(b, float))) <= TAU_MAT)
+    """Same shape, and entrywise equal within the absolute tolerance TAU_MAT."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= TAU_MAT)
 
 
 def _integer(value, name: str) -> int:
@@ -158,12 +159,11 @@ def build_relaxation_matrix(p: SchemeParameters) -> np.ndarray:
 def _flat(a: np.ndarray):
     """a's elements in row-major order as a 1-d view, or as a.flat where no view has them.
 
+    A contiguous a, or one value broadcast (all strides 0), reshapes to a view.
     A view's slices cost nothing; a.flat copies each slice element by element.
     """
-    if a.flags.c_contiguous:
+    if a.flags.c_contiguous or not any(a.strides):
         return a.reshape(-1)
-    if not any(a.strides):   # one value broadcast
-        return np.broadcast_to(a.flat[0], a.size)
     return a.flat
 
 

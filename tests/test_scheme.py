@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from d1q3rv.scheme import (_CHUNK, TAU_MAT, WORKING_SET_BYTES, RelaxationFactors, SchemeParameters,
-                           basis_commutator, build_relaxation_matrix, change_basis_relaxation_matrix,
+                           _flat, basis_commutator, build_relaxation_matrix, change_basis_relaxation_matrix,
                            equilibrium_distributions, equilibrium_weights, mats_close,
                            moments_from_distributions, relaxation_factors, relaxation_matrices)
 from d1q3rv.stability import _CHUNK as _KERNEL_CHUNK
@@ -23,6 +23,15 @@ def test_lambda_must_be_positive():
         SchemeParameters(V=0.0, lam=0.0)
     with pytest.raises(ValueError):
         SchemeParameters(V=0.0, lam=-1.0)
+
+
+def test_mats_close_requires_equal_shapes():
+    # a difference that broadcasts is not a match
+    assert not mats_close(np.ones((3, 3)), [1, 1, 1])
+    assert not mats_close(np.zeros((2, 3, 3)), np.zeros((3, 3)))
+    assert mats_close(np.ones((3, 3)), [[1, 1, 1]] * 3)
+    assert mats_close(np.eye(3), np.eye(3) + TAU_MAT / 2)
+    assert not mats_close(np.eye(3), np.eye(3) + 2 * TAU_MAT)
 
 
 def test_build_M_unit_lambda():
@@ -169,6 +178,14 @@ def test_batched_matches_scalar_construction():
     for k in range(50):
         Rk = build_relaxation_matrix(params(V[k], u[k], s[k], sp[k], alpha[k], lam[k]))
         assert batch[k].tobytes() == Rk.tobytes()
+
+
+def test_flat_of_one_broadcast_value_is_a_zero_stride_view():
+    a = np.broadcast_to(2.0, (300, 300))
+    flat = _flat(a)
+    assert np.shares_memory(flat, a)
+    assert flat.shape == (90_000,) and flat.strides == (0,)
+    assert (flat == 2.0).all()
 
 
 @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 0])
