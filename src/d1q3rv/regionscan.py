@@ -36,8 +36,9 @@ _NOT_WHITESPACE = bytes(sorted(set(range(256)) - set(b" \t\n\r\x0b\x0c")))
 
 
 def default_u_list(V: float) -> tuple:
-    """The relative velocities conventionally scanned alongside a given V."""
-    return (-2.0 * V, -V, 0.0, V / 2.0, V, 2.0 * V)
+    """The relative velocities conventionally scanned alongside a given V:
+    -2V, -V, 0, V/2, V and 2V, every zero among them +0.0."""
+    return tuple(u + 0.0 for u in (-2.0 * V, -V, 0.0, V / 2.0, V, 2.0 * V))
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,12 @@ class ScanSpec:
     def __post_init__(self):
         if not np.isfinite(self.V):
             raise ValueError(f"V must be finite, got {self.V}")
-        if self.u_list is None:
-            object.__setattr__(self, "u_list", default_u_list(self.V))
-        else:
-            object.__setattr__(self, "u_list", tuple(float(u) for u in self.u_list))
-        if not np.isfinite(self.u_list).all():
-            raise ValueError(f"u_list must be finite, got {self.u_list}")
+        default = self.u_list is None
+        u_list = default_u_list(self.V) if default else tuple(float(u) for u in self.u_list)
+        object.__setattr__(self, "u_list", u_list)
+        if not np.isfinite(u_list).all():
+            raise ValueError((f"V={self.V:g} overflows its default u_list" if default
+                              else "u_list must be finite") + f", got {u_list}")
         for rng, npts, name in ((self.s_range, self.s_points, "s"),
                                 (self.s_prime_range, self.s_prime_points, "s_prime")):
             if _integer(npts, f"{name}_points") < 2:

@@ -185,6 +185,22 @@ def test_region_default_u_list_summary_lines(capsys):
     assert len([ln for ln in out.splitlines() if "feasible=" in ln]) == 6
 
 
+def test_region_zero_velocity_prints_and_writes_positive_zeros(tmp_path, capsys):
+    csv = tmp_path / "r.csv"
+    assert main(["region", "--V", "0", "--grid", "3", "--out-csv", str(csv)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 and all(ln.startswith("V=0 u=0: ") for ln in lines)
+    for i in range(6):
+        rows = (tmp_path / f"r_u{i}.csv").read_text().splitlines()[1:]
+        assert len(rows) == 9 and {row.split(",")[1] for row in rows} == {"0"}
+
+
+def test_region_overflowing_default_u_list_exits_4(capsys):
+    assert main(["region", "--V", "1e308", "--grid", "3"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: V=1e+308 overflows its default u_list, got (-inf, ")
+
+
 def test_region_unwritable_sink_exits_3(tmp_path, capsys):
     target = tmp_path / "nosuchdir" / "x.csv"
     assert main(["region", "--V", "0.5", "--u-list", "0", "--grid", "8",
