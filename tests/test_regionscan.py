@@ -36,6 +36,8 @@ def test_spec_validation():
         ScanSpec(V=-np.inf)
     with pytest.raises(ValueError, match=r"u_list must be finite, got \(0.0, inf\)"):
         ScanSpec(V=0.5, u_list=(0.0, np.inf))
+    with pytest.raises(ValueError, match=r"^V=1e\+308 overflows its default u_list, got \(-inf, "):
+        ScanSpec(V=1e308)
     with pytest.raises(ValueError, match=r"^s_points must be an integer, got 2.5$"):
         ScanSpec(V=0.5, u_list=(0.0,), s_points=2.5, s_prime_points=5)
     with pytest.raises(ValueError, match=r"^s_prime_points must be an integer, got 5.0$"):
@@ -46,27 +48,13 @@ def test_spec_validation():
 
 def test_default_u_list():
     assert default_u_list(0.5) == (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0)
-
-
-@pytest.mark.parametrize("V", [0.0, -0.0, 0])
-def test_default_u_list_zeros_are_positive(V):
-    assert [repr(u) for u in default_u_list(V)] == ["0.0"] * 6
-    assert [repr(u) for u in ScanSpec(V=V).u_list] == ["0.0"] * 6
-
-
-def test_default_u_list_nonzero_entries_keep_their_bytes():
-    for V in (2 / 3, -2 / 3, 0.5, 5e-324, -1e-300):
+    for V in (0.0, -0.0, 0):   # every zero is +0.0, also in a defaulted spec
+        assert [repr(u) for u in default_u_list(V)] == ["0.0"] * 6
+        assert [repr(u) for u in ScanSpec(V=V).u_list] == ["0.0"] * 6
+    for V in (2 / 3, -2 / 3, 5e-324, -1e-300):   # non-zero entries keep their bytes
         expect = (-2.0 * V, -V, 0.0, V / 2.0, V, 2.0 * V)
-        got = default_u_list(V)
-        assert all(np.float64(g).tobytes() == np.float64(e).tobytes()
-                   for g, e in zip(got, expect) if e != 0)
-
-
-def test_overflowing_default_u_list_names_V():
-    with pytest.raises(ValueError, match=r"^V=1e\+308 overflows its default u_list, got \(-inf, "):
-        ScanSpec(V=1e308)
-    grid = scan(ScanSpec(V=1e300, s_points=3, s_prime_points=3))
-    assert [g.u for g in grid] == list(default_u_list(1e300))
+        assert [np.float64(u).tobytes() for u, e in zip(default_u_list(V), expect) if e != 0] \
+            == [np.float64(e).tobytes() for e in expect if e != 0]
 
 
 def test_scan_zero_velocity_matches_explicit_region():
