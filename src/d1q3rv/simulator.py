@@ -207,7 +207,8 @@ class RunResult:
     snapshots: np.ndarray
 
 
-def exact_density(profile: InitialProfile, grid: Grid1D, p: SchemeParameters, n_steps: int) -> np.ndarray:
+def exact_density(profile: InitialProfile, grid: Grid1D, p: SchemeParameters,
+                  n_steps: int) -> np.ndarray:
     """Advected initial profile after n_steps time steps.
 
     The displacement is V * n_steps cells; when that is an integer the
