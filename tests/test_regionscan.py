@@ -53,8 +53,8 @@ def test_default_u_list():
         assert [repr(u) for u in ScanSpec(V=V).u_list] == ["0.0"] * 6
     for V in (2 / 3, -2 / 3, 5e-324, -1e-300):   # non-zero entries keep their bytes
         expect = (-2.0 * V, -V, 0.0, V / 2.0, V, 2.0 * V)
-        assert [np.float64(u).tobytes() for u, e in zip(default_u_list(V), expect) if e != 0] \
-            == [np.float64(e).tobytes() for e in expect if e != 0]
+        got = [np.float64(u).tobytes() for u, e in zip(default_u_list(V), expect) if e != 0]
+        assert got == [np.float64(e).tobytes() for e in expect if e != 0]
 
 
 def test_scan_zero_velocity_matches_explicit_region():
