@@ -83,36 +83,42 @@ _SCALAR_TYPES = frozenset((float, int, np.float64))
 def _operands(*xs):
     """Inputs as float64 operands for one expression text.
 
-    All 0-d: NumPy float64 scalars, which keep NumPy semantics (division by
-    zero gives inf/NaN with a RuntimeWarning) without 0-d array overhead.
-    Otherwise: the float arrays broadcast to one shape.
+    All 0-d (float, int, np.float64 or 0-d arrays): Python floats.  Their
+    + - * / and abs round as float64 does, at about a quarter of a NumPy
+    scalar's cost per operation, and unlike NumPy scalars they emit no
+    overflow or invalid RuntimeWarning.  Otherwise: the float arrays broadcast
+    to one shape, with NumPy's warnings.
     """
     if _SCALAR_TYPES.issuperset(map(type, xs)):
-        return tuple(map(np.float64, xs))
+        return tuple(map(float, xs))
     arrays = [np.asarray(x, float) for x in xs]
     if all(a.ndim == 0 for a in arrays):
-        return tuple(a[()] for a in arrays)
+        return tuple(map(float, arrays))
     return np.broadcast_arrays(*arrays)
 
 
 def _factors(V, u, s, sp, al, lam) -> np.ndarray:
     """R's six factors (M^-1, T(-u), S, T(u), E, M), in product order.
 
-    Float64 scalars give shape (6, 3, 3); 1-d operands of length n give a
-    (6, n, 3, 3) view.
+    Python floats give shape (6, 3, 3); 1-d operands of length n give a
+    (6, n, 3, 3) view.  The 54 entries go into one flat array, which is
+    reshaped: np.array of a nested list costs several times more.  The two
+    divisions by lam divide a NumPy float64, so lam = 0 gives NaN with a
+    RuntimeWarning for scalars too.
     """
-    o, z = np.ones(V.shape)[()], np.zeros(V.shape)[()]
+    shape = np.shape(V)
+    o, z = (np.ones(shape), np.zeros(shape)) if shape else (1.0, 0.0)
     l2 = lam * lam
-    a, b, c = o / 3.0, 1.0 / (2.0 * lam), 1.0 / (6.0 * l2)
+    a, b, c = o / 3.0, np.float64(1.0) / (2.0 * lam), np.float64(1.0) / (6.0 * l2)
 
     def shift(v):
-        return [[o, z, z], [-lam * v, o, z], [3.0 * l2 * (v * v), -6.0 * lam * v, o]]
+        return [o, z, z, -lam * v, o, z, 3.0 * l2 * (v * v), -6.0 * lam * v, o]
 
-    f = np.array([[[a, -b, c], [a, z, -2.0 * c], [a, b, c]], shift(-u),
-                  [[z, z, z], [z, s, z], [z, z, sp]], shift(u),
-                  [[o, z, z], [V * lam, z, z], [al * l2, z, z]],
-                  [[o, o, o], [-lam, z, lam], [l2, -2.0 * l2, l2]]], dtype=float)
-    return f if f.ndim == 3 else np.moveaxis(f, (1, 2), (-2, -1))
+    f = np.array([a, -b, c, a, z, -2.0 * c, a, b, c, *shift(-u),
+                  z, z, z, z, s, z, z, z, sp, *shift(u),
+                  o, z, z, V * lam, z, z, al * l2, z, z,
+                  o, o, o, -lam, z, lam, l2, -2.0 * l2, l2], dtype=float).reshape((6, 3, 3) + shape)
+    return np.moveaxis(f, (1, 2), (-2, -1)) if shape else f
 
 
 def _relaxation_product(M_inv, T_inv, S, T, E, M) -> np.ndarray:
@@ -141,7 +147,7 @@ class RelaxationFactors(NamedTuple):
 
 
 def relaxation_factors(p: SchemeParameters) -> RelaxationFactors:
-    """R's six factors for one scheme instance, built from float64 scalars."""
+    """R's six factors for one scheme instance, built from Python floats."""
     return RelaxationFactors(*_factors(*_operands(p.V, p.u, p.s, p.s_prime, p.alpha, p.lam)))
 
 
@@ -172,13 +178,15 @@ def _batched(kernel, chunk, *args):
 
     kernel maps operands of one shape B to an array of shape B + tail, or to a
     tuple of them; each result takes the first chunk's tail and dtype.  Scalar
-    operands go to kernel as they are, array operands in 1-d slices of their
-    flattened broadcast shape (an empty batch in one empty slice), so the
-    working memory beyond the results stays within WORKING_SET_BYTES for any
-    batch size.  A chunk runs a scalar call's expressions: the bytes agree.
+    operands, Python floats, go to kernel as they are; array operands go in
+    1-d slices of their flattened broadcast shape (an empty batch in one empty
+    slice), so the working memory beyond the results stays within
+    WORKING_SET_BYTES for any batch size.  A chunk runs a scalar call's
+    expressions, and IEEE arithmetic rounds alike on both kinds of float: the
+    bytes agree.
     """
     ops = _operands(*args)
-    if not ops[0].shape:
+    if type(ops[0]) is float:
         return kernel(*ops)
     shape, ops = ops[0].shape, [_flat(a) for a in ops]
     for k in range(0, max(len(ops[0]), 1), chunk):
@@ -195,7 +203,7 @@ def _batched(kernel, chunk, *args):
 def relaxation_matrices(V, u, s, s_prime, alpha, lam=1.0) -> np.ndarray:
     """Relaxation operators R, shape broadcast(inputs) + (3, 3).
 
-    Scalar inputs give one (3, 3) matrix, built from float64 scalars; arrays
+    Scalar inputs give one (3, 3) matrix, built from Python floats; arrays
     give a stack, built in chunks without per-tuple Python calls (_batched):
     its working memory beyond the result stays within WORKING_SET_BYTES for
     any batch size, and a tuple's R has the same bytes either way.

@@ -32,8 +32,10 @@ Everything is pure.  The vectorized functions
 (relaxation_entries_closed_form, chain_bounds, gamma_feasible_interval,
 alpha_feasible, u_zero_slacks, u_zero_region, necessary_slacks,
 necessary_region) accept scalars or numpy arrays; a scalar call evaluates
-the same expressions on NumPy float64 scalars and returns float64 chain
-bounds, Python floats or bools.  Arrays go through scheme._batched, the one
+the same expressions on Python floats and returns float64 chain bounds,
+Python floats or bools, with the bytes of its row in a batched call.  Scalar
+arithmetic emits no NumPy overflow or invalid RuntimeWarning; array
+arithmetic, R's matmuls included, does.  Arrays go through scheme._batched, the one
 chunk loop, at one chunk size for every kernel here (_CHUNK): each result's
 trailing shape and dtype come from the kernel, and the working memory beyond
 the results stays within WORKING_SET_BYTES.  The u = 0 region and the
@@ -124,7 +126,7 @@ def _region(slacks, V, s, s_prime):
 
 def _closed_form(V, u, s, sp, al) -> np.ndarray:
     """The nine entries of R for float64 operands of one shape B, shape B + (3, 3)."""
-    R = np.empty(V.shape + (3, 3))
+    R = np.empty(np.shape(V) + (3, 3))
     common_top = V * s * u - V * sp * u + al * sp / 6
     R[..., 0, 0] = common_top - 0.5 * V * s + s * u - 0.5 * s - sp * u - sp / 6 + 1
     R[..., 0, 1] = common_top - 0.5 * V * s + sp / 3
@@ -271,7 +273,7 @@ def u_zero_slacks(V, s, s_prime):
 
 def _u_zero(V, s, sp):
     """The nine u = 0 slacks for float64 operands of one shape B, shape B + (9,)."""
-    v = np.abs(V)
+    v = abs(V)
     return np.stack((
         s, 2.0 - s, sp, 2.0 - sp, sp - s * v, 2.0 - s * (1.0 + v),
         (3.0 - (1.0 + v) * s) - sp, (1.0 + (1.0 - v) * s) - sp, 1.0 - v,
@@ -302,7 +304,7 @@ def u_zero_alpha_bounds(V, s, s_prime):
 
 def _necessary(V, s, sp):
     """The ten necessary-condition slacks for float64 operands of one shape B, shape B + (10,)."""
-    v = np.abs(V)
+    v = abs(V)
     sv = s * v
     return np.stack((
         sv, sp - sv, 2.0 - sp, 1.0 - sv, s, 2.0 - s,

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -406,6 +407,53 @@ def test_empty_batches_keep_their_shape_and_dtype():
         (necessary_region(2 / 3, e, e), (), np.bool_),
     ):
         assert type(got) is np.ndarray and got.shape == e.shape + tail and got.dtype == dtype
+
+
+# Edge values: signed zeros, the least subnormal, values whose products overflow 1e308, inf and NaN
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e200, -1e200, 1e308, -1e308, np.inf, -np.inf, np.nan)
+ARRAY_FUNCTIONS = (  # each function, with the columns (V, u, s, s', alpha, lam) it takes
+    (relaxation_matrices, (0, 1, 2, 3, 4, 5)), (relaxation_entries_closed_form, (0, 1, 2, 3, 4)),
+    (chain_bounds, (0, 1, 2, 3)), (gamma_feasible_interval, (0, 1, 2, 3)),
+    (alpha_feasible, (0, 1, 2, 3)), (u_zero_slacks, (0, 2, 3)), (u_zero_region, (0, 2, 3)),
+    (necessary_slacks, (0, 2, 3)), (necessary_region, (0, 2, 3)),
+)
+
+
+def _parts(result):
+    if isinstance(result, tuple):
+        return result
+    if hasattr(result, "empty"):
+        return result.lower, result.upper, result.empty
+    return (result,)
+
+
+def test_scalar_calls_have_the_bytes_and_type_of_their_batched_row():
+    rng = np.random.default_rng(73)
+    n = 600
+    cols = [rng.uniform(-1.5, 1.5, n), rng.uniform(-1, 1, n), rng.uniform(-0.5, 2.5, n),
+            rng.uniform(-0.5, 2.5, n), rng.uniform(-2, 2, n), rng.choice([0.5, 1.0, 3.0], n)]
+    for col in cols[:5]:   # the last 400 tuples take an edge value in each field with probability 1/2
+        edge = rng.random(n) < 0.5
+        edge[:200] = False
+        col[edge] = rng.choice(EDGES, edge.sum())
+    rows = list(zip(*(c.tolist() for c in cols)))
+    for fn, fields in ARRAY_FUNCTIONS:
+        with np.errstate(all="ignore"):   # array arithmetic warns at overflow and NaN
+            batched = _parts(fn(*(cols[k] for k in fields)))
+        for i, row in enumerate(rows):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = _parts(fn(*(row[k] for k in fields)))
+            # scalar arithmetic warns at nothing; only R's (3, 3) matmuls are array arithmetic
+            assert [str(w.message) for w in caught if not (fn is relaxation_matrices and
+                                                           str(w.message).endswith("in matmul"))] == []
+            for g, b in zip(got, batched, strict=True):
+                want = b[i]
+                if isinstance(want, np.ndarray) or fn is chain_bounds:
+                    assert type(g) is type(want) and g.dtype == want.dtype
+                else:   # unboxed: a Python float or bool
+                    assert type(g) is type(want.item())
+                assert np.asarray(g).tobytes() == want.tobytes(), (fn.__name__, row)
 
 
 def test_necessary_region_contains_every_feasible_point():
