@@ -249,7 +249,8 @@ def _block_steps(batch: int, n_cells: int) -> int:
     return k
 
 
-def _step_stats(states: np.ndarray, rho: np.ndarray, masses: np.ndarray, out: np.ndarray) -> None:
+def _step_stats(states: np.ndarray, rho: np.ndarray, masses: np.ndarray, out: np.ndarray,
+                per_step: bool = False) -> bool:
     """Least mass, min f, min rho, max rho and greatest mass, in that order,
     over a block of steps' states (k, B, 3, n), into out (5, B).
 
@@ -259,20 +260,27 @@ def _step_stats(states: np.ndarray, rho: np.ndarray, masses: np.ndarray, out: np
     steps with np.fmin and np.fmax, and min f, min rho and max rho, one exact
     reduction each over the whole block, are recomputed per step and folded
     the same way when one of them is NaN.  (A NaN mass alone, as in a run
-    holding +inf and -inf, needs no recomputation.)  The sign of a zero
-    extremum depends on the traversal order, so advance makes it +0.0.
+    holding +inf and -inf, needs no recomputation.)  per_step skips the
+    whole-block reductions, which give the per-step values wherever no step
+    is NaN.  The return value says whether the per-step ones ran; advance
+    passes it on to the next block, as a run that met NaN seldom leaves it.
+    The sign of a zero extremum depends on the traversal order, so advance
+    makes it +0.0.
     """
     np.add.reduce(states, axis=2, out=rho)
     np.add.reduce(rho, axis=2, out=masses)
     np.fmin.reduce(masses, axis=0, out=out[0])
-    np.minimum.reduce(states, axis=(0, 2, 3), out=out[1])
-    np.minimum.reduce(rho, axis=(0, 2), out=out[2])
-    np.maximum.reduce(rho, axis=(0, 2), out=out[3])
     np.fmax.reduce(masses, axis=0, out=out[4])
-    if np.isnan(out[1:4]).any():
+    if not per_step:
+        np.minimum.reduce(states, axis=(0, 2, 3), out=out[1])
+        np.minimum.reduce(rho, axis=(0, 2), out=out[2])
+        np.maximum.reduce(rho, axis=(0, 2), out=out[3])
+        per_step = np.isnan(out[1:4]).any()
+    if per_step:
         np.fmin.reduce(np.minimum.reduce(states, axis=(2, 3)), axis=0, out=out[1])
         np.fmin.reduce(np.minimum.reduce(rho, axis=2), axis=0, out=out[2])
         np.fmax.reduce(np.maximum.reduce(rho, axis=2), axis=0, out=out[3])
+    return per_step
 
 
 class _StepPlan(NamedTuple):
@@ -397,7 +405,7 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     snapshots[:1] = f0   # step 0, when there are snapshots
     last = block
     hist[last, :, :, interior] = f0.transpose(0, 2, 1)
-    _step_stats(hist[last:, :, :, interior], rho[:1], masses[:1], stats)
+    per_step = _step_stats(hist[last:, :, :, interior], rho[:1], masses[:1], stats)
     mass0 = masses[0].copy()
     # running is laid out as stats: min mass, min f and min rho fold with
     # np.fmin, max rho and max mass with np.fmax.  NaN steps are skipped, and
@@ -414,7 +422,7 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
         for a, b in zip(ins[:k], outs[:k]):
             matmul(R, a, b)
         last = k
-        _step_stats(hist[1:k + 1, :, :, interior], rho[:k], masses[:k], stats)
+        per_step = _step_stats(hist[1:k + 1, :, :, interior], rho[:k], masses[:k], stats, per_step)
         np.fmin(lows, stats[:3], out=lows, where=keep_lows)
         np.fmax(highs, stats[3:], out=highs, where=keep_highs)
         while snapped < len(snap_steps) and snap_steps[snapped] <= done + k:

@@ -11,7 +11,7 @@ from d1q3rv import simulator
 from d1q3rv.scheme import (TAU_MAT, SchemeParameters, build_relaxation_matrix,
                            equilibrium_distributions, equilibrium_weights)
 from d1q3rv.simulator import (CUSTOM, HAT, SMOOTH, STEP, Grid1D, InitialProfile,
-                              _block_steps, advance, default_grid, density,
+                              _block_steps, _step_stats, advance, default_grid, density,
                               exact_density, init_state, relax, run, run_batch, stream,
                               write_diagnostics_csv, write_snapshots_csv)
 
@@ -460,6 +460,21 @@ def test_advance_skips_a_nan_that_first_appears_mid_block():
     assert block < seam < first_nan - 1 and np.isfinite(rho[:first_nan - 1]).all()
     assert np.isfinite([out.min_rho[0], out.max_rho[0]]).all()
     assert out.max_rho[0] > np.abs(rho[:seam]).max() and out.min_rho[0] < -np.abs(rho[:seam]).max()
+
+
+def test_step_stats_per_step_reductions_equal_the_whole_block_ones():
+    # advance reduces per step from the first block that met NaN on; without
+    # NaN both ways give the same statistics, zeros as +0.0
+    rng = np.random.default_rng(13)
+    states = rng.choice([-0.0, 0.0, 0.25, -1.5, 2.0], (5, 2, 3, 7))
+    rho, masses = np.empty((5, 2, 7)), np.empty((5, 2))
+    whole, per_step = np.empty((5, 2)), np.empty((5, 2))
+    assert not _step_stats(states, rho, masses, whole)
+    assert _step_stats(states, rho, masses, per_step, per_step=True)
+    assert (whole + 0.0).tobytes() == (per_step + 0.0).tobytes()
+    states[3, 1, 0, 4] = np.nan
+    assert _step_stats(states, rho, masses, whole)
+    assert np.isfinite(whole).all()
 
 
 def test_advance_leaves_nothing_for_the_next_call():
