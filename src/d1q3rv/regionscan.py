@@ -11,6 +11,8 @@ necessary region outlined with a dotted boundary.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 import numpy as np
 from dataclasses import dataclass
 
@@ -41,9 +43,24 @@ def default_u_list(V: float) -> tuple:
     return tuple(u + 0.0 for u in (-2.0 * V, -V, 0.0, V / 2.0, V, 2.0 * V))
 
 
+def _real(value, name: str) -> float:
+    """value as a Python float; a ValueError naming it unless it is a real number that fits one."""
+    if isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a real number that fits a float, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScanSpec:
-    """What to scan: one V, several u, and the (s, s') grid."""
+    """What to scan: one V, several u, and the (s, s') grid.
+
+    V, each u and both ends of each range are stored as Python floats; a
+    value that is not a real number, or does not fit a float, is a
+    ValueError naming its field.
+    """
 
     V: float
     u_list: tuple = None
@@ -53,21 +70,26 @@ class ScanSpec:
     s_prime_points: int = 221
 
     def __post_init__(self):
-        if not np.isfinite(self.V):
-            raise ValueError(f"V must be finite, got {self.V}")
+        V = _real(self.V, "V")
         default = self.u_list is None
-        u_list = default_u_list(self.V) if default else tuple(float(u) for u in self.u_list)
-        object.__setattr__(self, "u_list", u_list)
-        if not np.isfinite(u_list).all():
-            raise ValueError((f"V={self.V:g} overflows its default u_list" if default
+        u_list = (default_u_list(V) if default
+                  else tuple(_real(u, f"u_list[{i}]") for i, u in enumerate(self.u_list)))
+        ranges = [tuple(_real(x, f"{name}_range[{i}]") for i, x in enumerate(rng))
+                  for rng, name in ((self.s_range, "s"), (self.s_prime_range, "s_prime"))]
+        for field, value in zip(("V", "u_list", "s_range", "s_prime_range"), (V, u_list, *ranges)):
+            object.__setattr__(self, field, value)
+        if not math.isfinite(V):
+            raise ValueError(f"V must be finite, got {V}")
+        if not all(map(math.isfinite, u_list)):
+            raise ValueError((f"V={V:g} overflows its default u_list" if default
                               else "u_list must be finite") + f", got {u_list}")
-        for rng, npts, name in ((self.s_range, self.s_points, "s"),
-                                (self.s_prime_range, self.s_prime_points, "s_prime")):
+        for rng, npts, name in ((ranges[0], self.s_points, "s"),
+                                (ranges[1], self.s_prime_points, "s_prime")):
             if _integer(npts, f"{name}_points") < 2:
                 raise ValueError(f"{name}_points must be >= 2, got {npts}")
             if not rng[1] > rng[0]:
                 raise ValueError(f"{name}_range must be non-degenerate, got {rng}")
-            if not np.isfinite(rng).all():
+            if not all(map(math.isfinite, rng)):
                 raise ValueError(f"{name}_range must be finite, got {rng}")
 
     def s_values(self) -> np.ndarray:

@@ -44,6 +44,22 @@ def test_spec_validation():
         ScanSpec(V=0.5, u_list=(0.0,), s_points=5, s_prime_points=5.0)
     grid = scan(ScanSpec(V=0.5, u_list=(0.0,), s_points=np.int64(3), s_prime_points=np.int32(4)))[0]
     assert grid.codes.shape == (3, 4)
+    spec = ScanSpec(V=np.float64(0.5), u_list=[np.float64(0.25), 1], s_range=[0, np.float32(2)])
+    assert [type(x) for x in (spec.V, *spec.u_list, *spec.s_range)] == [float] * 5
+    assert (spec.u_list, spec.s_range) == ((0.25, 1.0), (0.0, 2.0))
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(V=np.float64(1e308)), r"^V=1e\+308 overflows its default u_list, got \(-inf, "),
+    (dict(V=10**308), r"^V=1e\+308 overflows its default u_list, got \(-inf, "),
+    (dict(V="0.5"), r"^V must be a real number that fits a float, got '0.5'$"),
+    (dict(V=0.5, s_range=(0, 10**400)), r"^s_range\[1\] must be a real number that fits a float, got 1000"),
+    (dict(V=0.5, u_list=(10**400,)), r"^u_list\[0\] must be a real number that fits a float, got 1000"),
+], ids=["float64 V", "int V", "str V", "int range end", "int u"])
+def test_spec_takes_its_values_as_floats_or_names_the_field(fields, message):
+    # every warning fails the suite, so NumPy's overflow warning would too
+    with pytest.raises(ValueError, match=message):
+        ScanSpec(**fields)
 
 
 def test_default_u_list():
