@@ -35,15 +35,15 @@ necessary_region) accept scalars or numpy arrays; a scalar call evaluates
 the same expressions on Python floats and returns float64 chain bounds,
 Python floats or bools, with the bytes of its row in a batched call.  Scalar
 arithmetic emits no NumPy overflow or invalid RuntimeWarning; array
-arithmetic, R's matmuls included, does.  Arrays go through scheme._batched, the one
-chunk loop, at one chunk size for every kernel here (_CHUNK): each result's
-trailing shape and dtype come from the kernel, and the working memory beyond
-the results stays within WORKING_SET_BYTES.  The u = 0 region and the
-necessary region are one rule, every slack of their kernel >= -TAU_STAB, so
-neither builds its slack stack whole.  The verdict routes and the alpha
-intervals take scalars only.  TAU_STAB and GUARD_BAND are constants, not
-arguments.  A NaN slack makes a verdict unstable; NaN input is never
-feasible.
+arithmetic, R's matmuls included, does.  Arrays go through scheme._batched,
+the one chunk loop, at one chunk size for every kernel here (_CHUNK): each
+result's trailing shape and dtype come from the kernel, and the working
+memory beyond the results stays within WORKING_SET_BYTES.  The u = 0 region
+and the necessary region are one rule, every slack of their kernel >=
+-TAU_STAB, so neither builds its slack stack whole.  The verdict routes and
+the alpha intervals take scalars only.  TAU_STAB and GUARD_BAND are
+constants, not arguments.  A NaN slack makes a verdict unstable; NaN input is
+never feasible.
 """
 
 from __future__ import annotations
@@ -248,7 +248,7 @@ def alpha_interval(V, u, s, s_prime):
 def _feasible_interval(V, u, s, s_prime):
     """The gamma interval and alpha_feasible's mask (0-d for scalar input) from one chain_bounds call."""
     iv = gamma_feasible_interval(V, u, s, s_prime)
-    pinned = pinned_gamma(V, u, s)
+    pinned = pinned_gamma(*_operands(V, u, s))
     pin_ok = (pinned >= iv.lower - TAU_STAB) & (pinned <= iv.upper + TAU_STAB)
     return iv, np.logical_and(np.logical_not(iv.empty), (s_prime != 0.0) | pin_ok)
 

@@ -436,7 +436,8 @@ def test_scalar_calls_have_the_bytes_and_type_of_their_batched_row():
         edge = rng.random(n) < 0.5
         edge[:200] = False
         col[edge] = rng.choice(EDGES, edge.sum())
-    rows = list(zip(*(c.tolist() for c in cols)))
+    rows = [row if i % 2 else tuple(map(np.float64, row))   # Python floats and NumPy scalars
+            for i, row in enumerate(zip(*(c.tolist() for c in cols)))]
     for fn, fields in ARRAY_FUNCTIONS:
         with np.errstate(all="ignore"):   # array arithmetic warns at overflow and NaN
             batched = _parts(fn(*(cols[k] for k in fields)))
