@@ -248,7 +248,7 @@ def alpha_interval(V, u, s, s_prime):
 def _feasible_interval(V, u, s, s_prime):
     """The gamma interval and alpha_feasible's mask (0-d for scalar input) from one chain_bounds call."""
     iv = gamma_feasible_interval(V, u, s, s_prime)
-    pinned = pinned_gamma(*_operands(V, u, s))
+    pinned = _batched(pinned_gamma, _CHUNK, V, u, s)
     pin_ok = (pinned >= iv.lower - TAU_STAB) & (pinned <= iv.upper + TAU_STAB)
     return iv, np.logical_and(np.logical_not(iv.empty), (s_prime != 0.0) | pin_ok)
 
