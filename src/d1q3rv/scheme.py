@@ -106,7 +106,7 @@ def _factors(V, u, s, sp, al, lam) -> np.ndarray:
     divisions by lam divide a NumPy float64, so lam = 0 gives NaN with a
     RuntimeWarning for scalars too.
     """
-    shape = np.shape(V)
+    shape = getattr(V, "shape", ())   # np.shape would box a Python float in an array
     o, z = (np.ones(shape), np.zeros(shape)) if shape else (1.0, 0.0)
     l2 = lam * lam
     a, b, c = o / 3.0, np.float64(1.0) / (2.0 * lam), np.float64(1.0) / (6.0 * l2)
@@ -122,7 +122,14 @@ def _factors(V, u, s, sp, al, lam) -> np.ndarray:
 
 
 def _relaxation_product(M_inv, T_inv, S, T, E, M) -> np.ndarray:
-    """R = M^-1 T^-1 (I + S (T E T^-1 - I)) T M, for single matrices or stacks."""
+    """R = M^-1 T^-1 (I + S (T E T^-1 - I)) T M, for single matrices or stacks.
+
+    Single (3, 3) factors go through ndarray.dot, stacks through @.  Both run
+    the same BLAS gemm per 3x3 product, so the bytes agree, and dot costs less
+    dispatch per call; its RuntimeWarnings say "in dot", not "in matmul".
+    """
+    if M_inv.ndim == 2:
+        return M_inv.dot(T_inv).dot(_EYE + S.dot(T.dot(E).dot(T_inv) - _EYE)).dot(T).dot(M)
     return M_inv @ T_inv @ (_EYE + S @ (T @ E @ T_inv - _EYE)) @ T @ M
 
 

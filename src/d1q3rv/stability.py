@@ -35,15 +35,16 @@ necessary_region) accept scalars or numpy arrays; a scalar call evaluates
 the same expressions on Python floats and returns float64 chain bounds,
 Python floats or bools, with the bytes of its row in a batched call.  Scalar
 arithmetic emits no NumPy overflow or invalid RuntimeWarning; array
-arithmetic, R's matmuls included, does.  Arrays go through scheme._batched,
-the one chunk loop, at one chunk size for every kernel here (_CHUNK): each
-result's trailing shape and dtype come from the kernel, and the working
-memory beyond the results stays within WORKING_SET_BYTES.  The u = 0 region
-and the necessary region are one rule, every slack of their kernel >=
--TAU_STAB, so neither builds its slack stack whole.  The verdict routes and
-the alpha intervals take scalars only.  TAU_STAB and GUARD_BAND are
-constants, not arguments.  A NaN slack makes a verdict unstable; NaN input is
-never feasible.
+arithmetic does, and so do R's (3, 3) products, which for a scalar R run
+through ndarray.dot and warn "in dot" ("in matmul" for a stack).  Arrays go
+through scheme._batched, the one chunk loop, at one chunk size for every
+kernel here (_CHUNK): each result's trailing shape and dtype come from the
+kernel, and the working memory beyond the results stays within
+WORKING_SET_BYTES.  The u = 0 region and the necessary region are one rule,
+every slack of their kernel >= -TAU_STAB, so neither builds its slack stack
+whole.  The verdict routes and the alpha intervals take scalars only.
+TAU_STAB and GUARD_BAND are constants, not arguments.  A NaN slack makes a
+verdict unstable; NaN input is never feasible.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ class GammaInterval:
 
 
 def _verdict(slacks, route: str) -> StabilityVerdict:
-    slacks = tuple(np.asarray(slacks, float).tolist())
+    """The verdict on slacks, a float64 array or a list of floats, held as Python floats."""
+    slacks = tuple(slacks.tolist() if isinstance(slacks, np.ndarray) else map(float, slacks))
     # min() skips a NaN unless it comes first, so test for one explicitly
     m = math.nan if any(map(math.isnan, slacks)) else min(slacks)
     binding = tuple([i for i, x in enumerate(slacks) if abs(x) <= GUARD_BAND])
@@ -125,19 +127,25 @@ def _region(slacks, V, s, s_prime):
 
 
 def _closed_form(V, u, s, sp, al) -> np.ndarray:
-    """The nine entries of R for float64 operands of one shape B, shape B + (3, 3)."""
-    R = np.empty(np.shape(V) + (3, 3))
+    """The nine entries of R for Python floats or 1-d operands, shape (3, 3) or (n, 3, 3).
+
+    Entry k is row k of R's transpose: an integer-indexed store, cheap on a
+    scalar, and strided like R[..., i, j] on a batch, so R stays contiguous.
+    """
+    shape = getattr(V, "shape", ())   # np.shape would box a Python float in an array
+    R = np.empty(shape + (9,))
+    Rt = R.T
     common_top = V * s * u - V * sp * u + al * sp / 6
-    R[..., 0, 0] = common_top - 0.5 * V * s + s * u - 0.5 * s - sp * u - sp / 6 + 1
-    R[..., 0, 1] = common_top - 0.5 * V * s + sp / 3
-    R[..., 0, 2] = common_top - 0.5 * V * s - s * u + 0.5 * s + sp * u - sp / 6
-    R[..., 1, 0] = -2 * common_top - 2 * s * u + 2 * sp * u + sp / 3
-    R[..., 1, 1] = -2 * common_top - 2 * sp / 3 + 1
-    R[..., 1, 2] = -2 * common_top + 2 * s * u - 2 * sp * u + sp / 3
-    R[..., 2, 0] = common_top + 0.5 * V * s + s * u + 0.5 * s - sp * u - sp / 6
-    R[..., 2, 1] = common_top + 0.5 * V * s + sp / 3
-    R[..., 2, 2] = common_top + 0.5 * V * s - s * u - 0.5 * s + sp * u - sp / 6 + 1
-    return R
+    Rt[0] = common_top - 0.5 * V * s + s * u - 0.5 * s - sp * u - sp / 6 + 1
+    Rt[1] = common_top - 0.5 * V * s + sp / 3
+    Rt[2] = common_top - 0.5 * V * s - s * u + 0.5 * s + sp * u - sp / 6
+    Rt[3] = -2 * common_top - 2 * s * u + 2 * sp * u + sp / 3
+    Rt[4] = -2 * common_top - 2 * sp / 3 + 1
+    Rt[5] = -2 * common_top + 2 * s * u - 2 * sp * u + sp / 3
+    Rt[6] = common_top + 0.5 * V * s + s * u + 0.5 * s - sp * u - sp / 6
+    Rt[7] = common_top + 0.5 * V * s + sp / 3
+    Rt[8] = common_top + 0.5 * V * s - s * u - 0.5 * s + sp * u - sp / 6 + 1
+    return R.reshape(shape + (3, 3))
 
 
 def relaxation_entries_closed_form(V, u, s, s_prime, alpha) -> np.ndarray:
@@ -162,10 +170,10 @@ def matrix_entry_verdict(p: SchemeParameters) -> StabilityVerdict:
 
 
 def reduced_parameters(p: SchemeParameters) -> ReducedParameters:
-    return ReducedParameters(
-        u_bar=2.0 * p.u * (p.s - p.s_prime),
-        gamma=(p.s_prime / 6.0) * (1.0 - p.alpha) - p.u * (p.s - p.s_prime) * p.V,
-    )
+    """u_bar and gamma of p, computed on float64 operands (_operands)."""
+    V, u, s, sp, al = _operands(p.V, p.u, p.s, p.s_prime, p.alpha)
+    return ReducedParameters(u_bar=2.0 * u * (s - sp),
+                             gamma=(sp / 6.0) * (1.0 - al) - u * (s - sp) * V)
 
 
 def _chain_terms(V, u, s, sp):
@@ -212,7 +220,8 @@ def gamma_feasible_interval(V, u, s, s_prime) -> GammaInterval:
     """
     lower, upper = chain_bounds(V, u, s, s_prime)
     lo, hi = _unbox(lower, float) / 2.0, _unbox(upper, float) / 2.0
-    empty = _unbox(np.logical_not(lo <= hi + TAU_STAB), bool)
+    fits = lo <= hi + TAU_STAB
+    empty = ~fits if isinstance(fits, np.ndarray) else not fits
     return GammaInterval(lower=lo, upper=hi, empty=empty)
 
 

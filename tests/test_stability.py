@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 from d1q3rv.scheme import (WORKING_SET_BYTES, SchemeParameters, build_relaxation_matrix,
-                           relaxation_matrices)
-from d1q3rv.stability import (TAU_STAB, _necessary, _u_zero, alpha_feasible,
+                           relaxation_factors, relaxation_matrices)
+from d1q3rv.stability import (TAU_STAB, _necessary, _u_zero, _verdict, alpha_feasible,
                               alpha_from_gamma, alpha_interval, chain_bounds,
                               gamma_feasible_interval, matrix_entry_verdict, necessary_region,
                               necessary_slacks, nine_inequalities, pinned_gamma,
@@ -125,6 +126,35 @@ def test_nan_slack_makes_the_verdict_unstable(p):
     for v in verdicts:
         assert v.stable is False
         assert np.isnan(v.min_slack) == np.isnan(v.slacks).any()
+
+
+def test_verdict_takes_an_array_or_a_list_of_floats_alike():
+    x = np.random.default_rng(79).uniform(-1, 1, 9)
+    x[3], x[5] = 5e-10, -0.0   # within the guard band: binding
+    verdicts = [_verdict(slacks, "nine") for slacks in (x, x.tolist(), list(x))]   # list(x): np.float64s
+    for v in verdicts:
+        assert all(type(y) is float for y in v.slacks) and type(v.min_slack) is float
+        assert repr(v) == repr(verdicts[0])
+    assert verdicts[0].binding == (3, 5) and verdicts[0].min_slack == x.min()
+
+
+@pytest.mark.parametrize("k", [0, 8], ids=["first", "last"])
+def test_verdict_with_a_nan_first_or_last_is_unstable(k):
+    x = np.linspace(0.1, 0.9, 9)
+    x[k] = np.nan
+    for slacks in (x, x.tolist(), list(x)):
+        v = _verdict(slacks, "nine")
+        assert v.stable is False and math.isnan(v.min_slack)
+
+
+def test_reduced_condition_on_numpy_scalars_is_the_python_float_call_without_warnings():
+    # V * u overflows; on NumPy scalars that would warn, an error under filterwarnings = error
+    p = SchemeParameters(np.float64(1e200), np.float64(1e200), 1e200, 1.0)
+    q = SchemeParameters(1e200, 1e200, 1e200, 1.0)
+    got, want = reduced_condition(p), reduced_condition(q)
+    assert repr(got) == repr(want)   # repr: the slacks hold NaN, which == never matches
+    assert repr(reduced_parameters(p)) == repr(reduced_parameters(q))
+    assert all(type(x) is float for x in (*got.slacks, *vars(reduced_parameters(p)).values()))
 
 
 def test_reduced_slacks_are_the_chain_bounds():
@@ -427,6 +457,21 @@ def _parts(result):
     return (result,)
 
 
+def _unnamed(caught):
+    """Each caught warning as (category, message without its trailing "in <operation>")."""
+    return [(w.category, str(w.message).rsplit(" in ", 1)[0]) for w in caught]
+
+
+def _matmul_warnings(row):
+    """The warnings of R's product by np.matmul (@) over row's six factors, unnamed."""
+    M_inv, T_inv, S, T, E, M = relaxation_factors(SchemeParameters(*row))
+    eye = np.eye(3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        M_inv @ T_inv @ (eye + S @ (T @ E @ T_inv - eye)) @ T @ M
+    return _unnamed(caught)
+
+
 def test_scalar_calls_have_the_bytes_and_type_of_their_batched_row():
     rng = np.random.default_rng(73)
     n = 600
@@ -438,6 +483,7 @@ def test_scalar_calls_have_the_bytes_and_type_of_their_batched_row():
         col[edge] = rng.choice(EDGES, edge.sum())
     rows = [row if i % 2 else tuple(map(np.float64, row))   # Python floats and NumPy scalars
             for i, row in enumerate(zip(*(c.tolist() for c in cols)))]
+    warned = 0
     for fn, fields in ARRAY_FUNCTIONS:
         with np.errstate(all="ignore"):   # array arithmetic warns at overflow and NaN
             batched = _parts(fn(*(cols[k] for k in fields)))
@@ -445,9 +491,12 @@ def test_scalar_calls_have_the_bytes_and_type_of_their_batched_row():
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 got = _parts(fn(*(row[k] for k in fields)))
-            # scalar arithmetic warns at nothing; only R's (3, 3) matmuls are array arithmetic
-            assert [str(w.message) for w in caught if not (fn is relaxation_matrices and
-                                                           str(w.message).endswith("in matmul"))] == []
+            # scalar arithmetic warns at nothing; only R's (3, 3) products are array arithmetic
+            assert [str(w.message) for w in caught if not (
+                fn is relaxation_matrices and str(w.message).endswith(("in matmul", "in dot")))] == []
+            if fn is relaxation_matrices:   # and they warn exactly where np.matmul would
+                assert _unnamed(caught) == _matmul_warnings(row), row
+                warned += bool(caught)
             for g, b in zip(got, batched, strict=True):
                 want = b[i]
                 if isinstance(want, np.ndarray) or fn is chain_bounds:
@@ -455,6 +504,7 @@ def test_scalar_calls_have_the_bytes_and_type_of_their_batched_row():
                 else:   # unboxed: a Python float or bool
                     assert type(g) is type(want.item())
                 assert np.asarray(g).tobytes() == want.tobytes(), (fn.__name__, row)
+    assert warned > 0   # the edge rows do reach R's warnings
 
 
 def test_necessary_region_contains_every_feasible_point():
