@@ -36,7 +36,11 @@ the same expressions on Python floats and returns float64 chain bounds,
 Python floats or bools, with the bytes of its row in a batched call.  Scalar
 arithmetic emits no NumPy overflow or invalid RuntimeWarning; array
 arithmetic does, and so do R's (3, 3) products, which for a scalar R run
-through ndarray.dot and warn "in dot" ("in matmul" for a stack).  Arrays go
+through ndarray.dot and warn "in dot" ("in matmul" for a stack).  A scalar
+chain's max and min are comparisons (_max, _min) that reproduce np.maximum
+and np.minimum: a NaN in either operand wins, and a tie gives the second
+operand, so a tie of 0.0 and -0.0 takes the sign the installed NumPy gives
+(a test pins it); chain_bounds still returns float64 bounds.  Arrays go
 through scheme._batched, the one chunk loop, at one chunk size for every
 kernel here (_CHUNK): each result's trailing shape and dtype come from the
 kernel, and the working memory beyond the results stays within
@@ -111,8 +115,7 @@ def _verdict(slacks, route: str) -> StabilityVerdict:
     # min() skips a NaN unless it comes first, so test for one explicitly
     m = math.nan if any(map(math.isnan, slacks)) else min(slacks)
     binding = tuple([i for i, x in enumerate(slacks) if abs(x) <= GUARD_BAND])
-    return StabilityVerdict(stable=m >= -TAU_STAB, slacks=slacks, min_slack=m,
-                            binding=binding, route=route)
+    return StabilityVerdict(m >= -TAU_STAB, slacks, m, binding, route)
 
 
 def _unbox(res, kind):
@@ -169,11 +172,14 @@ def matrix_entry_verdict(p: SchemeParameters) -> StabilityVerdict:
     return _verdict(build_relaxation_matrix(p).reshape(9), route="entries")
 
 
+def _reduced(V, u, s, sp, al):
+    """(u_bar, gamma) of float64 operands."""
+    return 2.0 * u * (s - sp), (sp / 6.0) * (1.0 - al) - u * (s - sp) * V
+
+
 def reduced_parameters(p: SchemeParameters) -> ReducedParameters:
     """u_bar and gamma of p, computed on float64 operands (_operands)."""
-    V, u, s, sp, al = _operands(p.V, p.u, p.s, p.s_prime, p.alpha)
-    return ReducedParameters(u_bar=2.0 * u * (s - sp),
-                             gamma=(sp / 6.0) * (1.0 - al) - u * (s - sp) * V)
+    return ReducedParameters(*_reduced(*_operands(p.V, p.u, p.s, p.s_prime, p.alpha)))
 
 
 def _chain_terms(V, u, s, sp):
@@ -186,9 +192,21 @@ def _chain_terms(V, u, s, sp):
     return (sp - 1.0, abs(ubar)), (2.0 - s - abs(ubar - sV), s - abs(ubar + sV), sp - abs(sV))
 
 
+def _max(a, b):
+    """np.maximum on Python floats: a NaN in either operand wins, and a tie gives b."""
+    return a if a > b or a != a else b
+
+
+def _min(a, b):
+    """np.minimum on Python floats: a NaN in either operand wins, and a tie gives b."""
+    return a if a < b or a != a else b
+
+
 def _bounds(V, u, s, sp):
-    """(lower, upper) of the chain for float64 operands."""
+    """(lower, upper) of the chain for float64 operands: Python floats for Python floats."""
     (l1, l2), (u1, u2, u3) = _chain_terms(V, u, s, sp)
+    if type(l1) is float:
+        return _max(l1, l2), _min(_min(u1, u2), u3)
     return np.maximum(l1, l2), np.minimum(np.minimum(u1, u2), u3)
 
 
@@ -199,7 +217,10 @@ def chain_bounds(V, u, s, s_prime):
     lower <= 2*gamma <= upper.  Scalar inputs give float64 bounds; arrays
     are evaluated in chunks, as R is.
     """
-    return _batched(_bounds, _CHUNK, V, u, s, s_prime)
+    lower, upper = _batched(_bounds, _CHUNK, V, u, s, s_prime)
+    if type(lower) is float:
+        return np.float64(lower), np.float64(upper)
+    return lower, upper
 
 
 def reduced_condition(p: SchemeParameters) -> StabilityVerdict:
@@ -208,9 +229,18 @@ def reduced_condition(p: SchemeParameters) -> StabilityVerdict:
     Slacks, in order: 2g - (s'-1), 2g - |u_bar|, (2 - s - |u_bar - sV|) - 2g,
     (s - |u_bar + sV|) - 2g, (s' - |sV|) - 2g.
     """
-    two_gamma = 2.0 * reduced_parameters(p).gamma
-    lower, upper = _chain_terms(*_operands(p.V, p.u, p.s, p.s_prime))
+    V, u, s, sp, al = _operands(p.V, p.u, p.s, p.s_prime, p.alpha)
+    two_gamma = 2.0 * _reduced(V, u, s, sp, al)[1]
+    lower, upper = _chain_terms(V, u, s, sp)
     return _verdict([two_gamma - x for x in lower] + [x - two_gamma for x in upper], "reduced")
+
+
+def _interval(V, u, s, s_prime):
+    """(lower, upper, empty) of the feasible gamma interval; Python floats and a bool for scalars."""
+    lower, upper = _batched(_bounds, _CHUNK, V, u, s, s_prime)
+    lo, hi = lower / 2.0, upper / 2.0
+    fits = lo <= hi + TAU_STAB
+    return lo, hi, (~fits if isinstance(fits, np.ndarray) else not fits)
 
 
 def gamma_feasible_interval(V, u, s, s_prime) -> GammaInterval:
@@ -218,11 +248,7 @@ def gamma_feasible_interval(V, u, s, s_prime) -> GammaInterval:
 
     NaN input gives an empty interval.  Scalar inputs give floats and a bool.
     """
-    lower, upper = chain_bounds(V, u, s, s_prime)
-    lo, hi = _unbox(lower, float) / 2.0, _unbox(upper, float) / 2.0
-    fits = lo <= hi + TAU_STAB
-    empty = ~fits if isinstance(fits, np.ndarray) else not fits
-    return GammaInterval(lower=lo, upper=hi, empty=empty)
+    return GammaInterval(*_interval(V, u, s, s_prime))
 
 
 def pinned_gamma(V, u, s) -> float:
@@ -247,15 +273,15 @@ def alpha_interval(V, u, s, s_prime):
     Maps the gamma interval endpoints through alpha_from_gamma (alpha is
     affine, decreasing in gamma for s' > 0).
     """
-    iv = gamma_feasible_interval(V, u, s, s_prime)
-    if iv.empty or s_prime == 0.0:
+    lower, upper, empty = _interval(V, u, s, s_prime)
+    if empty or s_prime == 0.0:
         return None
-    a, b = (alpha_from_gamma(g, V, u, s, s_prime) for g in (iv.lower, iv.upper))
+    a, b = (alpha_from_gamma(g, V, u, s, s_prime) for g in (lower, upper))
     return (min(a, b), max(a, b))
 
 
 def _feasible_interval(V, u, s, s_prime):
-    """The gamma interval and alpha_feasible's mask (0-d for scalar input) from one chain_bounds call."""
+    """The gamma interval and alpha_feasible's mask (0-d for scalar input) from one pass of the chain."""
     iv = gamma_feasible_interval(V, u, s, s_prime)
     pinned = _batched(pinned_gamma, _CHUNK, V, u, s)
     pin_ok = (pinned >= iv.lower - TAU_STAB) & (pinned <= iv.upper + TAU_STAB)

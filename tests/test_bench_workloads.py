@@ -54,3 +54,10 @@ def test_sweep_workload_passes_its_output_checks_at_full_size(tmp_path):
     # reproduce's frozen step undershoots.
     attempted, failed = _one_pass("sweep", False, tmp_path)
     assert attempted == 101 and failed == 0
+
+
+def test_verdicts_workload_passes_its_output_checks_at_full_size(tmp_path):
+    # 3000 scalar tuples through the three routes and both intervals, then
+    # one 1e5-tuple batch through R, the closed form and the chain bounds.
+    attempted, failed = _one_pass("verdicts", False, tmp_path)
+    assert attempted == 103_000 and failed == 0

@@ -160,6 +160,14 @@ def test_check_alpha_unconstrained_when_second_rate_zero(capsys):
                                        "alpha-unconstrained (s' = 0 pins gamma at 0)\n")
 
 
+def test_check_negative_zero_rates_print_positive_zeros(capsys):
+    # "-0" parses exactly, as the rational 0, so s is +0.0 and the pinned s' = 0 path
+    # prints as for "0"; the chain's tie at -0.0 and +0.0 is pinned in test_stability
+    assert main(["check", "--V", "0", "--u", "0", "--s", "-0", "--sp", "0"]) == 0
+    assert capsys.readouterr().out == ("gamma interval: [0, 0]\n"
+                                       "alpha-unconstrained (s' = 0 pins gamma at 0)\n")
+
+
 def test_region_writes_files_and_summary(tmp_path, capsys):
     csv = tmp_path / "region.csv"
     svg = tmp_path / "region.svg"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -5,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from d1q3rv.scheme import (WORKING_SET_BYTES, SchemeParameters, build_relaxation_matrix,
-                           relaxation_factors, relaxation_matrices)
-from d1q3rv.stability import (TAU_STAB, _necessary, _u_zero, _verdict, alpha_feasible,
+from d1q3rv.scheme import (WORKING_SET_BYTES, SchemeParameters, _operands,
+                           build_relaxation_matrix, relaxation_factors, relaxation_matrices)
+from d1q3rv.stability import (TAU_STAB, _chain_terms, _max, _min, _necessary, _u_zero,
+                              _verdict, alpha_feasible,
                               alpha_from_gamma, alpha_interval, chain_bounds,
                               gamma_feasible_interval, matrix_entry_verdict, necessary_region,
                               necessary_slacks, nine_inequalities, pinned_gamma,
@@ -472,17 +474,27 @@ def _matmul_warnings(row):
     return _unnamed(caught)
 
 
-def test_scalar_calls_have_the_bytes_and_type_of_their_batched_row():
+def _edge_rows():
+    """600 seeded (V, u, s, s', alpha, lam) columns and their rows.
+
+    The last 400 tuples take an edge value in each field but lam with
+    probability 1/2; odd rows hold Python floats, even rows NumPy scalars.
+    """
     rng = np.random.default_rng(73)
     n = 600
     cols = [rng.uniform(-1.5, 1.5, n), rng.uniform(-1, 1, n), rng.uniform(-0.5, 2.5, n),
             rng.uniform(-0.5, 2.5, n), rng.uniform(-2, 2, n), rng.choice([0.5, 1.0, 3.0], n)]
-    for col in cols[:5]:   # the last 400 tuples take an edge value in each field with probability 1/2
+    for col in cols[:5]:
         edge = rng.random(n) < 0.5
         edge[:200] = False
         col[edge] = rng.choice(EDGES, edge.sum())
-    rows = [row if i % 2 else tuple(map(np.float64, row))   # Python floats and NumPy scalars
+    rows = [row if i % 2 else tuple(map(np.float64, row))
             for i, row in enumerate(zip(*(c.tolist() for c in cols)))]
+    return cols, rows
+
+
+def test_scalar_calls_have_the_bytes_and_type_of_their_batched_row():
+    cols, rows = _edge_rows()
     warned = 0
     for fn, fields in ARRAY_FUNCTIONS:
         with np.errstate(all="ignore"):   # array arithmetic warns at overflow and NaN
@@ -505,6 +517,49 @@ def test_scalar_calls_have_the_bytes_and_type_of_their_batched_row():
                     assert type(g) is type(want.item())
                 assert np.asarray(g).tobytes() == want.tobytes(), (fn.__name__, row)
     assert warned > 0   # the edge rows do reach R's warnings
+
+
+def test_max_and_min_of_python_floats_have_the_bytes_of_the_ufuncs():
+    # _bounds takes a scalar chain's max and min by comparison; NumPy's rules
+    # are that a NaN in either operand wins and a tie (0.0 and -0.0) gives the
+    # second operand, and this pins them for the build at hand
+    pairs = list(itertools.product(EDGES, repeat=2))
+    a, b = (np.array(c) for c in zip(*pairs))
+    for helper, ufunc in ((_max, np.maximum), (_min, np.minimum)):
+        batched = ufunc(a, b)
+        for (x, y), want in zip(pairs, batched, strict=True):
+            got = helper(x, y)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == ufunc(x, y).tobytes() == want.tobytes(), \
+                (ufunc.__name__, x, y)
+
+
+def test_signed_zero_tie_of_the_upper_sides_gives_positive_zero():
+    # at s = -0.0 the upper sides are 2, -0.0 and +0.0; np.minimum's tie gives
+    # the second operand, +0.0, where min() would keep the first, -0.0
+    lower, upper = chain_bounds(0.0, 0.0, -0.0, 0.0)
+    assert type(upper) is np.float64 and upper.tobytes() == np.float64(0.0).tobytes()
+    assert math.copysign(1.0, gamma_feasible_interval(0.0, 0.0, -0.0, 0.0).upper) == 1.0
+
+
+def test_reduced_slacks_and_alpha_interval_keep_their_definitions():
+    # reduced_condition takes 2 gamma and the chain sides from one conversion,
+    # and alpha_interval its endpoints from the interval core: both as before
+    for row in _edge_rows()[1]:
+        p, chain = SchemeParameters(*row), row[:4]
+        two_gamma = 2 * reduced_parameters(p).gamma
+        lower, upper = _chain_terms(*_operands(*chain))
+        slacks = tuple([two_gamma - x for x in lower] + [x - two_gamma for x in upper])
+        assert repr(reduced_condition(p).slacks) == repr(slacks), row
+        iv = gamma_feasible_interval(*chain)
+        with np.errstate(all="ignore"):   # NumPy-scalar rows compute alpha on np.float64
+            got = alpha_interval(*chain)
+            if iv.empty or p.s_prime == 0.0:
+                want = None
+            else:
+                a, b = (alpha_from_gamma(g, *chain) for g in (iv.lower, iv.upper))
+                want = (min(a, b), max(a, b))
+        assert repr(got) == repr(want), row
 
 
 def test_necessary_region_contains_every_feasible_point():
