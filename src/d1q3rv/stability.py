@@ -46,7 +46,12 @@ kernel here (_CHUNK): each result's trailing shape and dtype come from the
 kernel, and the working memory beyond the results stays within
 WORKING_SET_BYTES.  The u = 0 region and the necessary region are one rule,
 every slack of their kernel >= -TAU_STAB, so neither builds its slack stack
-whole.  The verdict routes and the alpha intervals take scalars only.
+whole.  The verdict routes and the alpha intervals take scalars only.  The
+nine-inequality route evaluates the closed form's own expression text
+(_entries) on Python floats and the entries route runs the scalar R product
+(_relaxation_product) directly, so neither boxes its slacks in an array; a
+verdict's slacks and min_slack are Python floats.  StabilityVerdict and
+GammaInterval are NamedTuples.
 TAU_STAB and GUARD_BAND are constants, not arguments.  A NaN slack makes a
 verdict unstable; NaN input is never feasible.
 """
@@ -56,9 +61,10 @@ from __future__ import annotations
 import math
 import numpy as np
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .scheme import (WORKING_SET_BYTES, SchemeParameters, _batched, _operands,
-                     build_relaxation_matrix)
+from .scheme import (WORKING_SET_BYTES, SchemeParameters, _batched, _factors, _operands,
+                     _relaxation_product)
 
 # Verdict tolerance: entries within -TAU_STAB of zero still count as
 # non-negative (closed regions; ties resolved toward stability).
@@ -83,8 +89,7 @@ class ReducedParameters:
     gamma: float
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     """Outcome of one decision route.
 
     slacks holds the signed residuals of that route's constraints (nine
@@ -100,8 +105,7 @@ class StabilityVerdict:
     route: str
 
 
-@dataclass(frozen=True)
-class GammaInterval:
+class GammaInterval(NamedTuple):
     """Feasible gamma interval at fixed (V, u, s, s'), possibly empty; arrays for array input."""
 
     lower: float
@@ -110,11 +114,15 @@ class GammaInterval:
 
 
 def _verdict(slacks, route: str) -> StabilityVerdict:
-    """The verdict on slacks, a float64 array or a list of floats, held as Python floats."""
-    slacks = tuple(slacks.tolist() if isinstance(slacks, np.ndarray) else map(float, slacks))
-    # min() skips a NaN unless it comes first, so test for one explicitly
-    m = math.nan if any(map(math.isnan, slacks)) else min(slacks)
-    binding = tuple([i for i, x in enumerate(slacks) if abs(x) <= GUARD_BAND])
+    """The verdict on slacks, an iterable of Python floats."""
+    slacks = tuple(slacks)
+    # min() skips a NaN unless it comes first.  A NaN anywhere makes the sum NaN,
+    # as inf + -inf does, so only a NaN sum has the slacks searched for one.
+    total = sum(slacks)
+    m = math.nan if total != total and any(map(math.isnan, slacks)) else min(slacks)
+    # a NaN first makes the least |slack| NaN, so it takes the enumeration too
+    binding = () if min(map(abs, slacks)) > GUARD_BAND else tuple(
+        [i for i, x in enumerate(slacks) if abs(x) <= GUARD_BAND])
     return StabilityVerdict(m >= -TAU_STAB, slacks, m, binding, route)
 
 
@@ -129,6 +137,24 @@ def _region(slacks, V, s, s_prime):
                            V, s, s_prime), bool)
 
 
+def _entries(V, u, s, sp, al):
+    """The nine entries of R as explicit polynomials, row-major, one at a time.
+
+    Python floats give Python floats, 1-d operands 1-d arrays; the one
+    expression text of both the nine-inequality route and the closed form.
+    """
+    common_top = V * s * u - V * sp * u + al * sp / 6
+    yield common_top - 0.5 * V * s + s * u - 0.5 * s - sp * u - sp / 6 + 1
+    yield common_top - 0.5 * V * s + sp / 3
+    yield common_top - 0.5 * V * s - s * u + 0.5 * s + sp * u - sp / 6
+    yield -2 * common_top - 2 * s * u + 2 * sp * u + sp / 3
+    yield -2 * common_top - 2 * sp / 3 + 1
+    yield -2 * common_top + 2 * s * u - 2 * sp * u + sp / 3
+    yield common_top + 0.5 * V * s + s * u + 0.5 * s - sp * u - sp / 6
+    yield common_top + 0.5 * V * s + sp / 3
+    yield common_top + 0.5 * V * s - s * u - 0.5 * s + sp * u - sp / 6 + 1
+
+
 def _closed_form(V, u, s, sp, al) -> np.ndarray:
     """The nine entries of R for Python floats or 1-d operands, shape (3, 3) or (n, 3, 3).
 
@@ -138,16 +164,9 @@ def _closed_form(V, u, s, sp, al) -> np.ndarray:
     shape = getattr(V, "shape", ())   # np.shape would box a Python float in an array
     R = np.empty(shape + (9,))
     Rt = R.T
-    common_top = V * s * u - V * sp * u + al * sp / 6
-    Rt[0] = common_top - 0.5 * V * s + s * u - 0.5 * s - sp * u - sp / 6 + 1
-    Rt[1] = common_top - 0.5 * V * s + sp / 3
-    Rt[2] = common_top - 0.5 * V * s - s * u + 0.5 * s + sp * u - sp / 6
-    Rt[3] = -2 * common_top - 2 * s * u + 2 * sp * u + sp / 3
-    Rt[4] = -2 * common_top - 2 * sp / 3 + 1
-    Rt[5] = -2 * common_top + 2 * s * u - 2 * sp * u + sp / 3
-    Rt[6] = common_top + 0.5 * V * s + s * u + 0.5 * s - sp * u - sp / 6
-    Rt[7] = common_top + 0.5 * V * s + sp / 3
-    Rt[8] = common_top + 0.5 * V * s - s * u - 0.5 * s + sp * u - sp / 6 + 1
+    entries = _entries(V, u, s, sp, al)
+    for k in range(9):   # no name holds entry k while entry k + 1 is computed
+        Rt[k] = next(entries)
     return R.reshape(shape + (3, 3))
 
 
@@ -157,19 +176,36 @@ def relaxation_entries_closed_form(V, u, s, s_prime, alpha) -> np.ndarray:
     Independent of the matrix-product construction in the scheme module and
     of lam; serves as its cross-check and as the slack vector of the
     nine-inequality route.  Arrays are evaluated in chunks, as R is.
+
+    Four identities guard the entry text.  Entries 2 and 5, and 6 and 3, of
+    _entries give 2 R02 + R12 = s(1 - V) and 2 R20 + R10 = s(1 + V), so
+    R >= 0 forces s >= 0 and s(1 - |V|) >= 0.  And R's eigenvalues are 1,
+    1 - s and 1 - s': T^-1's first row is (1, 0, 0) and only E's first
+    column is non-zero, so E T^-1 = E and T E T^-1 has only its first column
+    non-zero; with S = diag(0, s, s'), I + S (T E T^-1 - I) is then lower
+    triangular with diagonal (1, 1 - s, 1 - s'), and R is similar to it.
+    Hence trace R = 3 - s - s' and det R = (1 - s)(1 - s').
     """
     return _batched(_closed_form, _CHUNK, V, u, s, s_prime, alpha)
 
 
 def nine_inequalities(p: SchemeParameters) -> StabilityVerdict:
-    """Stability by the nine closed-form entry values (row-major slacks)."""
-    entries = relaxation_entries_closed_form(p.V, p.u, p.s, p.s_prime, p.alpha)
-    return _verdict(entries.reshape(9), route="nine")
+    """Stability by the nine closed-form entry values (row-major slacks).
+
+    The closed form's expression text (_entries) on Python floats: the bytes of
+    relaxation_entries_closed_form, without an array.
+    """
+    return _verdict(_entries(*_operands(p.V, p.u, p.s, p.s_prime, p.alpha)), "nine")
 
 
 def matrix_entry_verdict(p: SchemeParameters) -> StabilityVerdict:
-    """Stability by the entries of the assembled matrix product."""
-    return _verdict(build_relaxation_matrix(p).reshape(9), route="entries")
+    """Stability by the entries of the assembled matrix product.
+
+    build_relaxation_matrix's factors and products, called directly: the same
+    bytes, without the array function's dispatch.
+    """
+    R = _relaxation_product(*_factors(*_operands(p.V, p.u, p.s, p.s_prime, p.alpha, p.lam)))
+    return _verdict(R.reshape(9).tolist(), "entries")
 
 
 def _reduced(V, u, s, sp, al):

@@ -1,0 +1,52 @@
+"""Scalar R against its batched row under two OpenBLAS gemm kernels.
+
+OpenBLAS picks its gemm kernel at import, and OPENBLAS_CORETYPE forces one.
+Haswell chains fused multiply-adds and Sandybridge does not, so R's bytes
+differ between them: on an x86-64 host with FMA (OpenBLAS 0.3.31), the
+script's 500 batched R have sha256 456ddab8... under Haswell and
+9931308a... under Sandybridge.  What must hold under either kernel is that a
+scalar R, and the slacks of the entries route, have the bytes of the batched
+row.  The variable is read at import, so each kernel runs in its own
+interpreter; a BLAS that is not OpenBLAS ignores it, and the check then runs
+twice on the one kernel it has.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = """
+import hashlib, json
+import numpy as np
+from d1q3rv.scheme import SchemeParameters, build_relaxation_matrix, relaxation_matrices
+from d1q3rv.stability import matrix_entry_verdict
+
+rng = np.random.default_rng(97)
+n = 500
+cols = (rng.uniform(-1.5, 1.5, n), rng.uniform(-1, 1, n), rng.uniform(-0.5, 2.5, n),
+        rng.uniform(-0.5, 2.5, n), rng.uniform(-2, 2, n), rng.choice([0.5, 1.0, 3.0], n))
+batch = relaxation_matrices(*cols)
+mismatches = []
+for i, row in enumerate(zip(*(c.tolist() for c in cols))):
+    p = SchemeParameters(*row)
+    want = batch[i].tobytes()
+    if (build_relaxation_matrix(p).tobytes() != want
+            or np.array(matrix_entry_verdict(p).slacks).tobytes() != want):
+        mismatches.append(i)
+print(json.dumps({"mismatches": mismatches, "sha256": hashlib.sha256(batch.tobytes()).hexdigest()}))
+"""
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
+def test_scalar_r_has_the_bytes_of_its_batched_row_under_each_gemm_kernel(kernel):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               OPENBLAS_CORETYPE=kernel)
+    done = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["mismatches"] == [], result

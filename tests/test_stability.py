@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from d1q3rv.scheme import (WORKING_SET_BYTES, SchemeParameters, _operands,
+from d1q3rv.scheme import (TAU_MAT, WORKING_SET_BYTES, SchemeParameters, _operands,
                            build_relaxation_matrix, relaxation_factors, relaxation_matrices)
-from d1q3rv.stability import (TAU_STAB, _chain_terms, _max, _min, _necessary, _u_zero,
+from d1q3rv.stability import (GUARD_BAND, TAU_STAB, _chain_terms, _max, _min, _necessary, _u_zero,
                               _verdict, alpha_feasible,
                               alpha_from_gamma, alpha_interval, chain_bounds,
                               gamma_feasible_interval, matrix_entry_verdict, necessary_region,
@@ -130,23 +130,53 @@ def test_nan_slack_makes_the_verdict_unstable(p):
         assert np.isnan(v.min_slack) == np.isnan(v.slacks).any()
 
 
-def test_verdict_takes_an_array_or_a_list_of_floats_alike():
+def test_every_route_gives_python_float_slacks_and_min_slack():
+    # the routes hand _verdict Python floats, for NumPy-scalar fields (even rows) too
+    for row in _edge_rows()[1]:
+        p = SchemeParameters(*row)
+        with np.errstate(all="ignore"):   # R's (3, 3) products are array arithmetic
+            verdicts = (nine_inequalities(p), matrix_entry_verdict(p), reduced_condition(p))
+        for v in verdicts:
+            assert all(type(y) is float for y in v.slacks) and type(v.min_slack) is float, row
+            assert type(v.stable) is bool
+
+
+@pytest.mark.parametrize("k", [0, 4, 8], ids=["first", "middle", "last"])
+def test_verdict_with_a_nan_first_or_last_is_unstable(k):
+    x = np.linspace(0.1, 0.9, 9).tolist()
+    x[k] = math.nan
+    v = _verdict(x, "nine")
+    assert v.stable is False and math.isnan(v.min_slack)
+
+
+def test_verdict_of_opposite_infinities_without_nan_is_minus_infinity():
+    # inf + -inf makes the slacks' sum NaN although no slack is NaN
+    for slacks in ([math.inf, -math.inf] + [0.5] * 7, [0.5] * 7 + [-math.inf, math.inf]):
+        v = _verdict(slacks, "nine")
+        assert v.min_slack == -math.inf and v.stable is False and v.binding == ()
+
+
+def test_verdict_binding_is_the_full_enumeration():
     x = np.random.default_rng(79).uniform(-1, 1, 9)
     x[3], x[5] = 5e-10, -0.0   # within the guard band: binding
-    verdicts = [_verdict(slacks, "nine") for slacks in (x, x.tolist(), list(x))]   # list(x): np.float64s
-    for v in verdicts:
-        assert all(type(y) is float for y in v.slacks) and type(v.min_slack) is float
-        assert repr(v) == repr(verdicts[0])
-    assert verdicts[0].binding == (3, 5) and verdicts[0].min_slack == x.min()
-
-
-@pytest.mark.parametrize("k", [0, 8], ids=["first", "last"])
-def test_verdict_with_a_nan_first_or_last_is_unstable(k):
-    x = np.linspace(0.1, 0.9, 9)
-    x[k] = np.nan
-    for slacks in (x, x.tolist(), list(x)):
+    v = _verdict(x.tolist(), "nine")
+    assert v.binding == (3, 5) and v.min_slack == x.min()
+    rng = np.random.default_rng(83)
+    bound = 0
+    for _ in range(3000):
+        x = rng.uniform(-1, 1, 9) * 10.0 ** rng.integers(-10, 1, 9)
+        pick = rng.random(9)
+        x[pick < 0.05] = 5e-10
+        x[(pick >= 0.05) & (pick < 0.1)] = -5e-10
+        x[(pick >= 0.1) & (pick < 0.15)] = -0.0
+        x[(pick >= 0.15) & (pick < 0.2)] = GUARD_BAND   # on the band's edge: binding
+        if rng.random() < 0.1:
+            x[rng.integers(9)] = np.nan   # where it comes first, min(|x|) is NaN: no shortcut
+        slacks = x.tolist()
         v = _verdict(slacks, "nine")
-        assert v.stable is False and math.isnan(v.min_slack)
+        assert v.binding == tuple(i for i, y in enumerate(slacks) if abs(y) <= GUARD_BAND), slacks
+        bound += bool(v.binding)
+    assert 0 < bound < 3000   # both the shortcut and the enumeration ran
 
 
 def test_reduced_condition_on_numpy_scalars_is_the_python_float_call_without_warnings():
@@ -517,6 +547,40 @@ def test_scalar_calls_have_the_bytes_and_type_of_their_batched_row():
                     assert type(g) is type(want.item())
                 assert np.asarray(g).tobytes() == want.tobytes(), (fn.__name__, row)
     assert warned > 0   # the edge rows do reach R's warnings
+
+
+def test_direct_scalar_routes_have_the_bytes_of_their_batched_rows():
+    # nine_inequalities takes its slacks from the closed form's expression text
+    # and matrix_entry_verdict from R's product, each without the array function;
+    # tobytes, not ==, so that signed zeros and NaN count
+    cols, rows = _edge_rows()
+    with np.errstate(all="ignore"):
+        closed = relaxation_entries_closed_form(*cols[:5]).reshape(-1, 9)
+        R = relaxation_matrices(*cols).reshape(-1, 9)
+        for i, row in enumerate(rows):
+            p = SchemeParameters(*row)
+            assert np.array(nine_inequalities(p).slacks).tobytes() == closed[i].tobytes(), row
+            assert np.array(matrix_entry_verdict(p).slacks).tobytes() == R[i].tobytes(), row
+
+
+def test_entry_combinations_and_invariants_of_r():
+    """2 R02 + R12 = s(1 - V), 2 R20 + R10 = s(1 + V), trace R = 3 - s - s' and
+    det R = (1 - s)(1 - s'), within TAU_MAT, for the closed form and the product.
+
+    The first two sum entries 2 and 5, and 6 and 3, of the entry text; the
+    last two hold because R's eigenvalues are 1, 1 - s and 1 - s' (proof in
+    relaxation_entries_closed_form's docstring).
+    """
+    rng = np.random.default_rng(89)
+    n = 2000
+    V, u, s, sp, alpha = (rng.uniform(-1.5, 1.5, n), rng.uniform(-1, 1, n), rng.uniform(-0.5, 2.5, n),
+                          rng.uniform(-0.5, 2.5, n), rng.uniform(-2, 2, n))
+    lam = rng.choice([0.5, 1.0, 3.0], n)
+    for R in (relaxation_entries_closed_form(V, u, s, sp, alpha), relaxation_matrices(V, u, s, sp, alpha, lam)):
+        assert np.abs(2 * R[:, 0, 2] + R[:, 1, 2] - s * (1 - V)).max() <= TAU_MAT
+        assert np.abs(2 * R[:, 2, 0] + R[:, 1, 0] - s * (1 + V)).max() <= TAU_MAT
+        assert np.abs(np.trace(R, axis1=1, axis2=2) - (3 - s - sp)).max() <= TAU_MAT
+        assert np.abs(np.linalg.det(R) - (1 - s) * (1 - sp)).max() <= TAU_MAT
 
 
 def test_max_and_min_of_python_floats_have_the_bytes_of_the_ufuncs():
