@@ -201,7 +201,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    rows = [(label, SchemeParameters(*(float(Fraction(v)) for v in fields)))
+    rows = [(label, SchemeParameters(*map(Fraction, fields)))
             for label, *fields in BENCHMARK_ROWS]
     kinds = (simulator.SMOOTH, simulator.HAT, simulator.STEP)
     results = iter(simulator.run_batch([(InitialProfile(kind=kind), p)

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import numpy as np
 from dataclasses import dataclass
 
-from .scheme import WORKING_SET_BYTES, _integer
+from .scheme import WORKING_SET_BYTES, _integer, _real
 from .stability import _feasible_interval, necessary_region
 
 FEASIBLE = "FEASIBLE"
@@ -41,16 +40,6 @@ def default_u_list(V: float) -> tuple:
     """The relative velocities conventionally scanned alongside a given V:
     -2V, -V, 0, V/2, V and 2V, every zero among them +0.0."""
     return tuple(u + 0.0 for u in (-2.0 * V, -V, 0.0, V / 2.0, V, 2.0 * V))
-
-
-def _real(value, name: str) -> float:
-    """value as a Python float; a ValueError naming it unless it is a real number that fits one."""
-    if isinstance(value, numbers.Real):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ValueError(f"{name} must be a real number that fits a float, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ are float64; every function is pure.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import numpy as np
 from dataclasses import dataclass
@@ -47,8 +48,11 @@ class SchemeParameters:
     V is the nondimensional advection velocity (physical speed lam*V),
     u the relative velocity shifting the moment basis, s and s_prime the
     relaxation rates, alpha the second equilibrium parameter, and lam the
-    lattice velocity dx/dt.  No admissibility restriction is applied here;
-    the stability module decides which tuples yield a non-negative R.
+    lattice velocity dx/dt.  Each field is stored as a Python float, converted
+    once here (_real): a value that is not a real number, or does not fit a
+    float, is a ValueError naming its field, and NaN and +-inf are kept.
+    Beyond lam > 0 no admissibility restriction is applied here; the
+    stability module decides which tuples yield a non-negative R.
     """
 
     V: float
@@ -59,6 +63,10 @@ class SchemeParameters:
     lam: float = 1.0
 
     def __post_init__(self):
+        for name in ("V", "u", "s", "s_prime", "alpha", "lam"):
+            value = getattr(self, name)
+            if type(value) is not float:
+                object.__setattr__(self, name, _real(value, name))
         if not self.lam > 0:
             raise ValueError(f"lattice velocity must be positive, got lam={self.lam}")
 
@@ -75,6 +83,16 @@ def _integer(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(value, name: str) -> float:
+    """value as a Python float; a ValueError naming it unless it is a real number that fits one."""
+    if isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a real number that fits a float, got {value!r}")
 
 
 _SCALAR_TYPES = frozenset((float, int, np.float64))
@@ -154,8 +172,8 @@ class RelaxationFactors(NamedTuple):
 
 
 def relaxation_factors(p: SchemeParameters) -> RelaxationFactors:
-    """R's six factors for one scheme instance, built from Python floats."""
-    return RelaxationFactors(*_factors(*_operands(p.V, p.u, p.s, p.s_prime, p.alpha, p.lam)))
+    """R's six factors for one scheme instance, built from its Python floats."""
+    return RelaxationFactors(*_factors(p.V, p.u, p.s, p.s_prime, p.alpha, p.lam))
 
 
 def build_relaxation_matrix(p: SchemeParameters) -> np.ndarray:
@@ -164,9 +182,9 @@ def build_relaxation_matrix(p: SchemeParameters) -> np.ndarray:
     Entries are independent of lam and each column sums to 1 (density
     conservation).  Non-negativity of all nine entries is the stability
     notion studied by the stability module.  This is the 0-d case of
-    relaxation_matrices.
+    relaxation_matrices, the record's Python floats going straight to its kernel.
     """
-    return relaxation_matrices(p.V, p.u, p.s, p.s_prime, p.alpha, p.lam)
+    return _relaxation_product(*_factors(p.V, p.u, p.s, p.s_prime, p.alpha, p.lam))
 
 
 def _flat(a: np.ndarray):
@@ -255,7 +273,7 @@ def moments_from_distributions(F, p: SchemeParameters) -> MomentVector:
     f = np.asarray(F, float)
     c = VELOCITIES - p.u
     rho = float(f.sum())
-    q = float(p.lam * (c * f).sum())
+    q = p.lam * float((c * f).sum())
     eps = float(3.0 * p.lam**2 * (c**2 * f).sum() - 2.0 * p.lam**2 * f.sum())
     return MomentVector(rho, q, eps)
 

@@ -23,13 +23,14 @@ min(0, min_ik R_ik w_k).  A zero weight w_k exempts column k.
 
 from __future__ import annotations
 
+import math
 import warnings
 import numpy as np
 from dataclasses import astuple, dataclass, fields
 from typing import NamedTuple
 
-from .scheme import (WORKING_SET_BYTES, SchemeParameters, _integer, build_relaxation_matrix,
-                     equilibrium_distributions, equilibrium_weights)
+from .scheme import (WORKING_SET_BYTES, SchemeParameters, _integer, _real,
+                     build_relaxation_matrix, equilibrium_distributions, equilibrium_weights)
 
 SMOOTH = "smooth"
 HAT = "hat"
@@ -73,7 +74,10 @@ class InitialProfile:
 
     smooth is a Gaussian bump, hat a triangular pulse (half-width width),
     step a rectangular pulse, custom takes per-cell densities.  center and
-    width default to L/4 and L/10.  Distances wrap periodically.
+    width default to L/4 and L/10.  Distances wrap periodically.  low, high
+    and a given center or width are stored as Python floats; a value that is
+    not a real number, or does not fit a float, is a ValueError naming its
+    field.
     """
 
     kind: str = STEP
@@ -88,9 +92,13 @@ class InitialProfile:
             raise ValueError(f"unknown profile kind {self.kind!r}, expected one of {PROFILE_KINDS}")
         if self.kind == CUSTOM and self.values is None:
             raise ValueError("custom profiles need explicit density values")
+        for name in ("low", "high", "center", "width"):
+            value = getattr(self, name)
+            if value is not None or name in ("low", "high"):
+                object.__setattr__(self, name, _real(value, name))
         if self.width is not None and not self.width > 0:
             raise ValueError(f"profile width must be positive, got {self.width}")
-        if self.center is not None and not np.isfinite(self.center):
+        if self.center is not None and not math.isfinite(self.center):
             raise ValueError(f"profile center must be finite, got {self.center}")
 
     def sample_at(self, x, length: float) -> np.ndarray:
@@ -217,7 +225,7 @@ def exact_density(profile: InitialProfile, grid: Grid1D, p: SchemeParameters,
     shifted positions.  A non-finite displacement gives an all-NaN reference.
     """
     profile._check_fits(grid)
-    shift_cells = float(p.V) * n_steps
+    shift_cells = p.V * n_steps
     if not np.isfinite(shift_cells):
         return np.full(grid.n_cells, np.nan)
     nearest = round(shift_cells)

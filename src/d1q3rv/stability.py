@@ -46,12 +46,14 @@ kernel here (_CHUNK): each result's trailing shape and dtype come from the
 kernel, and the working memory beyond the results stays within
 WORKING_SET_BYTES.  The u = 0 region and the necessary region are one rule,
 every slack of their kernel >= -TAU_STAB, so neither builds its slack stack
-whole.  The verdict routes and the alpha intervals take scalars only.  The
-nine-inequality route evaluates the closed form's own expression text
-(_entries) on Python floats and the entries route runs the scalar R product
-(_relaxation_product) directly, so neither boxes its slacks in an array; a
-verdict's slacks and min_slack are Python floats.  StabilityVerdict and
-GammaInterval are NamedTuples.
+whole.  The verdict routes take a SchemeParameters, whose fields are Python
+floats (an array field is a ValueError naming it), and the alpha intervals
+take scalars only: an array there is a ValueError that names
+gamma_feasible_interval and alpha_feasible.  The nine-inequality route
+evaluates the closed form's own expression text (_entries) on the record's
+Python floats, so it boxes no slack in an array, and the entries route reads
+build_relaxation_matrix's R; a verdict's slacks and min_slack are Python
+floats.  StabilityVerdict and GammaInterval are NamedTuples.
 TAU_STAB and GUARD_BAND are constants, not arguments.  A NaN slack makes a
 verdict unstable; NaN input is never feasible.
 """
@@ -63,8 +65,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .scheme import (WORKING_SET_BYTES, SchemeParameters, _batched, _factors, _operands,
-                     _relaxation_product)
+from .scheme import WORKING_SET_BYTES, SchemeParameters, _batched, build_relaxation_matrix
 
 # Verdict tolerance: entries within -TAU_STAB of zero still count as
 # non-negative (closed regions; ties resolved toward stability).
@@ -192,20 +193,15 @@ def relaxation_entries_closed_form(V, u, s, s_prime, alpha) -> np.ndarray:
 def nine_inequalities(p: SchemeParameters) -> StabilityVerdict:
     """Stability by the nine closed-form entry values (row-major slacks).
 
-    The closed form's expression text (_entries) on Python floats: the bytes of
-    relaxation_entries_closed_form, without an array.
+    The closed form's expression text (_entries) on the record's Python floats:
+    the bytes of relaxation_entries_closed_form, without an array.
     """
-    return _verdict(_entries(*_operands(p.V, p.u, p.s, p.s_prime, p.alpha)), "nine")
+    return _verdict(_entries(p.V, p.u, p.s, p.s_prime, p.alpha), "nine")
 
 
 def matrix_entry_verdict(p: SchemeParameters) -> StabilityVerdict:
-    """Stability by the entries of the assembled matrix product.
-
-    build_relaxation_matrix's factors and products, called directly: the same
-    bytes, without the array function's dispatch.
-    """
-    R = _relaxation_product(*_factors(*_operands(p.V, p.u, p.s, p.s_prime, p.alpha, p.lam)))
-    return _verdict(R.reshape(9).tolist(), "entries")
+    """Stability by the entries of the assembled matrix product (build_relaxation_matrix)."""
+    return _verdict(build_relaxation_matrix(p).reshape(9).tolist(), "entries")
 
 
 def _reduced(V, u, s, sp, al):
@@ -214,8 +210,8 @@ def _reduced(V, u, s, sp, al):
 
 
 def reduced_parameters(p: SchemeParameters) -> ReducedParameters:
-    """u_bar and gamma of p, computed on float64 operands (_operands)."""
-    return ReducedParameters(*_reduced(*_operands(p.V, p.u, p.s, p.s_prime, p.alpha)))
+    """u_bar and gamma of p, computed on its Python floats."""
+    return ReducedParameters(*_reduced(p.V, p.u, p.s, p.s_prime, p.alpha))
 
 
 def _chain_terms(V, u, s, sp):
@@ -265,9 +261,8 @@ def reduced_condition(p: SchemeParameters) -> StabilityVerdict:
     Slacks, in order: 2g - (s'-1), 2g - |u_bar|, (2 - s - |u_bar - sV|) - 2g,
     (s - |u_bar + sV|) - 2g, (s' - |sV|) - 2g.
     """
-    V, u, s, sp, al = _operands(p.V, p.u, p.s, p.s_prime, p.alpha)
-    two_gamma = 2.0 * _reduced(V, u, s, sp, al)[1]
-    lower, upper = _chain_terms(V, u, s, sp)
+    two_gamma = 2.0 * _reduced(p.V, p.u, p.s, p.s_prime, p.alpha)[1]
+    lower, upper = _chain_terms(p.V, p.u, p.s, p.s_prime)
     return _verdict([two_gamma - x for x in lower] + [x - two_gamma for x in upper], "reduced")
 
 
@@ -303,14 +298,22 @@ def alpha_from_gamma(gamma, V, u, s, s_prime):
     return 1.0 - 6.0 * (gamma + u * (s - s_prime) * V) / s_prime
 
 
+def _scalar_only(flag, name: str) -> bool:
+    """flag, the bool of a scalar call; a ValueError naming the array functions for an array."""
+    if type(flag) is not bool:
+        raise ValueError(f"{name} takes scalars only; gamma_feasible_interval and "
+                         "alpha_feasible take arrays")
+    return flag
+
+
 def alpha_interval(V, u, s, s_prime):
-    """Feasible alpha interval, or None when empty or alpha-unconstrained.
+    """Feasible alpha interval, or None when empty or alpha-unconstrained; scalars only.
 
     Maps the gamma interval endpoints through alpha_from_gamma (alpha is
     affine, decreasing in gamma for s' > 0).
     """
     lower, upper, empty = _interval(V, u, s, s_prime)
-    if empty or s_prime == 0.0:
+    if _scalar_only(empty, "alpha_interval") or s_prime == 0.0:
         return None
     a, b = (alpha_from_gamma(g, V, u, s, s_prime) for g in (lower, upper))
     return (min(a, b), max(a, b))
@@ -362,13 +365,13 @@ def u_zero_region(V, s, s_prime):
 
 
 def u_zero_alpha_bounds(V, s, s_prime):
-    """Feasible alpha interval at u = 0; None when s' = 0 (alpha-unconstrained).
+    """Feasible alpha interval at u = 0; None when s' = 0 (alpha-unconstrained); scalars only.
 
     Raises ValueError outside u_zero_region(V, s, s_prime), at s' = 0 as
     elsewhere.  The upper endpoint never exceeds 1, and the lower endpoint
     satisfies s' <= 3/(alpha + 2).
     """
-    if not u_zero_region(V, s, s_prime):
+    if not _scalar_only(u_zero_region(V, s, s_prime), "u_zero_alpha_bounds"):
         raise ValueError(f"(V={V}, s={s}, s_prime={s_prime}) is outside the u=0 stability region")
     return alpha_interval(V, 0.0, s, s_prime)
 

@@ -8,7 +8,9 @@ script's 500 batched R have sha256 456ddab8... under Haswell and
 scalar R, and the slacks of the entries route, have the bytes of the batched
 row.  The variable is read at import, so each kernel runs in its own
 interpreter; a BLAS that is not OpenBLAS ignores it, and the check then runs
-twice on the one kernel it has.
+twice on the one kernel it has.  The byte-pinned tests (PINNED) hold one pin
+per gemm summation order, chosen by conftest.gemm_order; they run here under
+both kernels too.
 """
 
 import json
@@ -41,12 +43,29 @@ print(json.dumps({"mismatches": mismatches, "sha256": hashlib.sha256(batch.tobyt
 """
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+PINNED = ["tests/test_cli.py::test_simulate_output_files_are_pinned",
+          "tests/test_simulator.py::test_run_of_an_infinite_profile_warns_once_from_the_l1_error"]
+
+
+def kernel_env(kernel):
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_CORETYPE=kernel)
+
+
 @pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
 def test_scalar_r_has_the_bytes_of_its_batched_row_under_each_gemm_kernel(kernel):
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
-               OPENBLAS_CORETYPE=kernel)
+    env = kernel_env(kernel)
     done = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["mismatches"] == [], result
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
+def test_byte_pinned_tests_pass_under_each_gemm_kernel(kernel):
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *PINNED],
+                          cwd=ROOT, env=kernel_env(kernel), capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

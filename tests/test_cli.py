@@ -320,17 +320,27 @@ def test_reproduce_stdout_is_pinned(capsys):
         "1eda8c588bb36a1a84a438d9769c7b967b14e15278dd06466d5a0ac6a24957c5")
 
 
-def test_simulate_output_files_are_pinned(tmp_path, capsys):
+# The simulate files' sha256 under each gemm summation order (conftest.gemm_order).
+SIMULATE_DIGESTS = {
+    "fused": {
+        "d.csv": "489f3550378dad230e6dfa5cfcbd66706cfe474aa14d9905a67206ce79ecae63",
+        "d.snapshots.csv": "ff550d0a1f71695a284858c4fcae3b9f71a3140deba7dc8bacea58715ee49559",
+    },
+    "plain": {
+        "d.csv": "a9ed503e4f6d962071fc8d7825732b1baae8954ddaaa900ec28fdaf360dc6c19",
+        "d.snapshots.csv": "315784bb737f6c6da62abffa8fda125a3d398e36b19d5a92eccb8bd09b44f38c",
+    },
+}
+
+
+def test_simulate_output_files_are_pinned(tmp_path, capsys, gemm_order):
     out_csv = tmp_path / "d.csv"
     assert main(["simulate", "--V", "0.25", "--u", "0.25", "--s", "1.6", "--sp", "1.3",
                  "--alpha=-0.17548076923076938", "--profile", "hat", "--ncells", "37",
                  "--steps", "150", "--snap-every", "7", "--out", str(out_csv)]) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("d.csv", "d.snapshots.csv")}
-    assert digests == {
-        "d.csv": "489f3550378dad230e6dfa5cfcbd66706cfe474aa14d9905a67206ce79ecae63",
-        "d.snapshots.csv": "ff550d0a1f71695a284858c4fcae3b9f71a3140deba7dc8bacea58715ee49559",
-    }
+    assert digests == SIMULATE_DIGESTS.get(gemm_order), (gemm_order, digests)
 
 
 def test_reproduce_batched_results_match_serial_runs(capsys):

@@ -1,4 +1,7 @@
+import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from d1q3rv.scheme import (_CHUNK, TAU_MAT, WORKING_SET_BYTES, RelaxationFactors
                            _flat, basis_commutator, build_relaxation_matrix, change_basis_relaxation_matrix,
                            equilibrium_distributions, equilibrium_weights, mats_close,
                            moments_from_distributions, relaxation_factors, relaxation_matrices)
+from d1q3rv.simulator import InitialProfile
 from d1q3rv.stability import _CHUNK as _KERNEL_CHUNK
 from d1q3rv.stability import (chain_bounds, necessary_slacks, relaxation_entries_closed_form,
                               u_zero_slacks)
@@ -23,6 +27,30 @@ def test_lambda_must_be_positive():
         SchemeParameters(V=0.0, lam=0.0)
     with pytest.raises(ValueError):
         SchemeParameters(V=0.0, lam=-1.0)
+
+
+# Every numeric field of both records, with how to build a record from one value of it.
+RECORD_FIELDS = [*((name, lambda **kw: SchemeParameters(**{"V": 0.25, **kw}))
+                   for name in ("V", "u", "s", "s_prime", "alpha", "lam")),
+                 *((name, lambda **kw: InitialProfile(**kw)) for name in ("low", "high", "center", "width"))]
+
+
+@pytest.mark.parametrize("name,record", RECORD_FIELDS, ids=[name for name, _ in RECORD_FIELDS])
+def test_a_record_holds_its_numbers_as_python_floats(name, record):
+    # Positive finite values, so that lam > 0, width > 0 and a finite center hold.
+    for x in (0.25, 3, True, np.float64(0.1), np.float32(0.1), np.int64(7), np.uint8(2),
+              Fraction(1, 3)):
+        value = getattr(record(**{name: x}), name)
+        assert type(value) is float and value.hex() == float(x).hex(), (x, value)
+    for x in (np.array([0.1, 0.2]), np.array(0.5), "0.5", Decimal("0.5"), 10**400, 1j,
+              *([] if name in ("center", "width") else [None])):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number that fits a float"):
+            record(**{name: x})
+    if name in ("center", "width"):
+        assert getattr(record(), name) is None
+    if name not in ("lam", "center", "width"):
+        for x in (math.nan, math.inf, -math.inf, np.float64(-math.inf)):
+            assert getattr(record(**{name: x}), name).hex() == float(x).hex()
 
 
 def test_mats_close_requires_equal_shapes():

@@ -295,17 +295,20 @@ def test_run_that_is_nan_from_the_start_reports_nan_diagnostics():
     assert diag.as_csv_row() == ",".join(["nan"] * 7)
 
 
-def test_run_of_an_infinite_profile_warns_once_from_the_l1_error():
+def test_run_of_an_infinite_profile_warns_once_from_the_l1_error(gemm_order):
     # The final and the exact density both hold inf, so the L1 error's
     # subtraction makes a NaN and warns; the overshoot's inf - inf also makes
-    # a NaN but, as for Python floats, silently.
+    # a NaN but, as for Python floats, silently.  With fused multiply-adds the
+    # cells of density 1 stay exactly 1; with plain sums they lose an ulp or two.
     profile = InitialProfile(kind=CUSTOM, values=np.r_[np.inf, np.ones(23)])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         diag = run(profile, default_grid(24), params(), 5).diagnostics
     assert [(w.category, str(w.message)) for w in caught] == [
         (RuntimeWarning, "invalid value encountered in subtract")]
-    assert diag.as_csv_row() == "0.20833333333333331,1,inf,nan,nan,nan,0"
+    rows = {"fused": "0.20833333333333331,1,inf,nan,nan,nan,0",
+            "plain": "0.20833333333333326,0.99999999999999967,inf,nan,nan,nan,3.3306690738754696e-16"}
+    assert diag.as_csv_row() == rows.get(gemm_order), (gemm_order, diag.as_csv_row())
 
 
 def test_advance_batch_equals_single_runs():

@@ -387,6 +387,14 @@ def test_u_zero_alpha_bounds_never_exceed_one_and_rate_cap():
 def test_u_zero_alpha_bounds_errors():
     with pytest.raises(ValueError):
         u_zero_alpha_bounds(0.25, 1.6, 1.3)
+    # the scalar-only intervals reject arrays, of one element too, and name the array functions
+    for call, args in ((alpha_interval, (np.array([0.25, 0.5]), 0.0, 1.0, 1.0)),
+                       (alpha_interval, (0.25, 0.0, 1.0, np.array([1.0]))),
+                       (u_zero_alpha_bounds, (0.25, np.array([1.0, 1.6]), 1.0)),
+                       (u_zero_alpha_bounds, (np.array([0.25]), 1.0, 1.0))):
+        with pytest.raises(ValueError, match=f"^{call.__name__} takes scalars only; "
+                                             "gamma_feasible_interval and alpha_feasible take arrays$"):
+            call(*args)
 
 
 @pytest.mark.parametrize("V,s", [(0.25, 1.0), (0.5, 3.0)])
