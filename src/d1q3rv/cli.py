@@ -135,8 +135,10 @@ def cmd_check(args) -> int:
     print(f"gamma interval: [{iv.lower:.17g}, {iv.upper:.17g}]")
     if args.sp == 0.0:
         pinned = stability.pinned_gamma(args.V, args.u, args.s)
-        print(f"alpha-unconstrained (s' = 0 pins gamma at {pinned:.17g})")
-        return 0 if stability.alpha_feasible(args.V, args.u, args.s, args.sp) else 1
+        feasible = stability.alpha_feasible(args.V, args.u, args.s, args.sp)
+        print(f"alpha-unconstrained (s' = 0 pins gamma at {pinned:.17g})"
+              + ("" if feasible else ", outside the gamma interval"))
+        return 0 if feasible else 1
     lo, hi = stability.alpha_interval(args.V, args.u, args.s, args.sp)
     print(f"alpha interval: [{lo:.17g}, {hi:.17g}]")
     return 0

@@ -16,7 +16,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .scheme import WORKING_SET_BYTES, _integer, _real
-from .stability import _feasible_interval, necessary_region
+from .stability import _feasibility, necessary_region
 
 FEASIBLE = "FEASIBLE"
 NECESSARY_ONLY = "NECESSARY_ONLY"
@@ -124,12 +124,12 @@ def scan(spec: ScanSpec) -> list:
                          _CLASS_CODES[OUTSIDE])
         grids = []
         for u in spec.u_list:
-            iv, feasible = _feasible_interval(spec.V, u, S, SP)
+            lower, upper, _, feasible = _feasibility(spec.V, u, S, SP)
             grids.append(RegionGrid(
                 V=spec.V, u=float(u), s_values=s, s_prime_values=sp,
                 codes=np.where(feasible, _CLASS_CODES[FEASIBLE], outer).astype(np.int8),
-                gamma_lower=np.where(feasible, iv.lower, np.nan),
-                gamma_upper=np.where(feasible, iv.upper, np.nan)))
+                gamma_lower=np.where(feasible, lower, np.nan),
+                gamma_upper=np.where(feasible, upper, np.nan)))
     return grids
 
 

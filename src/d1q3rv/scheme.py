@@ -15,6 +15,7 @@ are float64; every function is pure.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 import numpy as np
@@ -86,12 +87,18 @@ def _integer(value, name: str) -> int:
 
 
 def _real(value, name: str) -> float:
-    """value as a Python float; a ValueError naming it unless it is a real number that fits one."""
+    """value as a Python float; a ValueError naming it unless it is a real number that fits one.
+
+    A finite value that rounds to +-inf (a wide np.longdouble) does not fit; +-inf and NaN do.
+    """
     if isinstance(value, numbers.Real):
         try:
-            return float(value)
+            x = float(value)
         except OverflowError:
             pass
+        else:
+            if not math.isinf(x) or x == value:
+                return x
     raise ValueError(f"{name} must be a real number that fits a float, got {value!r}")
 
 

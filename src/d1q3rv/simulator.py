@@ -24,6 +24,7 @@ min(0, min_ik R_ik w_k).  A zero weight w_k exempts column k.
 from __future__ import annotations
 
 import math
+import reprlib
 import warnings
 import numpy as np
 from dataclasses import astuple, dataclass, fields
@@ -77,7 +78,9 @@ class InitialProfile:
     width default to L/4 and L/10.  Distances wrap periodically.  low, high
     and a given center or width are stored as Python floats; a value that is
     not a real number, or does not fit a float, is a ValueError naming its
-    field.
+    field.  Given values are stored as a new 1-d float64 array of at least
+    one entry (NaN and +-inf kept); anything else is a ValueError naming
+    values.
     """
 
     kind: str = STEP
@@ -100,14 +103,16 @@ class InitialProfile:
             raise ValueError(f"profile width must be positive, got {self.width}")
         if self.center is not None and not math.isfinite(self.center):
             raise ValueError(f"profile center must be finite, got {self.center}")
+        if self.values is not None:
+            object.__setattr__(self, "values", _densities(self.values))
 
     def sample_at(self, x, length: float) -> np.ndarray:
         """Density at positions x on a periodic domain of the given length."""
         x = np.asarray(x, float)
         if self.kind == CUSTOM:
-            vals = np.asarray(self.values, float)
-            grid_x = length * np.arange(len(vals)) / len(vals)
-            return np.interp(np.mod(x, length), grid_x, vals, period=length)
+            n = len(self.values)
+            grid_x = length * np.arange(n) / n
+            return np.interp(np.mod(x, length), grid_x, self.values, period=length)
         x0 = self.center if self.center is not None else length / 4.0
         w = self.width if self.width is not None else length / 10.0
         d = np.abs(x - x0) % length
@@ -119,12 +124,25 @@ class InitialProfile:
         return np.where(d <= w, self.high, self.low)
 
     def _check_fits(self, grid: Grid1D) -> None:
-        if self.kind == CUSTOM and len(np.asarray(self.values)) != grid.n_cells:
+        if self.kind == CUSTOM and len(self.values) != grid.n_cells:
             raise ValueError(f"custom profile has {len(self.values)} values for {grid.n_cells} cells")
 
     def sample(self, grid: Grid1D) -> np.ndarray:
         self._check_fits(grid)
         return self.sample_at(grid.positions(), grid.length)
+
+
+def _densities(values) -> np.ndarray:
+    """values as a new 1-d float64 array; a ValueError naming them unless they are
+    a non-empty 1-d sequence of real numbers."""
+    try:
+        a = np.asarray(values)
+        if a.dtype.kind in "biuf" and a.ndim == 1 and a.size:
+            return a.astype(float)
+    except ValueError:   # a ragged nesting
+        pass
+    raise ValueError("values must be a non-empty 1-d sequence of real numbers, "
+                     f"got {reprlib.repr(values)}")
 
 
 def density(f) -> np.ndarray:

@@ -44,18 +44,20 @@ operand, so a tie of 0.0 and -0.0 takes the sign the installed NumPy gives
 through scheme._batched, the one chunk loop, at one chunk size for every
 kernel here (_CHUNK): each result's trailing shape and dtype come from the
 kernel, and the working memory beyond the results stays within
-WORKING_SET_BYTES.  The u = 0 region and the necessary region are one rule,
-every slack of their kernel >= -TAU_STAB, so neither builds its slack stack
-whole.  The verdict routes take a SchemeParameters, whose fields are Python
-floats (an array field is a ValueError naming it), and the alpha intervals
-take scalars only: an array there is a ValueError that names
-gamma_feasible_interval and alpha_feasible.  The nine-inequality route
-evaluates the closed form's own expression text (_entries) on the record's
-Python floats, so it boxes no slack in an array, and the entries route reads
-build_relaxation_matrix's R; a verdict's slacks and min_slack are Python
-floats.  StabilityVerdict and GammaInterval are NamedTuples.
-TAU_STAB and GUARD_BAND are constants, not arguments.  A NaN slack makes a
-verdict unstable; NaN input is never feasible.
+WORKING_SET_BYTES.  alpha_feasible, both intervals and regionscan.scan come
+from one _batched pass of the chain (_feasibility) on the converted operands,
+list and tuple input included, so the s' = 0 rule reads the s' the chain
+reads.  The u = 0 region and the necessary region are one rule, every slack
+of their kernel >= -TAU_STAB, so neither builds its slack stack whole.  The
+verdict routes take a SchemeParameters, whose fields are Python floats (an
+array field is a ValueError naming it), and the alpha intervals take scalars
+only: an array there is a ValueError that names gamma_feasible_interval and
+alpha_feasible.  The nine-inequality route evaluates the closed form's own
+expression text (_entries) on the record's Python floats, so it boxes no
+slack in an array, and the entries route reads build_relaxation_matrix's R; a
+verdict's slacks and min_slack are Python floats.  StabilityVerdict and
+GammaInterval are NamedTuples.  TAU_STAB and GUARD_BAND are constants, not
+arguments.  A NaN slack makes a verdict unstable; NaN input is never feasible.
 """
 
 from __future__ import annotations
@@ -127,15 +129,10 @@ def _verdict(slacks, route: str) -> StabilityVerdict:
     return StabilityVerdict(m >= -TAU_STAB, slacks, m, binding, route)
 
 
-def _unbox(res, kind):
-    """A 0-d NumPy result as a Python kind (float or bool); arrays pass through."""
-    return res if res.ndim else kind(res)
-
-
 def _region(slacks, V, s, s_prime):
     """Whether every slack of the kernel slacks is >= -TAU_STAB, in chunks; a bool for scalars."""
-    return _unbox(_batched(lambda *ops: slacks(*ops).min(axis=-1) >= -TAU_STAB, _CHUNK,
-                           V, s, s_prime), bool)
+    inside = _batched(lambda *ops: slacks(*ops).min(axis=-1) >= -TAU_STAB, _CHUNK, V, s, s_prime)
+    return inside if inside.ndim else bool(inside)
 
 
 def _entries(V, u, s, sp, al):
@@ -266,12 +263,23 @@ def reduced_condition(p: SchemeParameters) -> StabilityVerdict:
     return _verdict([two_gamma - x for x in lower] + [x - two_gamma for x in upper], "reduced")
 
 
-def _interval(V, u, s, s_prime):
-    """(lower, upper, empty) of the feasible gamma interval; Python floats and a bool for scalars."""
-    lower, upper = _batched(_bounds, _CHUNK, V, u, s, s_prime)
-    lo, hi = lower / 2.0, upper / 2.0
-    fits = lo <= hi + TAU_STAB
-    return lo, hi, (~fits if isinstance(fits, np.ndarray) else not fits)
+def _interval(V, u, s, sp):
+    """(lower, upper, empty, feasible) of the gamma interval for float64 operands.
+
+    feasible is alpha_feasible's answer: a nonempty interval that, where
+    s' = 0, also holds the pinned gamma.  Python floats give floats and bools.
+    """
+    lower, upper = _bounds(V, u, s, sp)
+    lower, upper = lower / 2.0, upper / 2.0
+    fits = lower <= upper + TAU_STAB
+    pinned = pinned_gamma(V, u, s)
+    pin_ok = (pinned >= lower - TAU_STAB) & (pinned <= upper + TAU_STAB)
+    return lower, upper, fits ^ True, fits & ((sp != 0.0) | pin_ok)
+
+
+def _feasibility(V, u, s, s_prime):
+    """_interval on the converted operands, in one chunked pass: the source of every interval."""
+    return _batched(_interval, _CHUNK, V, u, s, s_prime)
 
 
 def gamma_feasible_interval(V, u, s, s_prime) -> GammaInterval:
@@ -279,7 +287,7 @@ def gamma_feasible_interval(V, u, s, s_prime) -> GammaInterval:
 
     NaN input gives an empty interval.  Scalar inputs give floats and a bool.
     """
-    return GammaInterval(*_interval(V, u, s, s_prime))
+    return GammaInterval(*_feasibility(V, u, s, s_prime)[:3])
 
 
 def pinned_gamma(V, u, s) -> float:
@@ -312,19 +320,11 @@ def alpha_interval(V, u, s, s_prime):
     Maps the gamma interval endpoints through alpha_from_gamma (alpha is
     affine, decreasing in gamma for s' > 0).
     """
-    lower, upper, empty = _interval(V, u, s, s_prime)
+    lower, upper, empty, _ = _feasibility(V, u, s, s_prime)
     if _scalar_only(empty, "alpha_interval") or s_prime == 0.0:
         return None
     a, b = (alpha_from_gamma(g, V, u, s, s_prime) for g in (lower, upper))
     return (min(a, b), max(a, b))
-
-
-def _feasible_interval(V, u, s, s_prime):
-    """The gamma interval and alpha_feasible's mask (0-d for scalar input) from one pass of the chain."""
-    iv = gamma_feasible_interval(V, u, s, s_prime)
-    pinned = _batched(pinned_gamma, _CHUNK, V, u, s)
-    pin_ok = (pinned >= iv.lower - TAU_STAB) & (pinned <= iv.upper + TAU_STAB)
-    return iv, np.logical_and(np.logical_not(iv.empty), (s_prime != 0.0) | pin_ok)
 
 
 def alpha_feasible(V, u, s, s_prime):
@@ -333,7 +333,7 @@ def alpha_feasible(V, u, s, s_prime):
     Where s' = 0 the nonempty gamma interval must also hold the pinned gamma.
     NaN input is infeasible.  Scalar inputs give a bool; arrays a bool array.
     """
-    return _unbox(_feasible_interval(V, u, s, s_prime)[1], bool)
+    return _feasibility(V, u, s, s_prime)[3]
 
 
 def u_zero_slacks(V, s, s_prime):

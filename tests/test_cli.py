@@ -160,6 +160,15 @@ def test_check_alpha_unconstrained_when_second_rate_zero(capsys):
                                        "alpha-unconstrained (s' = 0 pins gamma at 0)\n")
 
 
+def test_check_says_why_a_pinned_gamma_outside_the_interval_exits_1(capsys):
+    # the interval is nonempty within TAU_STAB, but s' = 0 pins gamma at -1e-6, below it
+    assert main(["check", "--V", "1e6", "--u", "1e5", "--s", "1e-17", "--sp", "0"]) == 1
+    assert capsys.readouterr().out == (
+        "gamma interval: [9.9999999999999998e-13, -5.9999950000000006e-12]\n"
+        "alpha-unconstrained (s' = 0 pins gamma at -9.9999999999999995e-07), "
+        "outside the gamma interval\n")
+
+
 def test_check_negative_zero_rates_print_positive_zeros(capsys):
     # "-0" parses exactly, as the rational 0, so s is +0.0 and the pinned s' = 0 path
     # prints as for "0"; the chain's tie at -0.0 and +0.0 is pinned in test_stability

@@ -15,6 +15,9 @@ from d1q3rv.regionscan import (_CLASS_CODES, _CLASS_NAMES, CSV_HEADER, FEASIBLE,
 from d1q3rv.scheme import WORKING_SET_BYTES
 from d1q3rv.stability import necessary_region, u_zero_region
 
+# A long double wider than a float (x86's 80-bit one) holds finite values that round to +-inf.
+WIDE_LONGDOUBLE = np.finfo(np.longdouble).max > np.finfo(float).max
+
 
 def small_spec(V, u_list=(0.0,), n=23, s_range=(0.0, 2.2), sp_range=(0.0, 2.2)):
     return ScanSpec(V=V, u_list=u_list, s_points=n, s_prime_points=n,
@@ -55,7 +58,10 @@ def test_spec_validation():
     (dict(V="0.5"), r"^V must be a real number that fits a float, got '0.5'$"),
     (dict(V=0.5, s_range=(0, 10**400)), r"^s_range\[1\] must be a real number that fits a float, got 1000"),
     (dict(V=0.5, u_list=(10**400,)), r"^u_list\[0\] must be a real number that fits a float, got 1000"),
-], ids=["float64 V", "int V", "str V", "int range end", "int u"])
+    pytest.param(dict(V=np.longdouble("1e400") if WIDE_LONGDOUBLE else None),
+                 r"^V must be a real number that fits a float, got ",
+                 marks=pytest.mark.skipif(not WIDE_LONGDOUBLE, reason="long double is a float")),
+], ids=["float64 V", "int V", "str V", "int range end", "int u", "longdouble V"])
 def test_spec_takes_its_values_as_floats_or_names_the_field(fields, message):
     # every warning fails the suite, so NumPy's overflow warning would too
     with pytest.raises(ValueError, match=message):

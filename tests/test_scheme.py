@@ -17,6 +17,9 @@ from d1q3rv.stability import (chain_bounds, necessary_slacks, relaxation_entries
 
 TOL = 1e-12
 
+# A long double wider than a float (x86's 80-bit one) holds finite values that round to +-inf.
+WIDE_LONGDOUBLE = np.finfo(np.longdouble).max > np.finfo(float).max
+
 
 def params(V=0.25, u=0.0, s=1.0, s_prime=1.0, alpha=0.0, lam=1.0):
     return SchemeParameters(V=V, u=u, s=s, s_prime=s_prime, alpha=alpha, lam=lam)
@@ -43,13 +46,14 @@ def test_a_record_holds_its_numbers_as_python_floats(name, record):
         value = getattr(record(**{name: x}), name)
         assert type(value) is float and value.hex() == float(x).hex(), (x, value)
     for x in (np.array([0.1, 0.2]), np.array(0.5), "0.5", Decimal("0.5"), 10**400, 1j,
+              *(np.longdouble(v) for v in (["1e400", "-1e400"] if WIDE_LONGDOUBLE else [])),
               *([] if name in ("center", "width") else [None])):
         with pytest.raises(ValueError, match=f"^{name} must be a real number that fits a float"):
             record(**{name: x})
     if name in ("center", "width"):
         assert getattr(record(), name) is None
     if name not in ("lam", "center", "width"):
-        for x in (math.nan, math.inf, -math.inf, np.float64(-math.inf)):
+        for x in (math.nan, math.inf, -math.inf, np.float64(-math.inf), np.longdouble("inf")):
             assert getattr(record(**{name: x}), name).hex() == float(x).hex()
 
 

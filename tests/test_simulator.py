@@ -86,10 +86,21 @@ def test_custom_profile_round_trip():
     vals = np.arange(16, dtype=float)
     rho = InitialProfile(kind=CUSTOM, values=vals).sample(g)
     assert np.allclose(rho, vals)
+    # values are stored once, as a new float64 array; a list of ints gives the same profile
+    stored = InitialProfile(kind=CUSTOM, values=vals).values
+    assert stored is not vals and stored.dtype == np.float64
+    assert np.array_equal(InitialProfile(kind=CUSTOM, values=list(range(16))).sample(g), rho)
     with pytest.raises(ValueError):
         InitialProfile(kind=CUSTOM, values=vals).sample(default_grid(8))
     with pytest.raises(ValueError):
         InitialProfile(kind=CUSTOM)
+
+
+@pytest.mark.parametrize("values", [1.0, ["a"] * 8, np.ones((8, 2)), [], [[1.0, 2.0], [3.0]]],
+                         ids=["scalar", "strings", "2-d", "empty", "ragged"])
+def test_custom_values_are_checked_when_the_profile_is_built(values):
+    with pytest.raises(ValueError, match="^values must be a non-empty 1-d sequence of real numbers, got "):
+        InitialProfile(kind=CUSTOM, values=values)
 
 
 def test_profile_kind_validation():

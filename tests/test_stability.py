@@ -320,6 +320,13 @@ def test_alpha_feasible_arrays_match_scalar_calls():
     # s' = 0: the interval is nonempty within tol, but the pinned gamma 4e-11 lies above it
     assert not gamma_feasible_interval(10.0, -4.0, 1e-12, 0.0).empty
     assert not alpha_feasible(10.0, -4.0, np.array([1e-12]), 0.0).any()
+    # and here the pinned gamma -1e-6 lies below it; list and tuple s' are converted before
+    # the s' = 0 rule is read, so every kind of input gives the same answer
+    assert not gamma_feasible_interval(1e6, 1e5, 1e-17, 0.0).empty
+    assert alpha_feasible(1e6, 1e5, 1e-17, 0.0) is False
+    for s, sp in ((np.array([1e-17]), np.array([0.0])), ([1e-17], [0.0]), ((1e-17,), (0,))):
+        got = alpha_feasible(1e6, 1e5, s, sp)
+        assert got.dtype == bool and got.tolist() == [False], (s, sp)
     assert type(alpha_feasible(0.25, 0.0, 1.0, 1.0)) is bool
     assert type(alpha_feasible(0.5, 0.3, 1.0, 0.0)) is bool
 
