@@ -175,7 +175,9 @@ def cmd_simulate(args) -> int:
                              low=args.low, high=args.high)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        result = simulator.run(profile, default_grid(args.ncells), p, args.steps, args.snap_every)
+        # snapshots go next to --out, so without it none are recorded
+        result = simulator.run(profile, default_grid(args.ncells), p, args.steps,
+                               args.snap_every if args.out else 0)
     for w in caught:  # the library's warnings as note lines, without its source text
         print(f"note: {w.message}", file=sys.stderr)
     diag = result.diagnostics
@@ -271,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     count = _checked(int, lambda n: n >= 0, "must be at least 0")
     sp_sim.add_argument("--steps", type=count, default=1000)
     sp_sim.add_argument("--snap-every", type=count, default=0,
-                        help="record the state every N steps (0 = never)")
+                        help="record the state every N steps into a snapshots CSV next to "
+                             "--out (0 = never; ignored without --out)")
     sp_sim.add_argument("--low", type=parse_number, default=0.0, help="baseline density")
     sp_sim.add_argument("--high", type=parse_number, default=1.0, help="peak density")
     sp_sim.add_argument("--center", type=parse_number, default=None)

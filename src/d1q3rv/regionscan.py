@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 import numpy as np
+from contextlib import nullcontext
 from dataclasses import dataclass
 
-from .scheme import WORKING_SET_BYTES, _integer, _real
+from .scheme import WORKING_SET_BYTES, _integer, _real, _write_lines
 from .stability import _feasibility, necessary_region
 
 FEASIBLE = "FEASIBLE"
@@ -141,10 +142,6 @@ def emit_csv(grid: RegionGrid, out) -> None:
     a gamma value once however many cells share it, and each s row is one
     join of pieces; identical grids give identical bytes.
     """
-    if not hasattr(out, "write"):
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            emit_csv(grid, fh)
-        return
     head = "%.17g,%.17g," % (grid.V, grid.u)
     pieces = np.empty(grid.codes.shape + (3,), object)   # head and s; s'; class and gamma
     pieces[..., 0] = [[head + "%.17g," % s] for s in grid.s_values.tolist()]
@@ -157,8 +154,8 @@ def emit_csv(grid: RegionGrid, out) -> None:
     text = np.array(list(map("%.17g".__mod__, bits.view(float).tolist())), object)
     pieces[feasible, 2] = list(map(f"{FEASIBLE},%s,%s\n".__mod__,
                                    zip(*text[inverse.reshape(gamma.shape)].tolist())))
-    out.write(CSV_HEADER + "\n")
-    out.writelines("".join(row.ravel().tolist()) for row in pieces)
+    rows = ("".join(row.ravel().tolist()) for row in pieces)
+    _write_lines(out, itertools.chain((CSV_HEADER + "\n",), rows))
 
 
 def _floats(spellings: list) -> list:
@@ -216,44 +213,42 @@ def parse_csv(source) -> RegionGrid:
     on a row that is not FEASIBLE, or a FEASIBLE gamma bound that is not
     finite.
     """
-    if not hasattr(source, "read"):
-        with open(source, "rb") as fh:
-            return parse_csv(fh)
     n_fields = CSV_HEADER.count(",") + 1
     header, n_rows, empty_gamma = None, 0, 0
     V, u, s, sp = {}, {}, {}, {}   # distinct spellings in order; s and s' map each to an id
     codes, i, j, lower, upper = [], [], [], [], []
-    for piece in _pieces(source):
-        rows = piece.split()
-        if header is None and rows:
-            header = rows.pop(0)
-            if header != CSV_HEADER.encode():
-                raise ValueError(f"unrecognized CSV header: {header.decode(errors='replace')!r}")
-        if not rows:
-            continue
-        # ",\n" joins the rows, so each row but the first starts its V field with
-        # "\n": a row with too many or too few fields moves a mark out of the V column
-        fields = b",\n".join(rows).split(b",")
-        V_col = fields[::n_fields]
-        if len(fields) != n_fields * len(rows) or b"".join(V_col).count(b"\n") != len(rows) - 1:
-            raise ValueError(f"region CSV rows must have {n_fields} fields")
-        names = fields[4::n_fields]
-        try:
-            piece_codes = np.fromiter(map(_CLASS_BYTES.__getitem__, names), np.int8, len(names))
-        except KeyError as exc:
-            name = exc.args[0].decode(errors="replace")
-            raise ValueError(f"unknown region class {name!r}") from None
-        codes.append(piece_codes)
-        V.update(dict.fromkeys(V_col))
-        u.update(dict.fromkeys(fields[1::n_fields]))
-        i.append(_ids(s, fields[2::n_fields], n_rows))
-        j.append(_ids(sp, fields[3::n_fields], n_rows))
-        n_rows += len(rows)
-        feasible = np.flatnonzero(piece_codes == _CLASS_CODES[FEASIBLE]).tolist()
-        lo, hi = fields[5::n_fields], fields[6::n_fields]
-        lower += [lo[k] for k in feasible]
-        upper += [hi[k] for k in feasible]
-        empty_gamma += lo.count(b"") + hi.count(b"")
+    with nullcontext(source) if hasattr(source, "read") else open(source, "rb") as fh:
+        for piece in _pieces(fh):
+            rows = piece.split()
+            if header is None and rows:
+                header = rows.pop(0)
+                if header != CSV_HEADER.encode():
+                    raise ValueError(f"unrecognized CSV header: {header.decode(errors='replace')!r}")
+            if not rows:
+                continue
+            # ",\n" joins the rows, so each row but the first starts its V field with
+            # "\n": a row with too many or too few fields moves a mark out of the V column
+            fields = b",\n".join(rows).split(b",")
+            V_col = fields[::n_fields]
+            if len(fields) != n_fields * len(rows) or b"".join(V_col).count(b"\n") != len(rows) - 1:
+                raise ValueError(f"region CSV rows must have {n_fields} fields")
+            names = fields[4::n_fields]
+            try:
+                piece_codes = np.fromiter(map(_CLASS_BYTES.__getitem__, names), np.int8, len(names))
+            except KeyError as exc:
+                name = exc.args[0].decode(errors="replace")
+                raise ValueError(f"unknown region class {name!r}") from None
+            codes.append(piece_codes)
+            V.update(dict.fromkeys(V_col))
+            u.update(dict.fromkeys(fields[1::n_fields]))
+            i.append(_ids(s, fields[2::n_fields], n_rows))
+            j.append(_ids(sp, fields[3::n_fields], n_rows))
+            n_rows += len(rows)
+            feasible = np.flatnonzero(piece_codes == _CLASS_CODES[FEASIBLE]).tolist()
+            lo, hi = fields[5::n_fields], fields[6::n_fields]
+            lower += [lo[k] for k in feasible]
+            upper += [hi[k] for k in feasible]
+            empty_gamma += lo.count(b"") + hi.count(b"")
     if header is None:
         raise ValueError("empty region CSV: no header")
     if not codes:
@@ -359,14 +354,15 @@ def emit_svg(grid: RegionGrid, out) -> None:
     necessary region (feasible plus necessary-only cells) is drawn dotted;
     axes are labelled s and s'.  Raises ValueError, before writing, unless
     each axis has two or more values spaced evenly to within 1e-9 relative.
+    out is a text-mode file object or a path.
     """
-    s = grid.s_values
-    sp = grid.s_prime_values
-    ds, dsp = _step(s, "s"), _step(sp, "s_prime")
-    if not hasattr(out, "write"):
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            emit_svg(grid, fh)
-        return
+    ds, dsp = _step(grid.s_values, "s"), _step(grid.s_prime_values, "s_prime")
+    _write_lines(out, _svg_lines(grid, ds, dsp))
+
+
+def _svg_lines(grid: RegionGrid, ds: float, dsp: float):
+    """emit_svg's picture of grid, whose axes step by ds and dsp, line by line."""
+    s, sp = grid.s_values, grid.s_prime_values
     # plot window covers cell footprints (half a cell beyond the end values)
     x0, x1 = s[0] - ds / 2, s[-1] + ds / 2
     y0, y1 = sp[0] - dsp / 2, sp[-1] + dsp / 2
@@ -378,48 +374,48 @@ def emit_svg(grid: RegionGrid, out) -> None:
     def py(spv):
         return SVG_MARGIN + (y1 - spv) / (y1 - y0) * H
 
-    out.write('<?xml version="1.0" encoding="UTF-8"?>\n')
-    out.write(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-              f'width="{SVG_SIZE}" height="{SVG_SIZE}" '
-              f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n')
-    out.write(f'<rect x="0" y="0" width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>\n')
-    out.write(f'<text x="{SVG_SIZE / 2:.1f}" y="{SVG_MARGIN / 2:.1f}" text-anchor="middle" '
-              f'font-size="13">V = {grid.V:g}, u = {grid.u:g}</text>\n')
+    yield '<?xml version="1.0" encoding="UTF-8"?>\n'
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+           f'width="{SVG_SIZE}" height="{SVG_SIZE}" '
+           f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n')
+    yield f'<rect x="0" y="0" width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>\n'
+    yield (f'<text x="{SVG_SIZE / 2:.1f}" y="{SVG_MARGIN / 2:.1f}" text-anchor="middle" '
+           f'font-size="13">V = {grid.V:g}, u = {grid.u:g}</text>\n')
 
     feasible = grid.codes == _CLASS_CODES[FEASIBLE]
     i0, i1, j0, j1 = _merge_rectangles(feasible).T
     rx, ry = px(s[i0] - ds / 2), py(sp[j1] + dsp / 2)
     boxes = zip(*(v.tolist() for v in (rx, ry, px(s[i1] + ds / 2) - rx, py(sp[j0] - dsp / 2) - ry)))
-    out.write("".join(map('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
-                          f'fill="{FEASIBLE_FILL}" stroke="none"/>\n'.__mod__, boxes)))
+    yield "".join(map('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
+                      f'fill="{FEASIBLE_FILL}" stroke="none"/>\n'.__mod__, boxes))
 
     necessary = grid.codes >= _CLASS_CODES[NECESSARY_ONLY]
     if necessary.any():
         ia, ja, ib, jb = _boundary_segments(necessary).T
         ends = (px(s[0] + ia * ds), py(sp[0] + ja * dsp), px(s[0] + ib * ds), py(sp[0] + jb * dsp))
         path = " ".join(map("M %.2f %.2f L %.2f %.2f".__mod__, zip(*(v.tolist() for v in ends))))
-        out.write(f'<path d="{path}" stroke="{BOUNDARY_STROKE}" stroke-width="1" '
-                  f'stroke-dasharray="2,3" fill="none"/>\n')
+        yield (f'<path d="{path}" stroke="{BOUNDARY_STROKE}" stroke-width="1" '
+               f'stroke-dasharray="2,3" fill="none"/>\n')
 
     # axes with ticks and labels
     ax_y = py(y0)
     ax_x = px(x0)
-    out.write(f'<line x1="{ax_x:.1f}" y1="{ax_y:.1f}" x2="{px(x1):.1f}" y2="{ax_y:.1f}" '
-              f'stroke="black" stroke-width="1"/>\n')
-    out.write(f'<line x1="{ax_x:.1f}" y1="{ax_y:.1f}" x2="{ax_x:.1f}" y2="{py(y1):.1f}" '
-              f'stroke="black" stroke-width="1"/>\n')
+    yield (f'<line x1="{ax_x:.1f}" y1="{ax_y:.1f}" x2="{px(x1):.1f}" y2="{ax_y:.1f}" '
+           f'stroke="black" stroke-width="1"/>\n')
+    yield (f'<line x1="{ax_x:.1f}" y1="{ax_y:.1f}" x2="{ax_x:.1f}" y2="{py(y1):.1f}" '
+           f'stroke="black" stroke-width="1"/>\n')
     for t in _ticks(x0, x1):
-        out.write(f'<line x1="{px(t):.1f}" y1="{ax_y:.1f}" x2="{px(t):.1f}" y2="{ax_y + 4:.1f}" '
-                  f'stroke="black" stroke-width="1"/>\n')
-        out.write(f'<text x="{px(t):.1f}" y="{ax_y + 16:.1f}" text-anchor="middle" '
-                  f'font-size="10">{t:g}</text>\n')
+        yield (f'<line x1="{px(t):.1f}" y1="{ax_y:.1f}" x2="{px(t):.1f}" y2="{ax_y + 4:.1f}" '
+               f'stroke="black" stroke-width="1"/>\n')
+        yield (f'<text x="{px(t):.1f}" y="{ax_y + 16:.1f}" text-anchor="middle" '
+               f'font-size="10">{t:g}</text>\n')
     for t in _ticks(y0, y1):
-        out.write(f'<line x1="{ax_x - 4:.1f}" y1="{py(t):.1f}" x2="{ax_x:.1f}" y2="{py(t):.1f}" '
-                  f'stroke="black" stroke-width="1"/>\n')
-        out.write(f'<text x="{ax_x - 7:.1f}" y="{py(t) + 3:.1f}" text-anchor="end" '
-                  f'font-size="10">{t:g}</text>\n')
-    out.write(f'<text x="{px(x1) + 4:.1f}" y="{ax_y + 4:.1f}" font-size="12" '
-              f'font-style="italic">s</text>\n')
-    out.write(f'<text x="{ax_x - 4:.1f}" y="{py(y1) - 8:.1f}" font-size="12" '
-              f'font-style="italic" text-anchor="end">s&#8242;</text>\n')
-    out.write("</svg>\n")
+        yield (f'<line x1="{ax_x - 4:.1f}" y1="{py(t):.1f}" x2="{ax_x:.1f}" y2="{py(t):.1f}" '
+               f'stroke="black" stroke-width="1"/>\n')
+        yield (f'<text x="{ax_x - 7:.1f}" y="{py(t) + 3:.1f}" text-anchor="end" '
+               f'font-size="10">{t:g}</text>\n')
+    yield (f'<text x="{px(x1) + 4:.1f}" y="{ax_y + 4:.1f}" font-size="12" '
+           f'font-style="italic">s</text>\n')
+    yield (f'<text x="{ax_x - 4:.1f}" y="{py(y1) - 8:.1f}" font-size="12" '
+           f'font-style="italic" text-anchor="end">s&#8242;</text>\n')
+    yield "</svg>\n"

@@ -102,6 +102,15 @@ def _real(value, name: str) -> float:
     raise ValueError(f"{name} must be a real number that fits a float, got {value!r}")
 
 
+def _write_lines(out, lines) -> None:
+    """Write the strings of lines to out: an open text file, or a path opened
+    here once, as UTF-8 with newlines written as they are."""
+    if hasattr(out, "write"):
+        return out.writelines(lines)
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
+
+
 _SCALAR_TYPES = frozenset((float, int, np.float64))
 
 

@@ -23,6 +23,7 @@ min(0, min_ik R_ik w_k).  A zero weight w_k exempts column k.
 
 from __future__ import annotations
 
+import itertools
 import math
 import reprlib
 import warnings
@@ -30,7 +31,7 @@ import numpy as np
 from dataclasses import astuple, dataclass, fields
 from typing import NamedTuple
 
-from .scheme import (WORKING_SET_BYTES, SchemeParameters, _integer, _real,
+from .scheme import (WORKING_SET_BYTES, SchemeParameters, _integer, _real, _write_lines,
                      build_relaxation_matrix, equilibrium_distributions, equilibrium_weights)
 
 SMOOTH = "smooth"
@@ -78,9 +79,10 @@ class InitialProfile:
     width default to L/4 and L/10.  Distances wrap periodically.  low, high
     and a given center or width are stored as Python floats; a value that is
     not a real number, or does not fit a float, is a ValueError naming its
-    field.  Given values are stored as a new 1-d float64 array of at least
-    one entry (NaN and +-inf kept); anything else is a ValueError naming
-    values.
+    field.  Given values are stored as a tuple of at least one Python float
+    (NaN and +-inf kept), so profiles compare and hash by value and the
+    values cannot be rewritten in place; anything but a non-empty 1-d
+    sequence of real numbers is a ValueError naming values.
     """
 
     kind: str = STEP
@@ -88,7 +90,7 @@ class InitialProfile:
     width: float = None
     low: float = 0.0
     high: float = 1.0
-    values: np.ndarray = None
+    values: tuple = None
 
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
@@ -132,13 +134,13 @@ class InitialProfile:
         return self.sample_at(grid.positions(), grid.length)
 
 
-def _densities(values) -> np.ndarray:
-    """values as a new 1-d float64 array; a ValueError naming them unless they are
-    a non-empty 1-d sequence of real numbers."""
+def _densities(values) -> tuple:
+    """values as a tuple of Python floats; a ValueError naming them unless they
+    are a non-empty 1-d sequence of real numbers."""
     try:
         a = np.asarray(values)
         if a.dtype.kind in "biuf" and a.ndim == 1 and a.size:
-            return a.astype(float)
+            return tuple(a.astype(float).tolist())
     except ValueError:   # a ragged nesting
         pass
     raise ValueError("values must be a non-empty 1-d sequence of real numbers, "
@@ -505,13 +507,8 @@ def run(profile: InitialProfile, grid: Grid1D, p: SchemeParameters, n_steps: int
 
 
 def write_diagnostics_csv(diag: RunDiagnostics, out) -> None:
-    """Single-row CSV with 17 significant digits."""
-    if not hasattr(out, "write"):
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            write_diagnostics_csv(diag, fh)
-        return
-    out.write(DIAGNOSTICS_CSV_HEADER + "\n")
-    out.write(diag.as_csv_row() + "\n")
+    """Single-row CSV with 17 significant digits; out is a text-mode file object or a path."""
+    _write_lines(out, (DIAGNOSTICS_CSV_HEADER + "\n", diag.as_csv_row() + "\n"))
 
 
 def write_snapshots_csv(result: RunResult, out) -> None:
@@ -519,15 +516,11 @@ def write_snapshots_csv(result: RunResult, out) -> None:
 
     x is the cell's position on Grid1D(n_cells), n_cells being the snapshots'
     own cell count.  Each row is one '%' of a line format after a prebuilt
-    "cell,x," prefix.
+    "cell,x," prefix; out is a text-mode file object or a path.
     """
-    if not hasattr(out, "write"):
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            write_snapshots_csv(result, fh)
-        return
     x = Grid1D(result.snapshots.shape[1]).positions()
     cell_x = list(map("%d,%.17g,".__mod__, enumerate(x.tolist())))
-    out.write(SNAPSHOT_CSV_HEADER + "\n")
-    for step, f in zip(result.snap_steps, result.snapshots):
-        line = f"{step},%s%.17g,%.17g,%.17g,%.17g\n"
-        out.write("".join(map(line.__mod__, zip(cell_x, *f.T.tolist(), density(f).tolist()))))
+    steps = ("".join(map(f"{step},%s%.17g,%.17g,%.17g,%.17g\n".__mod__,
+                         zip(cell_x, *f.T.tolist(), density(f).tolist())))
+             for step, f in zip(result.snap_steps, result.snapshots))
+    _write_lines(out, itertools.chain((SNAPSHOT_CSV_HEADER + "\n",), steps))

@@ -32,19 +32,18 @@ Everything is pure.  The vectorized functions
 (relaxation_entries_closed_form, chain_bounds, gamma_feasible_interval,
 alpha_feasible, u_zero_slacks, u_zero_region, necessary_slacks,
 necessary_region) accept scalars or numpy arrays; a scalar call evaluates
-the same expressions on Python floats and returns float64 chain bounds,
-Python floats or bools, with the bytes of its row in a batched call.  Scalar
-arithmetic emits no NumPy overflow or invalid RuntimeWarning; array
-arithmetic does, and so do R's (3, 3) products, which for a scalar R run
-through ndarray.dot and warn "in dot" ("in matmul" for a stack).  A scalar
-chain's max and min are comparisons (_max, _min) that reproduce np.maximum
-and np.minimum: a NaN in either operand wins, and a tie gives the second
-operand, so a tie of 0.0 and -0.0 takes the sign the installed NumPy gives
-(a test pins it); chain_bounds still returns float64 bounds.  Arrays go
-through scheme._batched, the one chunk loop, at one chunk size for every
-kernel here (_CHUNK): each result's trailing shape and dtype come from the
-kernel, and the working memory beyond the results stays within
-WORKING_SET_BYTES.  alpha_feasible, both intervals and regionscan.scan come
+the same expressions on Python floats and returns Python floats or bools
+(arrays for the entries and the slacks), with the bytes of its row in a
+batched call.  Scalar arithmetic emits no NumPy overflow or invalid
+RuntimeWarning; array arithmetic does, and so do R's (3, 3) products, which
+for a scalar R run through ndarray.dot and warn "in dot" ("in matmul" for a
+stack).  A scalar chain's max and min are comparisons (_max, _min) that
+reproduce np.maximum and np.minimum: a NaN in either operand wins, and a tie
+gives the second operand, so a tie of 0.0 and -0.0 takes the sign the
+installed NumPy gives (a test pins it).  Arrays go through scheme._batched,
+the one chunk loop, at one chunk size for every kernel here (_CHUNK): each
+result's trailing shape and dtype come from the kernel, and the working
+memory beyond the results stays within WORKING_SET_BYTES.  alpha_feasible, both intervals and regionscan.scan come
 from one _batched pass of the chain (_feasibility) on the converted operands,
 list and tuple input included, so the s' = 0 rule reads the s' the chain
 reads.  The u = 0 region and the necessary region are one rule, every slack
@@ -243,13 +242,10 @@ def chain_bounds(V, u, s, s_prime):
     """Lower and upper bounds of the reduced chain, in units of 2*gamma.
 
     Vectorized; returns (lower, upper) where stability at given alpha reads
-    lower <= 2*gamma <= upper.  Scalar inputs give float64 bounds; arrays
+    lower <= 2*gamma <= upper.  Scalar inputs give Python floats; arrays
     are evaluated in chunks, as R is.
     """
-    lower, upper = _batched(_bounds, _CHUNK, V, u, s, s_prime)
-    if type(lower) is float:
-        return np.float64(lower), np.float64(upper)
-    return lower, upper
+    return _batched(_bounds, _CHUNK, V, u, s, s_prime)
 
 
 def reduced_condition(p: SchemeParameters) -> StabilityVerdict:

@@ -286,6 +286,23 @@ def test_simulate_writes_diagnostics_and_snapshots(tmp_path, capsys):
     assert not (tmp_path / "alone.snapshots.csv").exists()
 
 
+def test_simulate_records_snapshots_only_when_it_writes_them(tmp_path, monkeypatch, capsys):
+    run, asked = simulator.run, []
+
+    def recording_run(*args):
+        asked.append(args[-1])
+        return run(*args)
+
+    monkeypatch.setattr(simulator, "run", recording_run)
+    argv = ["simulate", "--V", "0.25", "--u", "0", "--s", "1", "--sp", "1", "--alpha", "0",
+            "--ncells", "20", "--steps", "10", "--snap-every", "5"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-2].startswith("min_f_over_run,")
+    assert main(argv + ["--out", str(tmp_path / "d.csv")]) == 0
+    assert asked == [0, 5]
+    assert (tmp_path / "d.snapshots.csv").exists()
+
+
 def test_simulate_negative_weights_give_one_note_line(capsys):
     assert main(["simulate", "--V", "0.9", "--u", "0.9", "--s", "1.99", "--sp", "0.05",
                  "--alpha=-1.9", "--ncells", "20", "--steps", "10"]) == 0

@@ -86,14 +86,27 @@ def test_custom_profile_round_trip():
     vals = np.arange(16, dtype=float)
     rho = InitialProfile(kind=CUSTOM, values=vals).sample(g)
     assert np.allclose(rho, vals)
-    # values are stored once, as a new float64 array; a list of ints gives the same profile
+    # values are stored once, as a tuple of Python floats; a list of ints gives the same profile
     stored = InitialProfile(kind=CUSTOM, values=vals).values
-    assert stored is not vals and stored.dtype == np.float64
+    assert type(stored) is tuple and all(type(v) is float for v in stored)
     assert np.array_equal(InitialProfile(kind=CUSTOM, values=list(range(16))).sample(g), rho)
     with pytest.raises(ValueError):
         InitialProfile(kind=CUSTOM, values=vals).sample(default_grid(8))
     with pytest.raises(ValueError):
         InitialProfile(kind=CUSTOM)
+
+
+def test_custom_profiles_compare_and_hash_by_value_and_are_read_only():
+    a = InitialProfile(kind=CUSTOM, values=np.arange(4.0))
+    b = InitialProfile(kind=CUSTOM, values=[0, 1, 2, 3])
+    assert a == b and hash(a) == hash(b)
+    assert a != InitialProfile(kind=CUSTOM, values=[0.0, 1.0, 2.0, 4.0])
+    assert len({a, b, InitialProfile(kind=STEP), InitialProfile(kind=STEP)}) == 2
+    with pytest.raises(TypeError):
+        a.values[0] = 9.0
+    assert a.values == (0.0, 1.0, 2.0, 3.0)
+    assert InitialProfile(kind=HAT, width=0.1) == InitialProfile(kind=HAT, width=0.1)
+    assert InitialProfile(kind=HAT, width=0.1) != InitialProfile(kind=HAT, width=0.2)
 
 
 @pytest.mark.parametrize("values", [1.0, ["a"] * 8, np.ones((8, 2)), [], [[1.0, 2.0], [3.0]]],

@@ -556,7 +556,7 @@ def test_scalar_calls_have_the_bytes_and_type_of_their_batched_row():
                 warned += bool(caught)
             for g, b in zip(got, batched, strict=True):
                 want = b[i]
-                if isinstance(want, np.ndarray) or fn is chain_bounds:
+                if isinstance(want, np.ndarray):
                     assert type(g) is type(want) and g.dtype == want.dtype
                 else:   # unboxed: a Python float or bool
                     assert type(g) is type(want.item())
@@ -617,8 +617,10 @@ def test_signed_zero_tie_of_the_upper_sides_gives_positive_zero():
     # at s = -0.0 the upper sides are 2, -0.0 and +0.0; np.minimum's tie gives
     # the second operand, +0.0, where min() would keep the first, -0.0
     lower, upper = chain_bounds(0.0, 0.0, -0.0, 0.0)
-    assert type(upper) is np.float64 and upper.tobytes() == np.float64(0.0).tobytes()
-    assert math.copysign(1.0, gamma_feasible_interval(0.0, 0.0, -0.0, 0.0).upper) == 1.0
+    positive_zero = np.float64(0.0).tobytes()
+    assert type(upper) is float and np.float64(upper).tobytes() == positive_zero
+    interval_upper = gamma_feasible_interval(0.0, 0.0, -0.0, 0.0).upper
+    assert np.float64(interval_upper).tobytes() == positive_zero
 
 
 def test_reduced_slacks_and_alpha_interval_keep_their_definitions():
