@@ -172,17 +172,26 @@ def _ids(ids: dict, column: list, first_row: int) -> np.ndarray:
                        len(column))
 
 
+def _distinct(ids: dict, column_ids: np.ndarray):
+    """From spelling ids: (the float of each distinct spelling, each row's index into them).
+
+    Converts each distinct spelling once, so '-0' and '0' stay -0.0 and +0.0;
+    a spelling that is not a number raises ValueError.
+    """
+    index = np.empty(len(column_ids), np.intp)
+    index[list(ids.values())] = np.arange(len(ids))
+    return np.array(_floats(list(ids)), float), index[column_ids]
+
+
 def _axis(ids: dict, column_ids: np.ndarray):
     """A grid axis from spelling ids: (sorted distinct values, each row's index).
 
-    Converts each distinct spelling to float once.  np.unique runs on the
-    floats, so spellings of one value ('0.5' and '0.50', '0' and '-0') share
-    an index; a spelling that is not a number raises ValueError.
+    np.unique runs on the distinct floats, so spellings of one value ('0.5'
+    and '0.50', '0' and '-0') share an index.
     """
-    values, inverse = np.unique(np.array(_floats(list(ids))), return_inverse=True)
-    index = np.empty(len(column_ids), np.intp)
-    index[list(ids.values())] = inverse
-    return values, index[column_ids]
+    values, index = _distinct(ids, column_ids)
+    values, inverse = np.unique(values, return_inverse=True)
+    return values, inverse[index]
 
 
 def _pieces(source):
@@ -204,9 +213,12 @@ def parse_csv(source) -> RegionGrid:
     source is a path or a text or binary file, tokenized as bytes: rows are
     split on ASCII whitespace, which no field contains.  The text is read and
     tokenized a piece of about _PIECE_BYTES at a time, so beyond the result it
-    holds one piece's bytes and fields, a few integers per row and the
-    FEASIBLE rows' gamma spellings.  Python's float converts each distinct s
-    and s' spelling once, and only FEASIBLE rows' gamma fields.
+    holds one piece's bytes and fields, a few integers per row, one spelling
+    id per FEASIBLE row and gamma bound, and the distinct spellings.  A piece
+    whose rows repeat one V and one u spelling, as emit_csv writes, costs
+    one list count per column; Python's float converts each distinct s, s'
+    and FEASIBLE gamma spelling once, and a gamma bound keeps the value of
+    its own spelling ('-0' is -0.0).
     Raises ValueError on empty input, a wrong header, no rows, rows without
     exactly seven fields, rows that are not one grid: one V and one u, each
     (s, s') cell once, a V, u, s or s' value that is not finite, gamma text
@@ -214,8 +226,9 @@ def parse_csv(source) -> RegionGrid:
     finite.
     """
     n_fields = CSV_HEADER.count(",") + 1
-    header, n_rows, empty_gamma = None, 0, 0
-    V, u, s, sp = {}, {}, {}, {}   # distinct spellings in order; s and s' map each to an id
+    header, n_rows, n_feasible, empty_gamma = None, 0, 0, 0
+    V, u = {}, {}   # distinct spellings in order
+    s, sp, lo, hi = {}, {}, {}, {}   # each maps a distinct spelling to an id
     codes, i, j, lower, upper = [], [], [], [], []
     with nullcontext(source) if hasattr(source, "read") else open(source, "rb") as fh:
         for piece in _pieces(fh):
@@ -229,8 +242,12 @@ def parse_csv(source) -> RegionGrid:
             # ",\n" joins the rows, so each row but the first starts its V field with
             # "\n": a row with too many or too few fields moves a mark out of the V column
             fields = b",\n".join(rows).split(b",")
-            V_col = fields[::n_fields]
-            if len(fields) != n_fields * len(rows) or b"".join(V_col).count(b"\n") != len(rows) - 1:
+            V_col, u_col = fields[::n_fields], fields[1::n_fields]
+            # emit_csv repeats one V: then every V field after the first is the
+            # last one, which carries a row mark, and the marks need no count
+            one_V = V_col[-1][:1] == b"\n" and V_col.count(V_col[-1]) == len(rows) - 1
+            if len(fields) != n_fields * len(rows) or (
+                    not one_V and b"".join(V_col).count(b"\n") != len(rows) - 1):
                 raise ValueError(f"region CSV rows must have {n_fields} fields")
             names = fields[4::n_fields]
             try:
@@ -239,16 +256,17 @@ def parse_csv(source) -> RegionGrid:
                 name = exc.args[0].decode(errors="replace")
                 raise ValueError(f"unknown region class {name!r}") from None
             codes.append(piece_codes)
-            V.update(dict.fromkeys(V_col))
-            u.update(dict.fromkeys(fields[1::n_fields]))
+            V.update(dict.fromkeys((V_col[0], V_col[-1]) if one_V else V_col))
+            u.update(dict.fromkeys(u_col[:1] if u_col.count(u_col[0]) == len(rows) else u_col))
             i.append(_ids(s, fields[2::n_fields], n_rows))
             j.append(_ids(sp, fields[3::n_fields], n_rows))
             n_rows += len(rows)
             feasible = np.flatnonzero(piece_codes == _CLASS_CODES[FEASIBLE]).tolist()
-            lo, hi = fields[5::n_fields], fields[6::n_fields]
-            lower += [lo[k] for k in feasible]
-            upper += [hi[k] for k in feasible]
-            empty_gamma += lo.count(b"") + hi.count(b"")
+            lo_col, hi_col = fields[5::n_fields], fields[6::n_fields]
+            lower.append(_ids(lo, [lo_col[k] for k in feasible], n_feasible))
+            upper.append(_ids(hi, [hi_col[k] for k in feasible], n_feasible))
+            n_feasible += len(feasible)
+            empty_gamma += lo_col.count(b"") + hi_col.count(b"")
     if header is None:
         raise ValueError("empty region CSV: no header")
     if not codes:
@@ -268,12 +286,14 @@ def parse_csv(source) -> RegionGrid:
     codes[cell] = flat_codes
     gamma = np.full((2, cell.size), np.nan)
     feasible = cell[flat_codes == _CLASS_CODES[FEASIBLE]]
-    gamma[:, feasible] = _floats(lower), _floats(upper)
+    for bound, ids, column_ids in ((0, lo, lower), (1, hi, upper)):
+        values, index = _distinct(ids, np.concatenate(column_ids))
+        gamma[bound, feasible] = values[index]
     V, u = float(V[0]), float(next(iter(u)))
     if not np.isfinite(np.concatenate(([V, u], s_vals, sp_vals))).all():
         raise ValueError("region CSV values of V, u, s and s_prime must be finite")
     # no FEASIBLE row has an empty gamma field now; emit_csv leaves both of the others' empty
-    if empty_gamma != 2 * (n_rows - len(lower)):
+    if empty_gamma != 2 * (n_rows - n_feasible):
         raise ValueError(f"region CSV gamma fields must be empty on {OUTSIDE} and "
                          f"{NECESSARY_ONLY} rows")
     if not np.isfinite(gamma[:, feasible]).all():

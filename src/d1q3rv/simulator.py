@@ -160,15 +160,21 @@ def init_state(profile: InitialProfile, grid: Grid1D, p: SchemeParameters) -> np
 
     Rejects profiles with negative density; warns when the equilibrium
     weights themselves are negative for (V, alpha), since then even a
-    non-negative density gives negative distribution values.
+    non-negative density gives negative distribution values.  The warning
+    says why: R w = w with weights summing to 1, and when s s' != 0 the
+    eigenvalue 1 of R is simple, so R >= 0 has a non-negative such w
+    (Perron-Frobenius).  Negative weights thus need R to have a negative
+    entry, or s s' = 0, where (V, u, s, s', alpha) = (0, 0, 1, 0, 5) has
+    R >= 0 and w = (7/6, -4/3, 7/6).
     """
     rho0 = profile.sample(grid)
     if rho0.min() < 0:
         raise ValueError(f"initial density must be non-negative, min is {rho0.min():g}")
     if equilibrium_weights(p).min() < 0:
         warnings.warn(
-            f"equilibrium weights are negative for V={p.V}, alpha={p.alpha}; "
-            "initial distributions will not all be non-negative",
+            f"equilibrium weights are negative for V={p.V}, alpha={p.alpha}, which needs "
+            "R to have a negative entry or s*s' = 0; initial distributions will not all "
+            "be non-negative",
             stacklevel=2,
         )
     return equilibrium_distributions(rho0, p)

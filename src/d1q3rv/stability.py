@@ -327,6 +327,10 @@ def alpha_feasible(V, u, s, s_prime):
     """Whether some alpha (any alpha, when s' = 0) makes the scheme stable.
 
     Where s' = 0 the nonempty gamma interval must also hold the pinned gamma.
+    "Any alpha" there is a statement about R alone: alpha leaves R unchanged,
+    but not the equilibrium weights, which R >= 0 keeps non-negative only
+    when s s' != 0; at (V, u, s, s', alpha) = (0, 0, 1, 0, 5), R >= 0 and
+    w = (7/6, -4/3, 7/6).
     NaN input is infeasible.  Scalar inputs give a bool; arrays a bool array.
     """
     return _feasibility(V, u, s, s_prime)[3]

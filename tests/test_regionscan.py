@@ -252,18 +252,26 @@ def _respell(lines, column, spellings):
 
 
 def _aliased_csv():
-    """A grid and its CSV with the s and s' values respelled in several ways."""
+    """A grid and its CSV with the s, s' and gamma values respelled in several ways."""
     grid = scan(small_spec(0.5, u_list=(0.25,), n=5, s_range=(0.0, 1.0), sp_range=(0.0, 1.0)))[0]
-    lines = _csv_text(grid).split()
-    aliases = {"0": ["0", "0.0", "-0", "0.00"], "0.5": ["0.5", "0.50", "0.500"]}
-    text = _respell(lines, 2, aliases)
-    return grid, _respell(text.split(), 3, aliases)
+    text = _csv_text(grid)
+    aliases = {"0": ["0", "0.0", "-0", "0.00"], "0.5": ["0.5", "0.50", "0.500"],
+               "0.0625": ["0.0625", "+0.0625", "625e-4"], "0.125": ["0.125", "0.1250", "+.125"]}
+    for column in (2, 3, 5, 6):
+        text = _respell(text.split(), column, aliases)
+    return grid, text
 
 
 def test_parse_csv_aliased_spellings_are_one_grid_cell():
     grid, text = _aliased_csv()
     assert text != _csv_text(grid)
-    _assert_same_grid(parse_csv(io.StringIO(text)), grid)  # -0.0 == 0.0 as numbers
+    back = parse_csv(io.StringIO(text))
+    _assert_same_grid(back, grid)  # -0.0 == 0.0 as numbers
+    # but a gamma bound is the value of its own spelling: "-0" is -0.0, "0" is +0.0
+    rows = [row.split(",") for row in text.split()[1:]]
+    minus_zero = [[row[column] == "-0" for row in rows] for column in (5, 6)]
+    assert any(minus_zero[0])
+    assert np.signbit([back.gamma_lower.ravel(), back.gamma_upper.ravel()]).tolist() == minus_zero
 
 
 def test_parse_csv_rejects_an_unparsable_rate():
@@ -315,15 +323,28 @@ def _edit_rows(lines, how):
 _NOT_ONE_GRID = ["drop", "drop last", "duplicate", "other V", "other u"]
 
 
-def _respelled_V(lines):
-    """lines as one text with the second row's V respelled, which is the same V."""
-    return "\n".join(lines[:2] + [lines[2].replace("0.5,", "0.50,", 1)] + lines[3:])
+def _respelled(lines, column):
+    """lines as one text with the second row's V (column 0) or u (column 1)
+    respelled with a trailing zero, which is the same value."""
+    row = lines[2].split(",")
+    row[column] += "0"
+    return "\n".join(lines[:2] + [",".join(row)] + lines[3:])
+
+
+def _respelled_gamma(text):
+    """text with every other FEASIBLE row's non-negative gamma bounds spelled
+    with a leading "+", which are the same values."""
+    for column in (5, 6):
+        lines = text.split()
+        spellings = {row.split(",")[column] for row in lines[1:]} - {""}
+        text = _respell(lines, column, {x: [x, "+" + x] for x in spellings if x[0] != "-"})
+    return text
 
 
 @pytest.mark.parametrize("how", _NOT_ONE_GRID)
 def test_parse_csv_rejects_rows_that_are_not_one_grid(how):
     lines = _csv_text(scan(small_spec(0.5, u_list=(0.25,), n=5))[0]).split()
-    parse_csv(io.StringIO(_respelled_V(lines)))
+    parse_csv(io.StringIO(_respelled(lines, 0)))
     with pytest.raises(ValueError, match="grid cell exactly once|share one"):
         parse_csv(io.StringIO(_edit_rows(lines, how)))
 
@@ -346,7 +367,8 @@ def test_parse_csv_piece_boundaries_change_nothing(piece_bytes, monkeypatch):
     lines[1] = "-0,-0," + lines[1].split(",", 2)[2]   # the first row's spelling is returned
     small = _csv_text(scan(small_spec(0.5, u_list=(0.25,), n=5))[0]).split()
     texts = ([text, text.replace("\n", "\r\n"), text.replace("\n", "\n\n \t"), " \n\t" + text,
-              "\n".join(lines) + "\n", _aliased_csv()[1], _respelled_V(small)]
+              "\n".join(lines) + "\n", _aliased_csv()[1], _respelled_gamma(text),
+              _respelled(small, 0), _respelled(small, 1)]
              + [_edit_rows(small, how) for how in _NOT_ONE_GRID]
              + [text for text, _ in _ERROR_CASES])
     expect = [_outcome(t) for t in texts]
@@ -370,8 +392,9 @@ def test_parse_csv_reads_a_crlf_split_across_a_read_boundary(monkeypatch):
 
 def test_parse_csv_working_memory_is_bounded(tmp_path):
     # Beyond the result, parse_csv holds one piece's bytes, rows and fields,
-    # the FEASIBLE rows' gamma spellings and a few integers per row: not the
-    # file's bytes, which alone take 3.1 MiB here.
+    # the distinct spellings and a few integers per row, among them a gamma
+    # spelling id per FEASIBLE row: not the file's bytes, which alone take
+    # 3.1 MiB here.  Each distinct spelling is converted once.
     grid = scan(ScanSpec(V=2 / 3, u_list=(0.0,)))[0]   # 221^2, the most FEASIBLE rows at V = 2/3
     path = tmp_path / "g.csv"
     emit_csv(grid, path)

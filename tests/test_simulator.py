@@ -14,6 +14,7 @@ from d1q3rv.simulator import (CUSTOM, HAT, SMOOTH, STEP, Grid1D, InitialProfile,
                               _block_steps, _step_stats, advance, default_grid, density,
                               exact_density, init_state, relax, run, run_batch, stream,
                               write_diagnostics_csv, write_snapshots_csv)
+from d1q3rv.stability import matrix_entry_verdict
 
 
 def params(V=0.25, u=0.0, s=1.0, s_prime=1.0, alpha=0.0, lam=1.0):
@@ -168,6 +169,18 @@ def test_init_rejects_negative_density():
 def test_init_warns_on_negative_equilibrium_weights():
     with pytest.warns(UserWarning):
         init_state(InitialProfile(kind=STEP), default_grid(16), params(V=1.0, alpha=0.0))
+
+
+def test_non_negative_r_has_negative_weights_at_s_prime_zero():
+    # R >= 0 forces w >= 0 only when s s' != 0: at s' = 0 "any alpha" is about R alone
+    p = params(V=0.0, u=0.0, s=1.0, s_prime=0.0, alpha=5.0)
+    R = np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
+    assert build_relaxation_matrix(p).tobytes() == R.tobytes()
+    assert matrix_entry_verdict(p).stable
+    assert equilibrium_weights(p).tobytes() == np.array([7 / 6, -4 / 3, 7 / 6]).tobytes()
+    with pytest.warns(UserWarning, match=r"R to have a negative entry or s\*s' = 0") as caught:
+        init_state(InitialProfile(kind=STEP), default_grid(16), p)
+    assert len(caught) == 1 and "\n" not in str(caught[0].message)
 
 
 # ------------------------------------------------------------ relax and stream
