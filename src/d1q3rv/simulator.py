@@ -19,6 +19,20 @@ moves each w_k one cell along its velocity c_k into a cell of its own, and
 the second collides these into the columns R_ik w_k, whose nine values each
 stream to a slot of their own: the least f over steps 0 to 2 is
 min(0, min_ik R_ik w_k).  A zero weight w_k exempts column k.
+
+With R >= 0 every run is L1-contractive and total-variation-diminishing
+(lemma (e)).  A step maps the (cell, velocity) values g linearly, by a
+non-negative matrix P with unit column sums: R's columns sum to 1 (collision
+keeps mass) and streaming permutes.  So ||P g||_1 <= sum_k (sum_i R_ik)
+|g_k| = ||g||_1 for every g, and two runs with one R never draw apart:
+||f_n - g_n||_1 never grows.  P commutes with the cell shift X, so neither
+does TV_f(f) = ||f - X f||_1.  From equilibrium data f_0 = w rho_0 with
+w >= 0 (which R >= 0 forces when s s' != 0, see init_state), TV(rho_n) <=
+TV_f(f_n) <= TV_f(f_0) = TV(rho_0): the density gains no new extrema
+(Harten, J. Comput. Phys. 49:357, 1983).  Conversely, when column k of R
+has a negative entry, one step takes a unit spike in velocity k, of TV_f 2,
+to the spikes R_ik, one per velocity, of TV_f 2 sum_i |R_ik|; with the
+column summing to 1, that factor is 1 + 2 sum_i max(-R_ik, 0) > 1.
 """
 
 from __future__ import annotations
@@ -29,7 +43,6 @@ import reprlib
 import warnings
 import numpy as np
 from dataclasses import astuple, dataclass, fields
-from typing import NamedTuple
 
 from .scheme import (WORKING_SET_BYTES, SchemeParameters, _integer, _real, _write_lines,
                      build_relaxation_matrix, equilibrium_distributions, equilibrium_weights)
@@ -268,17 +281,26 @@ def _check_counts(n_steps, snap_every) -> None:
             raise ValueError(f"{name} must be >= 0, got {value}")
 
 
-def _block_steps(batch: int, n_cells: int) -> int:
-    """Steps per history block: 64, fewer where a block's float64 arrays would
-    pass WORKING_SET_BYTES (1 MiB), and 1 where even a one-step block is larger.
+def _plan_bytes(batch: int, n_cells: int, k: int) -> int:
+    """Bytes of the arrays of _step_plan(batch, n_cells) at block length k:
+    the history (k+1, B, 3, L) with k spare values, the ghost-cell index wrap
+    (L), the (k, B, n_cells) densities, the (k, B) masses and the (5, B) block
+    statistics, 8 bytes a value, where L = n_cells + 2(k+1).  _block_steps
+    sizes a plan by it, and advance keeps a plan as the spare by it."""
+    width = n_cells + 2 * k + 2
+    return 8 * ((k + 1) * batch * 3 * width + k + width + k * batch * n_cells + k * batch + 5 * batch)
 
-    They are the history (k+1, B, 3, n_cells + 2(k+1)) with k spare values,
-    the (k, B, n_cells) densities, the (k, B) masses and the (5, B) block
-    statistics that _step_stats writes.
+
+def _block_steps(batch: int, n_cells: int) -> int:
+    """Steps per history block: 64, fewer where the plan's arrays would pass
+    WORKING_SET_BYTES (1 MiB), and 1 where even a one-step plan is larger.
+
+    The bytes are the one count _plan_bytes, the ghost-cell index wrap
+    included, which advance also reads to keep a plan in its
+    ((B, n_cells), plan) slot, so every plan with k > 1 is kept.
     """
     k = 64
-    while k > 1 and (8 * batch * (3 * (k + 1) * (n_cells + 2 * k + 2) + k * n_cells + k + 5)
-                     + 8 * k > WORKING_SET_BYTES):
+    while k > 1 and _plan_bytes(batch, n_cells, k) > WORKING_SET_BYTES:
         k -= 1
     return k
 
@@ -317,25 +339,12 @@ def _step_stats(states: np.ndarray, rho: np.ndarray, masses: np.ndarray, out: np
     return per_step
 
 
-class _StepPlan(NamedTuple):
+def _step_plan(batch: int, n_cells: int) -> tuple:
     """What advance's steps use that depends only on (B, n_cells): the block
-    length, the history and its per-step matmul views, the ghost-cell index and
-    the statistics buffers.  nbytes counts its arrays."""
-
-    shape: tuple
-    block: int
-    interior: slice
-    hist: np.ndarray
-    ins: list
-    outs: list
-    wrap: np.ndarray
-    rho: np.ndarray
-    masses: np.ndarray
-    stats: np.ndarray
-    nbytes: int
-
-
-def _step_plan(batch: int, n_cells: int) -> _StepPlan:
+    length k from _block_steps, the interior slice, the history and its
+    per-step matmul views, the ghost-cell index wrap and the statistics
+    buffers, whose bytes _plan_bytes counts.  advance keeps it as the spare
+    slot ((B, n_cells), plan) when they fit WORKING_SET_BYTES."""
     block = _block_steps(batch, n_cells)
     edge = block + 1
     width = n_cells + 2 * edge
@@ -352,14 +361,14 @@ def _step_plan(batch: int, n_cells: int) -> _StepPlan:
     rho = np.empty((block, batch, n_cells))
     masses = np.empty((block, batch))
     stats = np.empty((5, batch))
-    return _StepPlan((batch, n_cells), block, slice(edge, edge + n_cells), hist, ins, outs, wrap,
-                     rho, masses, stats, sum(a.nbytes for a in (buf, wrap, rho, masses, stats)))
+    return block, slice(edge, edge + n_cells), hist, ins, outs, wrap, rho, masses, stats
 
 
 matmul = np.matmul   # a step looks up one global, not a global and an attribute
-# The one spare step plan, under the key None.  A call pops it for its whole
-# duration, so concurrent calls never share buffers, and puts its own plan
-# back on return unless that plan is larger than WORKING_SET_BYTES.
+# The one spare step plan, as ((B, n_cells), plan) under the key None.  A call
+# pops it for its whole duration, so concurrent calls never share buffers and a
+# call of another shape drops it before building its own, and puts its own
+# plan back on return unless _plan_bytes puts it over WORKING_SET_BYTES.
 _spare = {}
 
 
@@ -395,7 +404,9 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     each side.  Once per block the ghost cells are refilled from the
     interior of the last slot; the diagnostics and snapshots are read from
     the slots' interiors, in no second layout.  _block_steps sets k: at most
-    64 steps and about 1 MiB of block arrays, so memory stays O(B * n_cells).
+    64 steps, and at most WORKING_SET_BYTES (1 MiB) of plan arrays by the one
+    byte count _plan_bytes, which counts the ghost-cell index wrap too, so
+    memory stays O(B * n_cells).
 
     Once per block, _step_stats reduces the block's states to min f, min
     rho, max rho and the least and the greatest per-step mass; one np.fmin
@@ -404,8 +415,11 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     kept.  A zero min_f, min_rho or max_rho is +0.0.  The mass drift is formed
     once, at the end, from the least and the greatest mass; it is NaN where
     the initial mass is not finite.  The step views and buffers depend only on
-    (B, n_cells); they are built once and kept as one spare plan between calls
-    (see _spare), which concurrent calls never share.
+    (B, n_cells).  A call keeps them between calls in the one spare slot,
+    _spare[None] = ((B, n_cells), plan), whenever _plan_bytes fits
+    WORKING_SET_BYTES, that is, unless even a one-step plan is larger; a call
+    of the same shape takes them from there, and concurrent calls never share
+    them.
 
     The states and snapshots are bitwise equal to stream(relax(...)) applied
     step by step, and the diagnostics to a fold of its steps' values with
@@ -429,10 +443,10 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
                          f"got {f0.shape} and {R.shape}")
     _check_counts(n_steps, snap_every)
     batch, n_cells, _ = f0.shape
-    plan = _spare.pop(None, None)
-    if plan is None or plan.shape != (batch, n_cells):
+    shape, plan = _spare.pop(None, (None, None))
+    if shape != (batch, n_cells):
         plan = _step_plan(batch, n_cells)
-    _, block, interior, hist, ins, outs, wrap, rho, masses, stats, _ = plan
+    block, interior, hist, ins, outs, wrap, rho, masses, stats = plan
     snap_steps = (tuple(sorted(set(range(0, n_steps + 1, snap_every)) | {n_steps}))
                   if snap_every > 0 else ())
     snapshots = np.empty((len(snap_steps), batch, n_cells, 3))
@@ -464,8 +478,8 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
             snapped += 1
         done += k
     f = hist[last, :, :, interior].transpose(0, 2, 1).copy()
-    if plan.nbytes <= WORKING_SET_BYTES:
-        _spare[None] = plan
+    if _plan_bytes(batch, n_cells, block) <= WORKING_SET_BYTES:
+        _spare[None] = ((batch, n_cells), plan)
     low_mass, min_f, min_rho, max_rho, high_mass = running
     # The largest |mass - mass0| of any step is that of the least or the
     # greatest mass, as rounding is monotone; drift is |mass| when mass0 == 0.
@@ -495,11 +509,10 @@ def run_batch(cases, grid: Grid1D, n_steps: int, snap_every: int = 0) -> list:
         overshoot = np.maximum(out.max_rho - rho0.max(axis=1), 0.0)   # NaN stays NaN
         undershoot = np.maximum(rho0.min(axis=1) - out.min_rho, 0.0)
     l1_error = np.sum(np.abs(density(out.f) - exact), axis=1) * grid.dx
-    columns = dict(min_f_over_run=out.min_f, min_rho=out.min_rho, max_rho=out.max_rho,
-                   mass_drift=out.mass_drift, l1_error=l1_error, overshoot=overshoot,
-                   undershoot=undershoot)
-    return [RunResult(RunDiagnostics(**{name: float(col[b]) for name, col in columns.items()}),
-                      out.f[b], out.snap_steps, out.snapshots[:, b]) for b in range(len(cases))]
+    rows = np.column_stack((out.min_f, out.min_rho, out.max_rho, out.mass_drift, l1_error,
+                            overshoot, undershoot)).tolist()   # RunDiagnostics' field order
+    return [RunResult(RunDiagnostics(*row), out.f[b], out.snap_steps, out.snapshots[:, b])
+            for b, row in enumerate(rows)]
 
 
 def run(profile: InitialProfile, grid: Grid1D, p: SchemeParameters, n_steps: int,

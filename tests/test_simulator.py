@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from d1q3rv import simulator
-from d1q3rv.scheme import (TAU_MAT, SchemeParameters, build_relaxation_matrix,
-                           equilibrium_distributions, equilibrium_weights)
+from d1q3rv.scheme import (TAU_MAT, WORKING_SET_BYTES, SchemeParameters, build_relaxation_matrix,
+                           equilibrium_distributions, equilibrium_weights, relaxation_matrices)
 from d1q3rv.simulator import (CUSTOM, HAT, SMOOTH, STEP, Grid1D, InitialProfile,
                               _block_steps, _step_stats, advance, default_grid, density,
                               exact_density, init_state, relax, run, run_batch, stream,
@@ -417,17 +417,46 @@ def test_advance_snapshot_cadence_across_blocks():
 
 
 def test_advance_block_stays_under_a_mebibyte():
-    for batch, n_cells in ((1, 200), (12, 200), (1, 600), (100, 2)):
+    for batch, n_cells in ((1, 200), (12, 200), (1, 600), (100, 2), (1, 406)):
         k = _block_steps(batch, n_cells)
         history = (k + 1) * batch * 3 * (n_cells + 2 * (k + 1)) + k   # ghost-padded, k spare
+        wrap = n_cells + 2 * (k + 1)                                   # the ghost-cell index
         density = k * batch * n_cells                                  # rows _step_stats reduces
         masses = k * batch                                             # per-step masses
         stats = 5 * batch                                              # the block's statistics
-        assert 8 * (history + density + masses + stats) <= 2**20
+        assert 8 * (history + wrap + density + masses + stats) <= 2**20
     assert _block_steps(1, 200) == 64
     assert _block_steps(12, 200) == 11
     assert _block_steps(3, 4000) == 1
     assert _block_steps(1, 1_000_000) == 1
+    assert _block_steps(1, 406) == 63
+
+
+def test_one_byte_count_sizes_and_keeps_the_step_plan(monkeypatch):
+    # _block_steps and advance's keep rule read one count, _plan_bytes, and it
+    # is the plan's arrays' bytes, the ghost-cell index included.  A block
+    # length chosen without the index put (1, 406) 808 bytes over budget, and
+    # advance rebuilt its plan on every call.
+    rng = np.random.default_rng(32)
+    shapes = [(1, 406), (1, 415), (12, 126),
+              *zip(rng.integers(1, 13, 24).tolist(), rng.integers(1, 3000, 24).tolist())]
+    for batch, n_cells in shapes:
+        block, _, hist, _, _, wrap, rho, masses, stats = simulator._step_plan(batch, n_cells)
+        nbytes = sum(a.nbytes for a in (hist.base, wrap, rho, masses, stats))
+        assert simulator._plan_bytes(batch, n_cells, block) == nbytes, (batch, n_cells)
+        assert block == 1 or nbytes <= WORKING_SET_BYTES
+    f0, R = rng.uniform(0, 1, (1, 406, 3)), rng.uniform(0, 0.5, (1, 3, 3))
+    simulator._spare.clear()
+    want = advance(f0, R, 70)
+    shape, plan = simulator._spare[None]
+    assert shape == (1, 406) and plan[0] == 63
+
+    def rebuild(*args):
+        raise AssertionError("the spare plan was rebuilt")
+    monkeypatch.setattr(simulator, "_step_plan", rebuild)
+    got = advance(f0, R, 70)
+    assert simulator._spare[None][1] is plan
+    assert bitwise_equal(got.f, want.f)
 
 
 @pytest.mark.parametrize("batch,n_cells", [(2, 2), (3, 4000)])
@@ -533,7 +562,7 @@ def test_advance_leaves_nothing_for_the_next_call():
     with np.errstate(all="ignore"):
         for f0 in (dirty, rng.uniform(0, 1, (5, 7, 3)), dirty):
             advance(f0, rng.uniform(-2, 2, (len(f0), 3, 3)), 3 * BLOCK + 5, snap_every=1)
-    assert simulator._spare[None].shape == (2, 24)
+    assert simulator._spare[None][0] == (2, 24)
     got = advance(fresh, R, n_steps, snap_every=4)
     for name in ("f", "min_f", "min_rho", "max_rho", "mass_drift", "snapshots"):
         assert bitwise_equal(getattr(got, name), getattr(want, name))
@@ -745,6 +774,64 @@ def test_two_steps_from_one_cell_exempt_a_zero_weight_column():
     others = (R * w)[:, [0, 2]].min()
     assert R[:, 1].min() < others - 0.1
     assert abs(min_f - others) <= TAU_MAT
+
+
+def sweep_draws(seed, n=2000):
+    """n tuples (V, u, s, s', alpha) drawn as the sweep benchmark draws them, and their R."""
+    rng = np.random.default_rng(seed)
+    rows = np.column_stack((rng.uniform(0, 1, n), rng.uniform(-1, 1, n), rng.uniform(0, 2, n),
+                            rng.uniform(0, 2, n), rng.uniform(-2, 1, n)))
+    return rows, relaxation_matrices(*rows.T)
+
+
+def total_variation(f):
+    """Periodic total variation along the cell axis (1) of f (B, n_cells, ...)."""
+    return np.abs(np.roll(f, -1, axis=1) - f).sum(axis=1)
+
+
+def test_non_negative_r_runs_are_l1_contractive_and_tvd():
+    # Lemma (e) of d1q3rv.simulator.  Rounding: a step computes each value as
+    # a three-term dot product with R >= 0, whose columns sum to 1 within a few
+    # ulps, so it moves the values by at most 4 eps ||f||_1 in all, and TV_f
+    # and ||f - g||_1 by twice that; 16 eps per unit of L1 norm bounds a step.
+    rows, R = sweep_draws(29)
+    keep = R.reshape(-1, 9).min(axis=1) >= 1e-9
+    rows, R = rows[keep][:12], R[keep][:12]
+    assert len(rows) == 12
+    grid, n_steps = default_grid(200), 100
+    f0 = np.stack([init_state(InitialProfile(kind=STEP), grid, params(*row)) for row in rows])
+    g0 = np.random.default_rng(30).uniform(-1, 1, f0.shape)
+    f = advance(f0, R, n_steps, snap_every=1).snapshots.transpose(1, 0, 2, 3)   # (B, steps, n, 3)
+    g = advance(g0, R, n_steps, snap_every=1).snapshots.transpose(1, 0, 2, 3)
+    eps = np.finfo(float).eps
+    step_tol = 16 * eps * np.abs(f0).sum(axis=(1, 2))[:, None]
+    tv_rho = total_variation(density(f).transpose(0, 2, 1))       # (B, steps)
+    assert np.allclose(tv_rho[:, 0], 2, rtol=8 * eps, atol=0)   # w sums to 1 within rounding
+    assert (tv_rho - tv_rho[:, :1] <= n_steps * step_tol).all()
+    tv_f = total_variation(f.transpose(0, 2, 1, 3)).sum(axis=2)
+    assert (np.diff(tv_f, axis=1) <= step_tol).all()
+    distance = np.abs(f - g).sum(axis=(2, 3))
+    step_tol += 16 * eps * np.abs(g0).sum(axis=(1, 2))[:, None]
+    assert (np.diff(distance, axis=1) <= step_tol).all()
+    assert (distance[:, -1] < 0.9 * distance[:, 0]).all()   # they do draw together
+
+
+def test_a_negative_column_entry_grows_a_spike_total_variation():
+    # The converse of lemma (e): one step takes a unit spike in velocity k
+    # (TV_f = 2) to the spikes R_ik, one per velocity, so TV_f grows by the
+    # factor sum_i |R_ik|, which is 1 + 2 sum_i max(-R_ik, 0) > 1.
+    _, R = sweep_draws(31, 200)
+    R = R[R.reshape(-1, 9).min(axis=1) < -1e-3][:12]
+    columns = [(b, k) for b in range(len(R)) for k in range(3) if R[b, :, k].min() < -1e-3]
+    assert len(R) == 12 and len(columns) >= 12
+    f0 = np.zeros((len(columns), 9, 3))
+    for j, (b, k) in enumerate(columns):
+        f0[j, 4, k] = 1.0
+    f1 = advance(f0, np.stack([R[b] for b, _ in columns]), 1).f
+    growth = total_variation(f1).sum(axis=1) / total_variation(f0).sum(axis=1)
+    factor = np.array([np.abs(R[b, :, k]).sum() for b, k in columns])
+    assert np.allclose(growth, factor, rtol=4 * np.finfo(float).eps, atol=0)
+    assert (growth > 1 + 2e-3).all()
 
 
 @pytest.mark.parametrize("kind", [SMOOTH, HAT, STEP])
