@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -67,7 +68,17 @@ def _checked(parse, ok, rule):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Every usage error is one 'error: ...' line on stderr and exit 2."""
+    """Every usage error is one 'error: ...' line on stderr and exit 2.
+
+    A word that starts with '-' and a digit, or with '-.' and a digit, is a
+    value, as no option here looks like that: argparse's own rule takes only
+    forms like -5 and -.5, and would read --u -1/4 or --alpha -1e-2 as a
+    flag without its value.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")

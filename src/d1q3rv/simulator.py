@@ -305,13 +305,16 @@ def _block_steps(batch: int, n_cells: int) -> int:
     return k
 
 
-def _step_stats(states: np.ndarray, rho: np.ndarray, masses: np.ndarray, out: np.ndarray,
-                per_step: bool = False) -> bool:
+def _step_stats(values: np.ndarray, states: np.ndarray, rho: np.ndarray, masses: np.ndarray,
+                out: np.ndarray, per_step: bool = False) -> bool:
     """Least mass, min f, min rho, max rho and greatest mass, in that order,
     over a block of steps' states (k, B, 3, n), into out (5, B).
 
-    Writes the densities into rho (k, B, n), added (f1 + f2) + f3 as density()
-    adds them, and each step's mass into masses (k, B), bitwise that of
+    min f is read from values (k, B, 3, m): states itself, or the whole
+    history slots around them, whose other cells hold +inf or bitwise copies
+    of states' values (see advance), so the minimum is the same.  Writes the
+    densities into rho (k, B, n), added (f1 + f2) + f3 as density() adds
+    them, and each step's mass into masses (k, B), bitwise that of
     density(f).sum().  A NaN step is skipped: the masses are folded over the
     steps with np.fmin and np.fmax, and min f, min rho and max rho, one exact
     reduction each over the whole block, are recomputed per step and folded
@@ -328,12 +331,12 @@ def _step_stats(states: np.ndarray, rho: np.ndarray, masses: np.ndarray, out: np
     np.fmin.reduce(masses, axis=0, out=out[0])
     np.fmax.reduce(masses, axis=0, out=out[4])
     if not per_step:
-        np.minimum.reduce(states, axis=(0, 2, 3), out=out[1])
+        np.minimum.reduce(values, axis=(0, 2, 3), out=out[1])
         np.minimum.reduce(rho, axis=(0, 2), out=out[2])
         np.maximum.reduce(rho, axis=(0, 2), out=out[3])
         per_step = np.isnan(out[1:4]).any()
     if per_step:
-        np.fmin.reduce(np.minimum.reduce(states, axis=(2, 3)), axis=0, out=out[1])
+        np.fmin.reduce(np.minimum.reduce(values, axis=(2, 3)), axis=0, out=out[1])
         np.fmin.reduce(np.minimum.reduce(rho, axis=2), axis=0, out=out[2])
         np.fmax.reduce(np.maximum.reduce(rho, axis=2), axis=0, out=out[3])
     return per_step
@@ -342,21 +345,24 @@ def _step_stats(states: np.ndarray, rho: np.ndarray, masses: np.ndarray, out: np
 def _step_plan(batch: int, n_cells: int) -> tuple:
     """What advance's steps use that depends only on (B, n_cells): the block
     length k from _block_steps, the interior slice, the history and its
-    per-step matmul views, the ghost-cell index wrap and the statistics
-    buffers, whose bytes _plan_bytes counts.  advance keeps it as the spare
-    slot ((B, n_cells), plan) when they fit WORKING_SET_BYTES."""
+    per-step matmul views (2-D for a batch of one), the ghost-cell index
+    wrap and the statistics buffers, whose bytes _plan_bytes counts.
+    advance keeps it as the spare slot ((B, n_cells), plan) when they fit
+    WORKING_SET_BYTES."""
     block = _block_steps(batch, n_cells)
     edge = block + 1
     width = n_cells + 2 * edge
     slot = batch * 3 * width
     # shifted[j] starts at cell j of slot j+1; the unused tail of its rows
     # runs up to block - 1 values past the last slot, hence the spare values.
-    buf = np.empty((block + 1) * slot + block)
+    # The cells no step writes stay +inf, so min f can read whole slots.
+    buf = np.full((block + 1) * slot + block, np.inf)
     hist = buf[:(block + 1) * slot].reshape(block + 1, batch, 3, width)
     shifted = np.ndarray((block, batch, 3, width - 2), buffer=buf, offset=slot * buf.itemsize,
                          strides=np.multiply((slot + 1, 3 * width, width + 1, 1), buf.itemsize))
-    ins = [hist[j, :, :, 1 + j:width - 1 - j] for j in range(block)]
-    outs = [shifted[j, :, :, :width - 2 - 2 * j] for j in range(block)]
+    b = 0 if batch == 1 else slice(None)   # a batch of one steps with 2-D matmuls
+    ins = [hist[j, b, :, 1 + j:width - 1 - j] for j in range(block)]
+    outs = [shifted[j, b, :, :width - 2 - 2 * j] for j in range(block)]
     wrap = edge + (np.arange(width) - edge) % n_cells
     rho = np.empty((block, batch, n_cells))
     masses = np.empty((block, batch))
@@ -402,11 +408,22 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     components land one cell down, in place and one cell up: the write
     address does the streaming, and the valid window shrinks by a cell on
     each side.  Once per block the ghost cells are refilled from the
-    interior of the last slot; the diagnostics and snapshots are read from
-    the slots' interiors, in no second layout.  _block_steps sets k: at most
-    64 steps, and at most WORKING_SET_BYTES (1 MiB) of plan arrays by the one
-    byte count _plan_bytes, which counts the ghost-cell index wrap too, so
-    memory stays O(B * n_cells).
+    interior of the last slot; the densities and snapshots are read from
+    the slots' interiors, in no second layout.  A batch of one steps with
+    2-D matmuls of R[0], through views without the batch axis.  _block_steps
+    sets k: at most 64 steps, and at most WORKING_SET_BYTES (1 MiB) of plan
+    arrays by the one byte count _plan_bytes, which counts the ghost-cell
+    index wrap too, so memory stays O(B * n_cells).
+
+    The history starts filled with +inf, and min f over a block's steps is
+    one reduction over their whole slots.  Every cell a step writes is R
+    times a triple bitwise equal to that of the interior cell it is a
+    periodic copy of (the refill copies whole triples, and the product
+    rounds every column alike), so it holds that cell's value bit for bit;
+    the cells no step writes stay +inf, so the minimum is the interiors'.
+    Step j writes the same cells of slot j+1 in every block, so no value of
+    an earlier block or call is read.  Step 0 is read from the interior of
+    the last slot, as only that part of it holds f0.
 
     Once per block, _step_stats reduces the block's states to min f, min
     rho, max rho and the least and the greatest per-step mass; one np.fmin
@@ -445,15 +462,19 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     batch, n_cells, _ = f0.shape
     shape, plan = _spare.pop(None, (None, None))
     if shape != (batch, n_cells):
+        del plan   # freed before the new plan's +inf fill touches its pages
         plan = _step_plan(batch, n_cells)
     block, interior, hist, ins, outs, wrap, rho, masses, stats = plan
     snap_steps = (tuple(sorted(set(range(0, n_steps + 1, snap_every)) | {n_steps}))
                   if snap_every > 0 else ())
     snapshots = np.empty((len(snap_steps), batch, n_cells, 3))
     snapshots[:1] = f0   # step 0, when there are snapshots
+    if batch == 1:
+        R = R[0]   # for the plan's 2-D step views
     last = block
     hist[last, :, :, interior] = f0.transpose(0, 2, 1)
-    per_step = _step_stats(hist[last:, :, :, interior], rho[:1], masses[:1], stats)
+    state0 = hist[last:, :, :, interior]   # the last slot holds f0 only there
+    per_step = _step_stats(state0, state0, rho[:1], masses[:1], stats)
     mass0 = masses[0].copy()
     # running is laid out as stats: min mass, min f and min rho fold with
     # np.fmin, max rho and max mass with np.fmax.  NaN steps are skipped, and
@@ -470,7 +491,9 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
         for a, b in zip(ins[:k], outs[:k]):
             matmul(R, a, b)
         last = k
-        per_step = _step_stats(hist[1:k + 1, :, :, interior], rho[:k], masses[:k], stats, per_step)
+        slots = hist[1:k + 1]
+        per_step = _step_stats(slots, slots[:, :, :, interior], rho[:k], masses[:k], stats,
+                               per_step)
         np.fmin(lows, stats[:3], out=lows, where=keep_lows)
         np.fmax(highs, stats[3:], out=highs, where=keep_highs)
         while snapped < len(snap_steps) and snap_steps[snapped] <= done + k:

@@ -426,6 +426,27 @@ def test_overflowing_number_exits_2(argv, capsys):
     assert err == "error: argument --V: out of floating-point range: '1e400'\n"
 
 
+@pytest.mark.parametrize("argv, flag, value, code", [
+    (["check", "--u", "0", "--s", "1", "--sp", "1", "--alpha", "0"], "--V", "-2/3", 0),
+    (["check", "--V", "1/4", "--s", "8/5", "--sp", "4/5"], "--u", "-1/4", 1),
+    (["check", "--V", "1/4", "--s", "1", "--sp", "1", "--alpha", "0"], "--u", "-.5e-1", 0),
+    (["check", "--V", "1/4", "--u", "1/4", "--s", "8/5", "--sp", "4/5"], "--alpha", "-7/8", 0),
+    (["check", "--V", "1/4", "--u", "0", "--s", "1", "--sp", "1"], "--alpha", "-5/4", 0),
+    (["check", "--V", "1/4", "--u", "0", "--s", "1", "--sp", "1"], "--alpha", "-1e-2", 0),
+    (["region", "--V", "2/3", "--grid", "21"], "--u-list", "-2/3,0", 0),
+], ids=["V", "u", "u-dot", "alpha", "alpha-upwind", "alpha-exponent", "u-list"])
+def test_negative_values_parse_in_both_spellings(argv, flag, value, code, capsys):
+    # "--u -1/4" and "--u=-1/4" are one request; argparse alone reads a
+    # leading "-" before a fraction or an exponent as the start of a flag
+    outputs = []
+    for spelling in ([flag, value], [f"{flag}={value}"]):
+        assert main(argv + spelling) == code
+        out, err = capsys.readouterr()
+        assert err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("argv, code", [
     (["check", "--V", "1/4", "--u", "0", "--s", "3/2", "--sp", "1", "--alpha", "13/16"], 0),
     (["check", "--V", "1/4", "--s", "1", "--sp", "1", "--frobnicate", "1"], 2),

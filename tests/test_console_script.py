@@ -31,8 +31,10 @@ RUNS = [
     ("check --V 0 --u 0 --s -0 --sp 0", 0, []),
     ("check --V 0.25 --u 0.25 --s 1.6 --sp 1.3 --alpha 0", 1, []),
     ("check --V 1e6 --u 1e5 --s 1e-17 --sp 0", 1, []),
+    ("check --V 1/4 --u 1/4 --s 8/5 --sp 4/5 --alpha -7/8", 0, []),
     ("reproduce", 0, []),
     ("region --V 2/3 --grid 21", 0, []),
+    ("region --V 2/3 --u-list -2/3,0 --grid 21", 0, []),
     ("region --V 2/3 --grid 21 --out-csv r.csv --out-svg r.svg", 0, REGION_FILES),
     ("simulate --V 0.25 --u 0 --s 1 --sp 1 --alpha 0 --steps 50 --ncells 40", 0, []),
     ("simulate --V 0.25 --u 0 --s 1 --sp 1 --alpha 0 --steps 50 --ncells 40 "

@@ -531,18 +531,50 @@ def test_advance_skips_a_nan_that_first_appears_mid_block():
     assert out.max_rho[0] > np.abs(rho[:seam]).max() and out.min_rho[0] < -np.abs(rho[:seam]).max()
 
 
+POSITIVE_ROWS = [(0.25, 0.0, 1.0, 1.0, 0.0), (0.5, 0.0, 1.0, 1.0, 0.0), (0.25, 0.1, 1.2, 0.9, -0.1)]
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_advance_min_f_over_whole_slots_is_the_states_least_f(batch):
+    # min f is one reduction over whole history slots, whose cells no step
+    # writes hold +inf.  With R > 0 and a positive start the least f is
+    # positive, so a slot cell holding anything else, such as the 0.0 of a
+    # fresh page, would show; a partial last block and a second call on the
+    # spare plan, with larger values, read the same slots.
+    n_cells = 200
+    cases = [initial(InitialProfile(kind=SMOOTH, low=0.5), n_cells, params(*row))
+             for row in POSITIVE_ROWS[:batch]]
+    f0, R = np.stack([f for f, _ in cases]), np.stack([r for _, r in cases])
+    assert (R > 0).all() and (f0 > 0).all()
+    n_steps = _block_steps(batch, n_cells) + 3
+    simulator._spare.clear()
+    plans = []
+    for scale in (1.0, 4.0):
+        out = advance(scale * f0, R, n_steps)
+        plans.append(simulator._spare[None][1])
+        for b in range(batch):
+            assert_matches_reference(out, b, scale * f0[b], R[b], n_steps)
+        assert (out.min_f > 0).all()
+    assert plans[0] is plans[1]
+
+
 def test_step_stats_per_step_reductions_equal_the_whole_block_ones():
     # advance reduces per step from the first block that met NaN on; without
-    # NaN both ways give the same statistics, zeros as +0.0
+    # NaN both ways give the same statistics, zeros as +0.0, and so does min f
+    # read from slots that pad the states with +inf
     rng = np.random.default_rng(13)
     states = rng.choice([-0.0, 0.0, 0.25, -1.5, 2.0], (5, 2, 3, 7))
+    slots = np.pad(states, ((0, 0), (0, 0), (0, 0), (2, 3)), constant_values=np.inf)
     rho, masses = np.empty((5, 2, 7)), np.empty((5, 2))
-    whole, per_step = np.empty((5, 2)), np.empty((5, 2))
-    assert not _step_stats(states, rho, masses, whole)
-    assert _step_stats(states, rho, masses, per_step, per_step=True)
+    whole, per_step, padded = np.empty((5, 2)), np.empty((5, 2)), np.empty((5, 2))
+    assert not _step_stats(states, states, rho, masses, whole)
+    assert _step_stats(states, states, rho, masses, per_step, per_step=True)
     assert (whole + 0.0).tobytes() == (per_step + 0.0).tobytes()
+    for flag in (False, True):
+        assert _step_stats(slots, states, rho, masses, padded, per_step=flag) == flag
+        assert (padded + 0.0).tobytes() == (whole + 0.0).tobytes()
     states[3, 1, 0, 4] = np.nan
-    assert _step_stats(states, rho, masses, whole)
+    assert _step_stats(states, states, rho, masses, whole)
     assert np.isfinite(whole).all()
 
 
