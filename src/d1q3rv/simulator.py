@@ -143,7 +143,11 @@ class InitialProfile:
             raise ValueError(f"custom profile has {len(self.values)} values for {grid.n_cells} cells")
 
     def sample(self, grid: Grid1D) -> np.ndarray:
+        """Density at the cells of grid.  A custom profile's values are its
+        sample, bit for bit; sample_at interpolates them off the grid."""
         self._check_fits(grid)
+        if self.kind == CUSTOM:
+            return np.array(self.values)
         return self.sample_at(grid.positions(), grid.length)
 
 
@@ -305,38 +309,38 @@ def _block_steps(batch: int, n_cells: int) -> int:
     return k
 
 
-def _step_stats(values: np.ndarray, states: np.ndarray, rho: np.ndarray, masses: np.ndarray,
+def _step_stats(slots: np.ndarray, interior: slice, rho: np.ndarray, masses: np.ndarray,
                 out: np.ndarray, per_step: bool = False) -> bool:
     """Least mass, min f, min rho, max rho and greatest mass, in that order,
-    over a block of steps' states (k, B, 3, n), into out (5, B).
+    over a block of steps' history slots (k, B, 3, m), into out (5, B).
 
-    min f is read from values (k, B, 3, m): states itself, or the whole
-    history slots around them, whose other cells hold +inf or bitwise copies
-    of states' values (see advance), so the minimum is the same.  Writes the
-    densities into rho (k, B, n), added (f1 + f2) + f3 as density() adds
-    them, and each step's mass into masses (k, B), bitwise that of
-    density(f).sum().  A NaN step is skipped: the masses are folded over the
-    steps with np.fmin and np.fmax, and min f, min rho and max rho, one exact
-    reduction each over the whole block, are recomputed per step and folded
-    the same way when one of them is NaN.  (A NaN mass alone, as in a run
-    holding +inf and -inf, needs no recomputation.)  per_step skips the
-    whole-block reductions, which give the per-step values wherever no step
-    is NaN.  The return value says whether the per-step ones ran; advance
-    passes it on to the next block, as a run that met NaN seldom leaves it.
-    The sign of a zero extremum depends on the traversal order, so advance
-    makes it +0.0.
+    The states are the slots' interior cells, slots[..., interior].  min f
+    is read from the whole slots, whose other cells hold +inf or bitwise
+    copies of interior values (see advance), so the minimum is the
+    interiors'.  Writes the densities into rho (k, B, n), added
+    (f1 + f2) + f3 as density() adds them, and each step's mass into masses
+    (k, B), bitwise that of density(f).sum().  A NaN step is skipped: the
+    masses are folded over the steps with np.fmin and np.fmax, and min f,
+    min rho and max rho, one exact reduction each over the whole block, are
+    recomputed per step and folded the same way when one of them is NaN.
+    (A NaN mass alone, as in a run holding +inf and -inf, needs no
+    recomputation.)  per_step skips the whole-block reductions, which give
+    the per-step values wherever no step is NaN.  The return value says
+    whether the per-step ones ran; advance passes it on to the next block,
+    as a run that met NaN seldom leaves it.  The sign of a zero extremum
+    depends on the traversal order, so advance makes it +0.0.
     """
-    np.add.reduce(states, axis=2, out=rho)
+    np.add.reduce(slots[..., interior], axis=2, out=rho)
     np.add.reduce(rho, axis=2, out=masses)
     np.fmin.reduce(masses, axis=0, out=out[0])
     np.fmax.reduce(masses, axis=0, out=out[4])
     if not per_step:
-        np.minimum.reduce(values, axis=(0, 2, 3), out=out[1])
+        np.minimum.reduce(slots, axis=(0, 2, 3), out=out[1])
         np.minimum.reduce(rho, axis=(0, 2), out=out[2])
         np.maximum.reduce(rho, axis=(0, 2), out=out[3])
         per_step = np.isnan(out[1:4]).any()
     if per_step:
-        np.fmin.reduce(np.minimum.reduce(values, axis=(2, 3)), axis=0, out=out[1])
+        np.fmin.reduce(np.minimum.reduce(slots, axis=(2, 3)), axis=0, out=out[1])
         np.fmin.reduce(np.minimum.reduce(rho, axis=2), axis=0, out=out[2])
         np.fmax.reduce(np.maximum.reduce(rho, axis=2), axis=0, out=out[3])
     return per_step
@@ -344,11 +348,13 @@ def _step_stats(values: np.ndarray, states: np.ndarray, rho: np.ndarray, masses:
 
 def _step_plan(batch: int, n_cells: int) -> tuple:
     """What advance's steps use that depends only on (B, n_cells): the block
-    length k from _block_steps, the interior slice, the history and its
-    per-step matmul views (2-D for a batch of one), the ghost-cell index
-    wrap and the statistics buffers, whose bytes _plan_bytes counts.
-    advance keeps it as the spare slot ((B, n_cells), plan) when they fit
-    WORKING_SET_BYTES."""
+    length k from _block_steps, the batch index of the step views (0 for a
+    batch of one, which steps with 2-D matmuls, else the whole batch), the
+    interior slice, the history and its per-step matmul views, the
+    ghost-cell index wrap and the statistics buffers, whose bytes _plan_bytes
+    counts.  advance indexes R with the batch index, so the batch-of-one
+    rule is stated here only, and keeps the plan as the spare slot
+    ((B, n_cells), plan) when its arrays fit WORKING_SET_BYTES."""
     block = _block_steps(batch, n_cells)
     edge = block + 1
     width = n_cells + 2 * edge
@@ -360,14 +366,14 @@ def _step_plan(batch: int, n_cells: int) -> tuple:
     hist = buf[:(block + 1) * slot].reshape(block + 1, batch, 3, width)
     shifted = np.ndarray((block, batch, 3, width - 2), buffer=buf, offset=slot * buf.itemsize,
                          strides=np.multiply((slot + 1, 3 * width, width + 1, 1), buf.itemsize))
-    b = 0 if batch == 1 else slice(None)   # a batch of one steps with 2-D matmuls
-    ins = [hist[j, b, :, 1 + j:width - 1 - j] for j in range(block)]
-    outs = [shifted[j, b, :, :width - 2 - 2 * j] for j in range(block)]
+    runs = 0 if batch == 1 else slice(None)
+    ins = [hist[j, runs, :, 1 + j:width - 1 - j] for j in range(block)]
+    outs = [shifted[j, runs, :, :width - 2 - 2 * j] for j in range(block)]
     wrap = edge + (np.arange(width) - edge) % n_cells
     rho = np.empty((block, batch, n_cells))
     masses = np.empty((block, batch))
     stats = np.empty((5, batch))
-    return block, slice(edge, edge + n_cells), hist, ins, outs, wrap, rho, masses, stats
+    return block, runs, slice(edge, edge + n_cells), hist, ins, outs, wrap, rho, masses, stats
 
 
 matmul = np.matmul   # a step looks up one global, not a global and an attribute
@@ -407,23 +413,28 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     through a view of slot j+1 whose row stride is L+1, so the three
     components land one cell down, in place and one cell up: the write
     address does the streaming, and the valid window shrinks by a cell on
-    each side.  Once per block the ghost cells are refilled from the
-    interior of the last slot; the densities and snapshots are read from
-    the slots' interiors, in no second layout.  A batch of one steps with
-    2-D matmuls of R[0], through views without the batch axis.  _block_steps
-    sets k: at most 64 steps, and at most WORKING_SET_BYTES (1 MiB) of plan
-    arrays by the one byte count _plan_bytes, which counts the ghost-cell
-    index wrap too, so memory stays O(B * n_cells).
+    each side.  A state enters slot 0 one way only: the ghost refresh,
+    which fills the whole of slot 0 from the interior of another slot.  f0
+    is written into the interior of the last slot and refreshed into slot 0
+    before the first block, and each block refreshes slot 0 from its last
+    slot at its end, so the final state is read from slot 0.  The densities
+    and snapshots are read from the slots' interiors, in no second layout.
+    A batch of one steps with 2-D matmuls, through views without the batch
+    axis; _step_plan gives the batch index that R is read with.
+    _block_steps sets k: at most 64 steps, and at most WORKING_SET_BYTES
+    (1 MiB) of plan arrays by the one byte count _plan_bytes, which counts
+    the ghost-cell index wrap too, so memory stays O(B * n_cells).
 
     The history starts filled with +inf, and min f over a block's steps is
-    one reduction over their whole slots.  Every cell a step writes is R
-    times a triple bitwise equal to that of the interior cell it is a
-    periodic copy of (the refill copies whole triples, and the product
-    rounds every column alike), so it holds that cell's value bit for bit;
-    the cells no step writes stay +inf, so the minimum is the interiors'.
-    Step j writes the same cells of slot j+1 in every block, so no value of
-    an earlier block or call is read.  Step 0 is read from the interior of
-    the last slot, as only that part of it holds f0.
+    one reduction over their whole slots.  The refresh maps every cell of
+    slot 0 to an interior cell, and every cell a step writes is R times a
+    triple bitwise equal to that of the interior cell it is a periodic copy
+    of (the refresh copies whole triples, and the product rounds every
+    column alike), so it holds that cell's value bit for bit; the cells no
+    step writes stay +inf, so the minimum is the interiors'.  Step j writes
+    the same cells of slot j+1 in every block, and the refresh all of slot
+    0, so no value of an earlier block or call is read.  Step 0's
+    statistics are those of slot 0, read as each block's are.
 
     Once per block, _step_stats reduces the block's states to min f, min
     rho, max rho and the least and the greatest per-step mass; one np.fmin
@@ -464,17 +475,15 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     if shape != (batch, n_cells):
         del plan   # freed before the new plan's +inf fill touches its pages
         plan = _step_plan(batch, n_cells)
-    block, interior, hist, ins, outs, wrap, rho, masses, stats = plan
+    block, runs, interior, hist, ins, outs, wrap, rho, masses, stats = plan
     snap_steps = (tuple(sorted(set(range(0, n_steps + 1, snap_every)) | {n_steps}))
                   if snap_every > 0 else ())
     snapshots = np.empty((len(snap_steps), batch, n_cells, 3))
     snapshots[:1] = f0   # step 0, when there are snapshots
-    if batch == 1:
-        R = R[0]   # for the plan's 2-D step views
-    last = block
-    hist[last, :, :, interior] = f0.transpose(0, 2, 1)
-    state0 = hist[last:, :, :, interior]   # the last slot holds f0 only there
-    per_step = _step_stats(state0, state0, rho[:1], masses[:1], stats)
+    R = R[runs]
+    hist[block, :, :, interior] = f0.transpose(0, 2, 1)
+    np.take(hist[block], wrap, axis=2, out=hist[0], mode="clip")
+    per_step = _step_stats(hist[:1], interior, rho[:1], masses[:1], stats)
     mass0 = masses[0].copy()
     # running is laid out as stats: min mass, min f and min rho fold with
     # np.fmin, max rho and max mass with np.fmax.  NaN steps are skipped, and
@@ -487,20 +496,17 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     done, snapped = 0, 1
     while done < n_steps:
         k = min(block, n_steps - done)
-        np.take(hist[last], wrap, axis=2, out=hist[0], mode="clip")
         for a, b in zip(ins[:k], outs[:k]):
             matmul(R, a, b)
-        last = k
-        slots = hist[1:k + 1]
-        per_step = _step_stats(slots, slots[:, :, :, interior], rho[:k], masses[:k], stats,
-                               per_step)
+        per_step = _step_stats(hist[1:k + 1], interior, rho[:k], masses[:k], stats, per_step)
         np.fmin(lows, stats[:3], out=lows, where=keep_lows)
         np.fmax(highs, stats[3:], out=highs, where=keep_highs)
         while snapped < len(snap_steps) and snap_steps[snapped] <= done + k:
             snapshots[snapped] = hist[snap_steps[snapped] - done, :, :, interior].transpose(0, 2, 1)
             snapped += 1
+        np.take(hist[k], wrap, axis=2, out=hist[0], mode="clip")
         done += k
-    f = hist[last, :, :, interior].transpose(0, 2, 1).copy()
+    f = hist[0, :, :, interior].transpose(0, 2, 1).copy()
     if _plan_bytes(batch, n_cells, block) <= WORKING_SET_BYTES:
         _spare[None] = ((batch, n_cells), plan)
     low_mass, min_f, min_rho, max_rho, high_mass = running

@@ -182,6 +182,14 @@ def relaxation_entries_closed_form(V, u, s, s_prime, alpha) -> np.ndarray:
     non-zero; with S = diag(0, s, s'), I + S (T E T^-1 - I) is then lower
     triangular with diagonal (1, 1 - s, 1 - s'), and R is similar to it.
     Hence trace R = 3 - s - s' and det R = (1 - s)(1 - s').
+
+    Three more tie R to the equilibrium weights w of (V, alpha).  With
+    common_top = V u (s - s') + alpha s'/6, entries 1, 7, and 3 plus 5 give
+    R01 = s' w0 + V(s - s')(u - 1/2), R21 = s' w2 + V(s - s')(u + 1/2) and
+    R10 + R12 = 2 s' w1 - 4 V u (s - s').  So where V(s - s') = 0 and s' > 0
+    (lemma (d)), R >= 0 gives w >= 0 directly, and a stable verdict,
+    R >= -TAU_STAB, only w >= -TAU_STAB / s': at (V, u, s, s', alpha) =
+    (0, 0, 1, 1e-9, 1.001) the least entry is -3.3e-13, yet w1 = -3.3e-4.
     """
     return _batched(_closed_form, _CHUNK, V, u, s, s_prime, alpha)
 

@@ -1,8 +1,10 @@
 import dataclasses
 import io
+import math
 import sys
 import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from d1q3rv.simulator import (CUSTOM, HAT, SMOOTH, STEP, Grid1D, InitialProfile,
                               _block_steps, _step_stats, advance, default_grid, density,
                               exact_density, init_state, relax, run, run_batch, stream,
                               write_diagnostics_csv, write_snapshots_csv)
-from d1q3rv.stability import matrix_entry_verdict
+from d1q3rv.stability import matrix_entry_verdict, nine_inequalities
 
 
 def params(V=0.25, u=0.0, s=1.0, s_prime=1.0, alpha=0.0, lam=1.0):
@@ -95,6 +97,23 @@ def test_custom_profile_round_trip():
         InitialProfile(kind=CUSTOM, values=vals).sample(default_grid(8))
     with pytest.raises(ValueError):
         InitialProfile(kind=CUSTOM)
+
+
+def test_custom_profile_is_its_own_sample():
+    # Interpolating the values at dx * i, against nodes at length * i / n,
+    # moved 370 of the cell counts 1-399 by up to 5.4e-14; at 49 cells a
+    # one-cell unit density read 0.9999999999999972 and leaked into cell 23.
+    rng = np.random.default_rng(34)
+    for n in range(1, 401):
+        values = rng.uniform(0, 1, n)
+        rho = InitialProfile(kind=CUSTOM, values=values).sample(default_grid(n))
+        assert rho.dtype == np.float64 and rho.tobytes() == values.tobytes(), n
+    spike = np.zeros(49)
+    spike[24] = 1.0
+    profile = InitialProfile(kind=CUSTOM, values=spike)
+    assert profile.sample(default_grid(49)).tobytes() == spike.tobytes()
+    shifted = exact_density(profile, default_grid(49), params(V=1.0), 3)   # an integer shift
+    assert shifted.tobytes() == np.roll(spike, 3).tobytes()
 
 
 def test_custom_profiles_compare_and_hash_by_value_and_are_read_only():
@@ -441,7 +460,7 @@ def test_one_byte_count_sizes_and_keeps_the_step_plan(monkeypatch):
     shapes = [(1, 406), (1, 415), (12, 126),
               *zip(rng.integers(1, 13, 24).tolist(), rng.integers(1, 3000, 24).tolist())]
     for batch, n_cells in shapes:
-        block, _, hist, _, _, wrap, rho, masses, stats = simulator._step_plan(batch, n_cells)
+        block, _, _, hist, _, _, wrap, rho, masses, stats = simulator._step_plan(batch, n_cells)
         nbytes = sum(a.nbytes for a in (hist.base, wrap, rho, masses, stats))
         assert simulator._plan_bytes(batch, n_cells, block) == nbytes, (batch, n_cells)
         assert block == 1 or nbytes <= WORKING_SET_BYTES
@@ -567,15 +586,37 @@ def test_step_stats_per_step_reductions_equal_the_whole_block_ones():
     slots = np.pad(states, ((0, 0), (0, 0), (0, 0), (2, 3)), constant_values=np.inf)
     rho, masses = np.empty((5, 2, 7)), np.empty((5, 2))
     whole, per_step, padded = np.empty((5, 2)), np.empty((5, 2)), np.empty((5, 2))
-    assert not _step_stats(states, states, rho, masses, whole)
-    assert _step_stats(states, states, rho, masses, per_step, per_step=True)
+    everything = slice(None)
+    assert not _step_stats(states, everything, rho, masses, whole)
+    assert _step_stats(states, everything, rho, masses, per_step, per_step=True)
     assert (whole + 0.0).tobytes() == (per_step + 0.0).tobytes()
     for flag in (False, True):
-        assert _step_stats(slots, states, rho, masses, padded, per_step=flag) == flag
+        assert _step_stats(slots, slice(2, 9), rho, masses, padded, per_step=flag) == flag
         assert (padded + 0.0).tobytes() == (whole + 0.0).tobytes()
     states[3, 1, 0, 4] = np.nan
-    assert _step_stats(states, states, rho, masses, whole)
+    assert _step_stats(states, everything, rho, masses, whole)
     assert np.isfinite(whole).all()
+
+
+def test_step_zero_is_read_from_a_refreshed_slot():
+    # advance's step 0 statistics are those of slot 0, which the ghost refresh
+    # fills from f0.  A second call of the same shape takes the spare plan,
+    # whose slot 0 still holds the first call's smaller values; with no steps
+    # it must still give exactly f0's extrema.
+    rng = np.random.default_rng(34)
+    first = rng.uniform(0, 1, (2, 30, 3))
+    R = rng.uniform(0, 0.6, (2, 3, 3))
+    second = rng.uniform(5, 6, (2, 30, 3))
+    simulator._spare.clear()
+    advance(first, R, BLOCK + 3)
+    plan = simulator._spare[None][1]
+    out = advance(second, R, 0)
+    assert simulator._spare[None][1] is plan
+    rho = density(second)
+    assert bitwise_equal(out.min_f, second.min(axis=(1, 2)))
+    assert bitwise_equal(out.min_rho, rho.min(axis=1))
+    assert bitwise_equal(out.max_rho, rho.max(axis=1))
+    assert bitwise_equal(out.f, second)
 
 
 def test_advance_leaves_nothing_for_the_next_call():
@@ -904,6 +945,35 @@ def test_run_far_outside_region_amplifies_exponentially():
     with pytest.warns(UserWarning):   # its equilibrium weights are negative too
         d = run(InitialProfile(kind=STEP), default_grid(100), p, 200).diagnostics
     assert d.max_rho > 1e3
+
+
+# Two non-negative rows at V = 1/4: upwind, and a row that diffuses less,
+# with their density diffusion nu = (1/s - 1/2)((2 + alpha)/3 - V^2) per step
+# and their step-profile L1 errors after 4 n steps on n cells, n = 100 ... 800.
+LEAST_DIFFUSION_ROWS = {
+    (Fraction(1, 4), Fraction(0), Fraction(1), Fraction(1), Fraction(-5, 4)):
+        (Fraction(3, 32), (0.136853, 0.097641, 0.069083, 0.048855)),
+    (Fraction(1, 4), Fraction(1, 4), Fraction(8, 5), Fraction(4, 5), Fraction(-7, 8)):
+        (Fraction(5, 128), (0.089190, 0.063076, 0.044602, 0.031539)),
+}
+
+
+def test_a_relative_velocity_row_diffuses_less_than_upwind():
+    # The second row's error is sqrt(nu ratio) = sqrt(5/12) of upwind's, as a
+    # diffused step's L1 error grows like sqrt(nu t); both keep f and the
+    # density's minimum at zero up to rounding.
+    errors = []
+    for row, (nu, want) in LEAST_DIFFUSION_ROWS.items():
+        V, u, s, sp, alpha = row
+        assert (1 / s - Fraction(1, 2)) * ((2 + alpha) / 3 - V * V) == nu
+        p = params(*map(float, row))
+        assert nine_inequalities(p).stable
+        for n_cells, l1 in zip((100, 200, 400, 800), want):
+            d = run(InitialProfile(kind=STEP), default_grid(n_cells), p, 4 * n_cells).diagnostics
+            assert d.l1_error == pytest.approx(l1, abs=5e-7), (row, n_cells)
+            assert d.undershoot <= 3e-17 and d.min_f_over_run >= -3e-17
+        errors.append(d.l1_error)
+    assert abs(errors[1] / errors[0] - math.sqrt(5 / 12)) <= 1e-3
 
 
 def test_run_snapshots_cadence():

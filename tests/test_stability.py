@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from d1q3rv.scheme import (TAU_MAT, WORKING_SET_BYTES, SchemeParameters, _operands,
-                           build_relaxation_matrix, relaxation_factors, relaxation_matrices)
+                           build_relaxation_matrix, equilibrium_weights, relaxation_factors,
+                           relaxation_matrices)
 from d1q3rv.stability import (GUARD_BAND, TAU_STAB, _chain_terms, _max, _min, _necessary, _u_zero,
                               _verdict, alpha_feasible,
                               alpha_from_gamma, alpha_interval, chain_bounds,
@@ -596,6 +597,60 @@ def test_entry_combinations_and_invariants_of_r():
         assert np.abs(2 * R[:, 2, 0] + R[:, 1, 0] - s * (1 + V)).max() <= TAU_MAT
         assert np.abs(np.trace(R, axis1=1, axis2=2) - (3 - s - sp)).max() <= TAU_MAT
         assert np.abs(np.linalg.det(R) - (1 - s) * (1 - sp)).max() <= TAU_MAT
+
+
+def weights(V, alpha):
+    """Equilibrium weights (w0, w1, w2) of scheme.equilibrium_weights, for arrays."""
+    return (2 - 3 * V + alpha) / 6, (2 - 2 * alpha) / 6, (2 + 3 * V + alpha) / 6
+
+
+def test_entries_are_scaled_weights_where_v_times_the_rate_gap_is_zero():
+    """R01 = s' w0 + V(s - s')(u - 1/2), R21 = s' w2 + V(s - s')(u + 1/2) and
+    R10 + R12 = 2 s' w1 - 4 V u (s - s'), within TAU_MAT, for the closed form
+    and the product (lemma (d), proof in relaxation_entries_closed_form)."""
+    rng = np.random.default_rng(34)
+    n = 2000
+    V, u, s, sp, alpha = (rng.uniform(-1.5, 1.5, n), rng.uniform(-1, 1, n), rng.uniform(-0.5, 2.5, n),
+                          rng.uniform(-0.5, 2.5, n), rng.uniform(-2, 2, n))
+    w0, w1, w2 = weights(V, alpha)
+    gap = V * (s - sp)
+    for R in (relaxation_entries_closed_form(V, u, s, sp, alpha), relaxation_matrices(V, u, s, sp, alpha)):
+        assert np.abs(R[:, 0, 1] - (sp * w0 + gap * (u - 0.5))).max() <= TAU_MAT
+        assert np.abs(R[:, 2, 1] - (sp * w2 + gap * (u + 0.5))).max() <= TAU_MAT
+        assert np.abs(R[:, 1, 0] + R[:, 1, 2] - (2 * sp * w1 - 4 * u * gap)).max() <= TAU_MAT
+
+
+def test_stable_verdicts_bound_the_weights_by_the_tolerance_over_the_rates():
+    """A stable verdict, min R >= -TAU_STAB, gives w >= -TAU_STAB / s' where
+    V(s - s') = 0 (lemma (d)); for |V| <= 1, min w >= -2 TAU_STAB / min(s, s')
+    holds on tuples at and just past the ends of the widened gamma interval,
+    s and s' log-uniform in [1e-9, 2]."""
+    rng = np.random.default_rng(34)
+    n = 40_000
+    V, u = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+    s, sp = np.exp(rng.uniform(math.log(1e-9), math.log(2), (2, n)))
+    lower, upper, empty = gamma_feasible_interval(V, u, s, sp)
+    V, u, s, sp, lower, upper = (a[~empty] for a in (V, u, s, sp, lower, upper))
+    stable = 0
+    for gamma in (lower, upper, *(lower - d * TAU_STAB for d in (0.25, 0.5, 0.75)),
+                  *(upper + d * TAU_STAB for d in (0.25, 0.5, 1.0))):
+        alpha = 1 - 6 * (gamma + u * (s - sp) * V) / sp   # alpha_from_gamma, for arrays
+        keep = relaxation_matrices(V, u, s, sp, alpha).reshape(-1, 9).min(axis=1) >= -TAU_STAB
+        w = np.stack(weights(V, alpha))[:, keep]
+        assert (w.min(axis=0) >= -2 * TAU_STAB / np.minimum(s, sp)[keep]).all()
+        stable += keep.sum()
+    assert stable > 5000
+
+
+def test_a_stable_verdict_can_have_a_weight_far_below_the_tolerance():
+    # R10 = s'(1 - alpha)/3 = -3.3e-13 is within TAU_STAB, yet w1 = (1 - alpha)/3
+    # is 1e9 times that: only w >= -TAU_STAB / s' follows
+    p = params(V=0.0, u=0.0, s=1.0, s_prime=1e-9, alpha=1.001)
+    verdict = matrix_entry_verdict(p)
+    w = equilibrium_weights(p)
+    assert verdict.stable and -TAU_STAB < verdict.min_slack < -3e-13
+    assert w[1] == pytest.approx(-1 / 3000, rel=1e-12)
+    assert w.min() >= -TAU_STAB / p.s_prime
 
 
 def test_max_and_min_of_python_floats_have_the_bytes_of_the_ufuncs():
