@@ -23,7 +23,6 @@ from .stability import (
     ReducedParameters,
     StabilityVerdict,
     alpha_feasible,
-    alpha_from_gamma,
     alpha_interval,
     chain_bounds,
     gamma_feasible_interval,
@@ -34,7 +33,6 @@ from .stability import (
     reduced_condition,
     reduced_parameters,
     relaxation_entries_closed_form,
-    u_zero_alpha_bounds,
     u_zero_region,
 )
 from .regionscan import RegionGrid, ScanSpec, emit_csv, emit_svg, parse_csv, scan

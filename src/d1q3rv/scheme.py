@@ -263,10 +263,13 @@ def equilibrium_weights(p: SchemeParameters) -> np.ndarray:
 
 
 def equilibrium_distributions(rho, p: SchemeParameters) -> np.ndarray:
-    """Equilibrium triple(s) for density rho; sums back to rho exactly.
+    """Equilibrium triple(s) for density rho: rho times equilibrium_weights.
 
-    rho may be a scalar (returns shape (3,)) or an array of cell densities
-    (returns rho.shape + (3,)).
+    The weights sum to 1 only up to rounding, so the triple sums back to rho
+    within 2 eps rho sum|w_k| (a test bounds seeded tuples), not exactly:
+    (V, alpha, rho) = (0.25, 0, 0.3) gives 0.29999999999999993.  rho may be
+    a scalar (returns shape (3,)) or an array of cell densities (returns
+    rho.shape + (3,)).
     """
     return np.asarray(rho, float)[..., None] * equilibrium_weights(p)
 

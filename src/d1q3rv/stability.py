@@ -49,14 +49,14 @@ list and tuple input included, so the s' = 0 rule reads the s' the chain
 reads.  The u = 0 region and the necessary region are one rule, every slack
 of their kernel >= -TAU_STAB, so neither builds its slack stack whole.  The
 verdict routes take a SchemeParameters, whose fields are Python floats (an
-array field is a ValueError naming it), and the alpha intervals take scalars
-only: an array there is a ValueError that names gamma_feasible_interval and
-alpha_feasible.  The nine-inequality route evaluates the closed form's own
-expression text (_entries) on the record's Python floats, so it boxes no
-slack in an array, and the entries route reads build_relaxation_matrix's R; a
-verdict's slacks and min_slack are Python floats.  StabilityVerdict and
-GammaInterval are NamedTuples.  TAU_STAB and GUARD_BAND are constants, not
-arguments.  A NaN slack makes a verdict unstable; NaN input is never feasible.
+array field is a ValueError naming it), and alpha_interval alone takes
+scalars only: an array there is a ValueError that names
+gamma_feasible_interval and alpha_feasible.  The nine-inequality route
+evaluates the closed form's own expression text (_entries) on the record's
+Python floats, so it boxes no slack in an array, and the entries route reads
+build_relaxation_matrix's R; a verdict's slacks and min_slack are Python
+floats.  StabilityVerdict and GammaInterval are NamedTuples.  TAU_STAB and
+GUARD_BAND are constants, not arguments.  A NaN slack makes a verdict unstable; NaN input is never feasible.
 """
 
 from __future__ import annotations
@@ -299,35 +299,21 @@ def pinned_gamma(V, u, s) -> float:
     return -u * s * V + 0.0
 
 
-def alpha_from_gamma(gamma, V, u, s, s_prime):
-    """Invert gamma back to alpha; None when s' = 0 (alpha-unconstrained).
-
-    For s' = 0 the definition pins gamma at -u*s*V whatever alpha is, so
-    callers must instead test that pinned value against the interval.
-    """
-    if s_prime == 0.0:
-        return None
-    return 1.0 - 6.0 * (gamma + u * (s - s_prime) * V) / s_prime
-
-
-def _scalar_only(flag, name: str) -> bool:
-    """flag, the bool of a scalar call; a ValueError naming the array functions for an array."""
-    if type(flag) is not bool:
-        raise ValueError(f"{name} takes scalars only; gamma_feasible_interval and "
-                         "alpha_feasible take arrays")
-    return flag
-
-
 def alpha_interval(V, u, s, s_prime):
-    """Feasible alpha interval, or None when empty or alpha-unconstrained; scalars only.
+    """Feasible alpha interval, or None when the gamma interval is empty or s' = 0; scalars only.
 
-    Maps the gamma interval endpoints through alpha_from_gamma (alpha is
-    affine, decreasing in gamma for s' > 0).
+    Each gamma endpoint g maps to alpha = 1 - 6 (g + u (s - s') V) / s'
+    (affine, decreasing in gamma for s' > 0).  At s' = 0 alpha drops out of
+    gamma, which is pinned at -u s V; alpha_feasible then tells "every
+    alpha" from "no alpha".
     """
     lower, upper, empty, _ = _feasibility(V, u, s, s_prime)
-    if _scalar_only(empty, "alpha_interval") or s_prime == 0.0:
+    if type(empty) is not bool:
+        raise ValueError("alpha_interval takes scalars only; gamma_feasible_interval and "
+                         "alpha_feasible take arrays")
+    if empty or s_prime == 0.0:
         return None
-    a, b = (alpha_from_gamma(g, V, u, s, s_prime) for g in (lower, upper))
+    a, b = (1.0 - 6.0 * (g + u * (s - s_prime) * V) / s_prime for g in (lower, upper))
     return (min(a, b), max(a, b))
 
 
@@ -370,18 +356,6 @@ def u_zero_region(V, s, s_prime):
     nonempty.  Scalar inputs give a bool; arrays a bool array, in chunks.
     """
     return _region(_u_zero, V, s, s_prime)
-
-
-def u_zero_alpha_bounds(V, s, s_prime):
-    """Feasible alpha interval at u = 0; None when s' = 0 (alpha-unconstrained); scalars only.
-
-    Raises ValueError outside u_zero_region(V, s, s_prime), at s' = 0 as
-    elsewhere.  The upper endpoint never exceeds 1, and the lower endpoint
-    satisfies s' <= 3/(alpha + 2).
-    """
-    if not _scalar_only(u_zero_region(V, s, s_prime), "u_zero_alpha_bounds"):
-        raise ValueError(f"(V={V}, s={s}, s_prime={s_prime}) is outside the u=0 stability region")
-    return alpha_interval(V, 0.0, s, s_prime)
 
 
 def _necessary(V, s, sp):

@@ -10,13 +10,11 @@ from d1q3rv.scheme import (TAU_MAT, WORKING_SET_BYTES, SchemeParameters, _operan
                            build_relaxation_matrix, equilibrium_weights, relaxation_factors,
                            relaxation_matrices)
 from d1q3rv.stability import (GUARD_BAND, TAU_STAB, _chain_terms, _max, _min, _necessary, _u_zero,
-                              _verdict, alpha_feasible,
-                              alpha_from_gamma, alpha_interval, chain_bounds,
+                              _verdict, alpha_feasible, alpha_interval, chain_bounds,
                               gamma_feasible_interval, matrix_entry_verdict, necessary_region,
                               necessary_slacks, nine_inequalities, pinned_gamma,
                               reduced_condition, reduced_parameters,
-                              relaxation_entries_closed_form, u_zero_alpha_bounds,
-                              u_zero_region, u_zero_slacks)
+                              relaxation_entries_closed_form, u_zero_region, u_zero_slacks)
 
 
 def params(V=0.25, u=0.0, s=1.0, s_prime=1.0, alpha=0.0):
@@ -269,21 +267,41 @@ def test_interval_emptiness_matches_alpha_sweep():
 
 # ------------------------------------------------------------------ alpha maps
 
-def test_alpha_from_gamma_round_trip():
+def test_alpha_interval_ends_map_back_to_the_gamma_interval_ends():
     rng = np.random.default_rng(25)
-    for _ in range(200):
-        sp, alpha = rng.uniform(0.05, 2.5), rng.uniform(-3, 2)
-        gam = (sp / 6.0) * (1.0 - alpha)
-        back = alpha_from_gamma(gam, 0.4, 0.0, 1.2, sp)
-        assert back == pytest.approx(alpha, abs=1e-10)
+    checked = 0
+    for _ in range(1000):
+        V, u = rng.uniform(-1, 1), rng.uniform(-0.3, 0.3)
+        s, sp = rng.uniform(0, 2.2), rng.uniform(0.05, 2.2)
+        iv = gamma_feasible_interval(V, u, s, sp)
+        if iv.empty:
+            continue
+        ends = sorted(reduced_parameters(params(V, u, s, sp, a)).gamma
+                      for a in alpha_interval(V, u, s, sp))
+        assert ends == pytest.approx(sorted((iv.lower, iv.upper)), abs=1e-10)
+        checked += 1
+    assert checked > 150
 
 
-def test_alpha_from_gamma_benchmark_value():
-    assert alpha_from_gamma(0.15, 0.25, 0.0, 1.6, 1.3) == pytest.approx(4 / 13, abs=1e-14)
+def test_benchmark_row_has_gamma_0_15():
+    # (V, u, s, s', alpha) = (0.25, 0, 1.6, 1.3, 4/13): gamma = (1.3/6)(9/13)
+    assert reduced_parameters(params(0.25, 0.0, 1.6, 1.3, 4 / 13)).gamma == \
+        pytest.approx(0.15, abs=1e-14)
 
 
-def test_alpha_from_gamma_degenerate_rate():
-    assert alpha_from_gamma(0.2, 0.25, 0.5, 1.6, 0.0) is None
+@pytest.mark.parametrize("V,u,s,sp,empty,feasible", [
+    (0.0, 0.0, 1.0, 0.0, False, True),          # interval [0, 0] holds the pinned 0
+    (0.25, 0.0, 1.0, 0.0, True, False),         # upper end -|sV|/2 < 0 <= lower end
+    (1e6, 1e5, 1e-17, 0.0, False, False),       # pinned -1e-6 lies below the interval
+    (0.25, 0.5, 1.6, 0.0, True, False),         # |u_bar| = 1.6 > 1/2 (lemma (a))
+], ids=["feasible", "empty", "pinned-outside", "u-nonzero"])
+def test_alpha_interval_is_none_at_zero_rate_and_alpha_feasible_decides(V, u, s, sp, empty,
+                                                                        feasible):
+    # s' = 0: alpha drops out of gamma, so there is no alpha interval to give
+    # whether every alpha or no alpha works; alpha_feasible tells them apart
+    assert gamma_feasible_interval(V, u, s, sp).empty is empty
+    assert alpha_feasible(V, u, s, sp) is feasible
+    assert alpha_interval(V, u, s, sp) is None
 
 
 def test_alpha_feasible_degenerate_rate():
@@ -361,12 +379,13 @@ def test_u_zero_region_matches_interval_on_grid():
         assert np.array_equal(region, nonempty)
 
 
-def test_u_zero_alpha_bounds_examples():
-    assert u_zero_alpha_bounds(0.0, 1.0, 1.0) == pytest.approx((-2.0, 1.0), abs=1e-14)
-    assert u_zero_alpha_bounds(0.25, 1.0, 1.0) == pytest.approx((-1.25, 1.0), abs=1e-14)
+def test_u_zero_alpha_interval_examples():
+    for V, want in ((0.0, (-2.0, 1.0)), (0.25, (-1.25, 1.0))):
+        assert u_zero_region(V, 1.0, 1.0)
+        assert alpha_interval(V, 0.0, 1.0, 1.0) == pytest.approx(want, abs=1e-14)
 
 
-def test_u_zero_alpha_bounds_upper_endpoint_is_one_without_lower_slack():
+def test_u_zero_alpha_interval_upper_endpoint_is_one_without_lower_slack():
     # whenever s' <= 1 the chain floor is 0, forcing the alpha ceiling to 1
     rng = np.random.default_rng(33)
     for _ in range(100):
@@ -374,11 +393,11 @@ def test_u_zero_alpha_bounds_upper_endpoint_is_one_without_lower_slack():
         s, sp = rng.uniform(0, 2), rng.uniform(0.05, 1.0)
         if not u_zero_region(V, s, sp):
             continue
-        bounds = u_zero_alpha_bounds(V, s, sp)
+        bounds = alpha_interval(V, 0.0, s, sp)
         assert bounds[1] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_u_zero_alpha_bounds_never_exceed_one_and_rate_cap():
+def test_u_zero_alpha_interval_never_exceeds_one_and_rate_cap():
     rng = np.random.default_rng(35)
     found = 0
     while found < 200:
@@ -386,40 +405,34 @@ def test_u_zero_alpha_bounds_never_exceed_one_and_rate_cap():
         s, sp = rng.uniform(0, 2.2), rng.uniform(0.05, 2.2)
         if not u_zero_region(V, s, sp):
             continue
-        lo, hi = u_zero_alpha_bounds(V, s, sp)
+        lo, hi = alpha_interval(V, 0.0, s, sp)
         assert hi <= 1.0 + TAU_STAB
         assert sp * (lo + 2.0) <= 3.0 + 1e-9   # s' <= 3/(alpha+2) at the low end
         found += 1
 
 
-def test_u_zero_alpha_bounds_errors():
-    with pytest.raises(ValueError):
-        u_zero_alpha_bounds(0.25, 1.6, 1.3)
-    # the scalar-only intervals reject arrays, of one element too, and name the array functions
-    for call, args in ((alpha_interval, (np.array([0.25, 0.5]), 0.0, 1.0, 1.0)),
-                       (alpha_interval, (0.25, 0.0, 1.0, np.array([1.0]))),
-                       (u_zero_alpha_bounds, (0.25, np.array([1.0, 1.6]), 1.0)),
-                       (u_zero_alpha_bounds, (np.array([0.25]), 1.0, 1.0))):
-        with pytest.raises(ValueError, match=f"^{call.__name__} takes scalars only; "
+def test_alpha_interval_errors():
+    # alpha_interval takes scalars only: an array V, s or s', of one or two
+    # elements, is a ValueError that names the array functions
+    for args in ((np.array([0.25, 0.5]), 0.0, 1.0, 1.0),
+                 (np.array([0.25]), 0.0, 1.0, 1.0),
+                 (0.25, 0.0, np.array([1.0, 1.6]), 1.0),
+                 (0.25, 0.0, 1.0, np.array([1.0])),
+                 (0.25, 0.0, 1.0, np.array([1.0, 1.0])),
+                 (0.25, 0.0, 1.0, np.array([0.0, 0.0]))):
+        with pytest.raises(ValueError, match="^alpha_interval takes scalars only; "
                                              "gamma_feasible_interval and alpha_feasible take arrays$"):
-            call(*args)
-
-
-@pytest.mark.parametrize("V,s", [(0.25, 1.0), (0.5, 3.0)])
-def test_u_zero_alpha_bounds_rejects_pinned_points_outside_the_region(V, s):
-    # s' = 0 outside the region: no alpha works, so the answer is not "unconstrained"
-    assert not u_zero_region(V, s, 0.0) and not alpha_feasible(V, 0.0, s, 0.0)
-    with pytest.raises(ValueError, match="outside the u=0 stability region"):
-        u_zero_alpha_bounds(V, s, 0.0)
+            alpha_interval(*args)
 
 
 @pytest.mark.parametrize("V,s", [(0.0, 1.0), (0.25, 0.0)])
-def test_u_zero_alpha_bounds_pinned_points_inside_the_region_are_unconstrained(V, s):
+def test_u_zero_pinned_points_inside_the_region_are_alpha_unconstrained(V, s):
     assert u_zero_region(V, s, 0.0)
-    assert u_zero_alpha_bounds(V, s, 0.0) is None
+    assert alpha_feasible(V, 0.0, s, 0.0) is True
+    assert alpha_interval(V, 0.0, s, 0.0) is None
 
 
-def test_u_zero_alpha_bounds_agree_with_verdict():
+def test_u_zero_alpha_interval_agrees_with_verdict():
     rng = np.random.default_rng(39)
     found = 0
     while found < 100:
@@ -427,7 +440,7 @@ def test_u_zero_alpha_bounds_agree_with_verdict():
         s, sp = rng.uniform(0, 2.2), rng.uniform(0.05, 2.2)
         if not u_zero_region(V, s, sp):
             continue
-        lo, hi = u_zero_alpha_bounds(V, s, sp)
+        lo, hi = alpha_interval(V, 0.0, s, sp)
         mid = (lo + hi) / 2
         assert nine_inequalities(params(V, 0.0, s, sp, mid)).stable
         if hi - lo > 1e-6:
@@ -634,7 +647,7 @@ def test_stable_verdicts_bound_the_weights_by_the_tolerance_over_the_rates():
     stable = 0
     for gamma in (lower, upper, *(lower - d * TAU_STAB for d in (0.25, 0.5, 0.75)),
                   *(upper + d * TAU_STAB for d in (0.25, 0.5, 1.0))):
-        alpha = 1 - 6 * (gamma + u * (s - sp) * V) / sp   # alpha_from_gamma, for arrays
+        alpha = 1 - 6 * (gamma + u * (s - sp) * V) / sp   # alpha_interval's map, for arrays
         keep = relaxation_matrices(V, u, s, sp, alpha).reshape(-1, 9).min(axis=1) >= -TAU_STAB
         w = np.stack(weights(V, alpha))[:, keep]
         assert (w.min(axis=0) >= -2 * TAU_STAB / np.minimum(s, sp)[keep]).all()
@@ -693,7 +706,8 @@ def test_reduced_slacks_and_alpha_interval_keep_their_definitions():
             if iv.empty or p.s_prime == 0.0:
                 want = None
             else:
-                a, b = (alpha_from_gamma(g, *chain) for g in (iv.lower, iv.upper))
+                V, u, s, sp = chain
+                a, b = (1.0 - 6.0 * (g + u * (s - sp) * V) / sp for g in (iv.lower, iv.upper))
                 want = (min(a, b), max(a, b))
         assert repr(got) == repr(want), row
 
