@@ -7,7 +7,10 @@ conservation, extrema, and the L1 distance to the exactly advected
 profile, which is what exhibits (or rules out) spurious oscillations.
 
 A state is a plain (n_cells, 3) array of distribution triples, and density
-is the one definition of a cell's density.  Every run goes through advance,
+is the one definition of a cell's density.  advance's statistics add each
+triple in density's order through one stacked ones-vector product, with
+density's bytes except that a (-0.0, -0.0, -0.0) triple sums to +0.0 there
+and to -0.0 in density (see _step_stats).  Every run goes through advance,
 one kernel over a batch of states; run_batch builds each run's record from
 advance's arrays, and run is its batch-of-one case.  relax and stream, on
 (n_cells, 3) arrays, are the one-step reference advance is tested against.
@@ -309,6 +312,10 @@ def _block_steps(batch: int, n_cells: int) -> int:
     return k
 
 
+matmul = np.matmul   # a step looks up one global, not a global and an attribute
+_ONES = np.ones(3)   # _step_stats' densities are _ONES @ states, one sum per triple
+
+
 def _step_stats(slots: np.ndarray, interior: slice, rho: np.ndarray, masses: np.ndarray,
                 out: np.ndarray, per_step: bool = False) -> bool:
     """Least mass, min f, min rho, max rho and greatest mass, in that order,
@@ -317,9 +324,14 @@ def _step_stats(slots: np.ndarray, interior: slice, rho: np.ndarray, masses: np.
     The states are the slots' interior cells, slots[..., interior].  min f
     is read from the whole slots, whose other cells hold +inf or bitwise
     copies of interior values (see advance), so the minimum is the
-    interiors'.  Writes the densities into rho (k, B, n), added
-    (f1 + f2) + f3 as density() adds them, and each step's mass into masses
-    (k, B), bitwise that of density(f).sum().  A NaN step is skipped: the
+    interiors'.  Writes the densities into rho (k, B, n) as one stacked
+    product _ONES @ states, which adds (f1 + f2) + f3 as density() does
+    (1.0 * x is exact, and a fused multiply-add rounds as the plain sum), and
+    each step's mass into masses (k, B), the pairwise np.add.reduce of
+    density(f).sum().  Both have density()'s bytes but for one exception: the
+    product's sums start from +0.0, so a (-0.0, -0.0, -0.0) triple has density
+    +0.0 here and -0.0 in density(), and a step whose every triple is one has
+    mass +0.0 here and -0.0 there.  A NaN step is skipped: the
     masses are folded over the steps with np.fmin and np.fmax, and min f,
     min rho and max rho, one exact reduction each over the whole block, are
     recomputed per step and folded the same way when one of them is NaN.
@@ -330,7 +342,7 @@ def _step_stats(slots: np.ndarray, interior: slice, rho: np.ndarray, masses: np.
     as a run that met NaN seldom leaves it.  The sign of a zero extremum
     depends on the traversal order, so advance makes it +0.0.
     """
-    np.add.reduce(slots[..., interior], axis=2, out=rho)
+    matmul(_ONES, slots[..., interior], out=rho)
     np.add.reduce(rho, axis=2, out=masses)
     np.fmin.reduce(masses, axis=0, out=out[0])
     np.fmax.reduce(masses, axis=0, out=out[4])
@@ -376,7 +388,6 @@ def _step_plan(batch: int, n_cells: int) -> tuple:
     return block, runs, slice(edge, edge + n_cells), hist, ins, outs, wrap, rho, masses, stats
 
 
-matmul = np.matmul   # a step looks up one global, not a global and an attribute
 # The one spare step plan, as ((B, n_cells), plan) under the key None.  A call
 # pops it for its whole duration, so concurrent calls never share buffers and a
 # call of another shape drops it before building its own, and puts its own
@@ -459,6 +470,10 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     matrix-vector product, which rounds otherwise; advance then equals the
     reference run on two equal cells.  A run's result does not depend on
     the rest of its batch.
+
+    A cell holding +inf and -inf has a NaN density, whose product warns
+    "invalid value encountered in matmul" (the densities are a matmul, see
+    _step_stats), as a step's product that makes a NaN does.
 
     snap_every > 0 records the states every that many steps (step 0 and the
     final step included), and 0 records none.  n_steps and snap_every must

@@ -394,7 +394,7 @@ def test_advance_reports_a_zero_min_f_as_positive_zero():
     out = advance(f0, np.stack([R] * 3), n_steps, snap_every=7)
     for b in range(3):
         assert_matches_reference(out, b, f0[b], R, n_steps, snap_every=7)
-    # the densities -0.0 + -0.0 + -0.0 are -0.0, in every cell of the third run
+    # density() of the third run is -0.0 in every cell, and advance's own +0.0
     assert (out.min_f == 0).all() and (out.min_rho[1:] == 0).all() and out.max_rho[2] == 0
     for extremum in (out.min_f, out.min_rho, out.max_rho):
         assert not np.signbit(extremum[extremum == 0]).any()
@@ -412,6 +412,22 @@ def test_advance_keeps_a_nan_start_that_later_turns_finite():
         rho = out.snapshots[:, 0].sum(axis=2)
     assert np.array_equal(rho.min(axis=1), [np.nan, 1.0, np.nan, np.nan], equal_nan=True)
     assert np.isnan([out.min_rho[0], out.max_rho[0], out.mass_drift[0]]).all()
+
+
+def test_an_infinite_difference_in_a_density_warns_in_matmul():
+    # cell 2 holds +inf and -inf, so its density is NaN: the densities are one
+    # matmul, which warns once, and a step's product that makes a NaN warns the
+    # same; a NaN that is already there makes no warning
+    f0 = np.ones((1, 6, 3))
+    f0[0, 2] = (np.inf, 1.0, -np.inf)
+    R = np.full((1, 3, 3), 1 / 3)
+    invalid = (RuntimeWarning, "invalid value encountered in matmul")
+    for n_steps, expected in ((0, [invalid]), (1, [invalid] * 2), (70, [invalid] * 2)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = advance(f0, R, n_steps)
+        assert [(w.category, str(w.message)) for w in caught] == expected, n_steps
+        assert np.isnan([out.min_rho[0], out.max_rho[0], out.mass_drift[0]]).all()
 
 
 BLOCK = _block_steps(1, 200)
