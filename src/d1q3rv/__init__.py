@@ -2,17 +2,13 @@
 
 from .scheme import (
     SchemeParameters,
-    MomentVector,
     RelaxationFactors,
     TAU_MAT,
-    VELOCITIES,
     basis_commutator,
     build_relaxation_matrix,
     change_basis_relaxation_matrix,
     equilibrium_distributions,
     equilibrium_weights,
-    mats_close,
-    moments_from_distributions,
     relaxation_factors,
     relaxation_matrices,
 )
@@ -47,10 +43,8 @@ from .simulator import (
     density,
     exact_density,
     init_state,
-    relax,
     run,
     run_batch,
-    stream,
 )
 
 __version__ = "0.1.0"

@@ -47,9 +47,9 @@ def default_u_list(V: float) -> tuple:
 class ScanSpec:
     """What to scan: one V, several u, and the (s, s') grid.
 
-    V, each u and both ends of each range are stored as Python floats; a
-    value that is not a real number, or does not fit a float, is a
-    ValueError naming its field.
+    V, each u and both ends of each range are stored as Python floats, and
+    the point counts as ints; a value that is not a real number, or does not
+    fit a float, is a ValueError naming its field.
     """
 
     V: float
@@ -75,8 +75,10 @@ class ScanSpec:
                               else "u_list must be finite") + f", got {u_list}")
         for rng, npts, name in ((ranges[0], self.s_points, "s"),
                                 (ranges[1], self.s_prime_points, "s_prime")):
-            if _integer(npts, f"{name}_points") < 2:
+            npts = _integer(npts, f"{name}_points")
+            if npts < 2:
                 raise ValueError(f"{name}_points must be >= 2, got {npts}")
+            object.__setattr__(self, f"{name}_points", npts)
             if not rng[1] > rng[0]:
                 raise ValueError(f"{name}_range must be non-degenerate, got {rng}")
             if not all(map(math.isfinite, rng)):

@@ -1,7 +1,8 @@
 """D1Q3 lattice Boltzmann scheme with relative velocity.
 
 The scheme lives on a 1D lattice with the three velocities -lambda, 0,
-+lambda.  Collisions relax the first and second shifted moments toward
++lambda, those of f1, f2 and f3 (matrix row and column 0 belong to the left
+mover).  Collisions relax the first and second shifted moments toward
 advection equilibria at rates s and s'; the shift is controlled by the
 relative velocity u.  This module builds the moment matrix M, the basis
 shift T(u), the relaxation rates S, the equilibrium projector E, and the
@@ -22,9 +23,6 @@ import numpy as np
 from dataclasses import dataclass
 from typing import NamedTuple
 
-# Discrete velocities c_j in lattice units; distribution index j maps to
-# velocity c_j * lambda, so matrix row/column 0 belongs to the left mover.
-VELOCITIES = np.array([-1.0, 0.0, 1.0])
 _EYE = np.eye(3)
 
 # Entrywise absolute tolerance for 3x3 matrix identities.  All entries are
@@ -70,12 +68,6 @@ class SchemeParameters:
                 object.__setattr__(self, name, _real(value, name))
         if not self.lam > 0:
             raise ValueError(f"lattice velocity must be positive, got lam={self.lam}")
-
-
-def mats_close(a, b) -> bool:
-    """Same shape, and entrywise equal within the absolute tolerance TAU_MAT."""
-    a, b = np.asarray(a, float), np.asarray(b, float)
-    return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= TAU_MAT)
 
 
 def _integer(value, name: str) -> int:
@@ -272,29 +264,6 @@ def equilibrium_distributions(rho, p: SchemeParameters) -> np.ndarray:
     rho.shape + (3,)).
     """
     return np.asarray(rho, float)[..., None] * equilibrium_weights(p)
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """Density and the two shifted moments of a distribution triple."""
-
-    rho: float
-    q: float
-    eps: float
-
-
-def moments_from_distributions(F, p: SchemeParameters) -> MomentVector:
-    """Moments rho, q(u), eps(u) of a distribution triple.
-
-    Equals T(u) @ M @ F: rho = sum f_j, q = lam * sum (c_j - u) f_j,
-    eps = 3 lam^2 sum (c_j - u)^2 f_j - 2 lam^2 sum f_j.
-    """
-    f = np.asarray(F, float)
-    c = VELOCITIES - p.u
-    rho = float(f.sum())
-    q = p.lam * float((c * f).sum())
-    eps = float(3.0 * p.lam**2 * (c**2 * f).sum() - 2.0 * p.lam**2 * f.sum())
-    return MomentVector(rho, q, eps)
 
 
 def _check_moment_change(C: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ triple in density's order through one stacked ones-vector product, with
 density's bytes except that a (-0.0, -0.0, -0.0) triple sums to +0.0 there
 and to -0.0 in density (see _step_stats).  Every run goes through advance,
 one kernel over a batch of states; run_batch builds each run's record from
-advance's arrays, and run is its batch-of-one case.  relax and stream, on
-(n_cells, 3) arrays, are the one-step reference advance is tested against.
+advance's arrays, and run is its batch-of-one case.  The tests check advance
+against a step-by-step reference (tests/reference.py): per step, f @ R.T,
+then the left movers rolled one cell down and the right movers one cell up.
 
 With positive equilibrium weights w, R >= 0 is also necessary for
 non-negative runs from equilibrium data (lemma (c)).  Collision fixes
@@ -59,15 +60,17 @@ PROFILE_KINDS = (SMOOTH, HAT, STEP, CUSTOM)
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Periodic lattice of n_cells cells (a positive integer) of width
-    dx = 1 / n_cells; its length is n_cells * dx, which need not round to
-    exactly 1.0."""
+    """Periodic lattice of n_cells cells (a positive integer, stored as an
+    int) of width dx = 1 / n_cells; its length is n_cells * dx, which need not
+    round to exactly 1.0."""
 
     n_cells: int
 
     def __post_init__(self):
-        if _integer(self.n_cells, "n_cells") <= 0:
-            raise ValueError(f"n_cells must be positive, got {self.n_cells}")
+        n_cells = _integer(self.n_cells, "n_cells")
+        if n_cells <= 0:
+            raise ValueError(f"n_cells must be positive, got {n_cells}")
+        object.__setattr__(self, "n_cells", n_cells)
 
     @property
     def dx(self) -> float:
@@ -200,26 +203,6 @@ def init_state(profile: InitialProfile, grid: Grid1D, p: SchemeParameters) -> np
     return equilibrium_distributions(rho0, p)
 
 
-def relax(f: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Collision: multiply every cell's triple of f (n_cells, 3) by R.
-
-    One step of the reference that advance is tested against.
-    """
-    return f @ R.T
-
-
-def stream(f: np.ndarray) -> np.ndarray:
-    """Transport: left movers shift one cell down, right movers one cell up.
-
-    A permutation: it keeps the multiset of values, and mass up to rounding.
-    One step of the reference that advance is tested against.
-    """
-    f = f.copy()
-    f[:, 0] = np.roll(f[:, 0], -1)
-    f[:, 2] = np.roll(f[:, 2], 1)
-    return f
-
-
 @dataclass(frozen=True)
 class RunDiagnostics:
     """One run's record; its fields, in order, are the CSV columns.
@@ -281,11 +264,15 @@ def exact_density(profile: InitialProfile, grid: Grid1D, p: SchemeParameters,
     return profile.sample_at(np.mod(x, grid.length), grid.length)
 
 
-def _check_counts(n_steps, snap_every) -> None:
-    """A ValueError naming n_steps or snap_every unless it is an integer >= 0."""
+def _check_counts(n_steps, snap_every) -> tuple:
+    """(n_steps, snap_every) as ints; a ValueError naming one unless it is an integer >= 0."""
+    counts = []
     for value, name in ((n_steps, "n_steps"), (snap_every, "snap_every")):
-        if _integer(value, name) < 0:
+        count = _integer(value, name)
+        if count < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
+        counts.append(count)
+    return tuple(counts)
 
 
 def _plan_bytes(batch: int, n_cells: int, k: int) -> int:
@@ -317,7 +304,7 @@ _ONES = np.ones(3)   # _step_stats' densities are _ONES @ states, one sum per tr
 
 
 def _step_stats(slots: np.ndarray, interior: slice, rho: np.ndarray, masses: np.ndarray,
-                out: np.ndarray, per_step: bool = False) -> bool:
+                out: np.ndarray) -> None:
     """Least mass, min f, min rho, max rho and greatest mass, in that order,
     over a block of steps' history slots (k, B, 3, m), into out (5, B).
 
@@ -336,26 +323,21 @@ def _step_stats(slots: np.ndarray, interior: slice, rho: np.ndarray, masses: np.
     min rho and max rho, one exact reduction each over the whole block, are
     recomputed per step and folded the same way when one of them is NaN.
     (A NaN mass alone, as in a run holding +inf and -inf, needs no
-    recomputation.)  per_step skips the whole-block reductions, which give
-    the per-step values wherever no step is NaN.  The return value says
-    whether the per-step ones ran; advance passes it on to the next block,
-    as a run that met NaN seldom leaves it.  The sign of a zero extremum
-    depends on the traversal order, so advance makes it +0.0.
+    recomputation.)  Every block tries the whole-block reductions first, so
+    each block of a run that met NaN pays for both.  The sign of a zero
+    extremum depends on the traversal order, so advance makes it +0.0.
     """
     matmul(_ONES, slots[..., interior], out=rho)
     np.add.reduce(rho, axis=2, out=masses)
     np.fmin.reduce(masses, axis=0, out=out[0])
     np.fmax.reduce(masses, axis=0, out=out[4])
-    if not per_step:
-        np.minimum.reduce(slots, axis=(0, 2, 3), out=out[1])
-        np.minimum.reduce(rho, axis=(0, 2), out=out[2])
-        np.maximum.reduce(rho, axis=(0, 2), out=out[3])
-        per_step = np.isnan(out[1:4]).any()
-    if per_step:
+    np.minimum.reduce(slots, axis=(0, 2, 3), out=out[1])
+    np.minimum.reduce(rho, axis=(0, 2), out=out[2])
+    np.maximum.reduce(rho, axis=(0, 2), out=out[3])
+    if np.isnan(out[1:4]).any():
         np.fmin.reduce(np.minimum.reduce(slots, axis=(2, 3)), axis=0, out=out[1])
         np.fmin.reduce(np.minimum.reduce(rho, axis=2), axis=0, out=out[2])
         np.fmax.reduce(np.maximum.reduce(rho, axis=2), axis=0, out=out[3])
-    return per_step
 
 
 def _step_plan(batch: int, n_cells: int) -> tuple:
@@ -460,16 +442,16 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     of the same shape takes them from there, and concurrent calls never share
     them.
 
-    The states and snapshots are bitwise equal to stream(relax(...)) applied
-    step by step, and the diagnostics to a fold of its steps' values with
-    Python's min and max, with every zero extremum +0.0.  There are two
-    exceptions.  Where a product underflows below half the smallest
-    subnormal, a zero may have the other sign than the reference's (the
-    values are equal as numbers).
-    With n_cells = 1, relax multiplies a one-row state through a
-    matrix-vector product, which rounds otherwise; advance then equals the
-    reference run on two equal cells.  A run's result does not depend on
-    the rest of its batch.
+    The states and snapshots are bitwise equal to those of the step-by-step
+    reference (f @ R.T, then the movers rolled; see the module docstring),
+    and the diagnostics to a fold of its steps' values with Python's min and
+    max, with every zero extremum +0.0.  There are two exceptions.  Where a
+    product underflows below half the smallest subnormal, a zero may have the
+    other sign than the reference's (the values are equal as numbers).
+    With n_cells = 1, the reference's f @ R.T multiplies a one-row state
+    through a matrix-vector product, which rounds otherwise; advance then
+    equals the reference run on two equal cells.  A run's result does not
+    depend on the rest of its batch.
 
     A cell holding +inf and -inf has a NaN density, whose product warns
     "invalid value encountered in matmul" (the densities are a matmul, see
@@ -477,14 +459,15 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
 
     snap_every > 0 records the states every that many steps (step 0 and the
     final step included), and 0 records none.  n_steps and snap_every must
-    be integers >= 0 (NumPy integers too); anything else is a ValueError.
+    be integers >= 0 (NumPy integers too, converted once to int); anything
+    else is a ValueError.
     """
     f0 = np.ascontiguousarray(f0, dtype=float)
     R = np.asarray(R, dtype=float)
     if f0.ndim != 3 or f0.shape[2] != 3 or f0.shape[1] == 0 or R.shape != (len(f0), 3, 3):
         raise ValueError(f"expected f0 of shape (B, n_cells >= 1, 3) and R of shape (B, 3, 3), "
                          f"got {f0.shape} and {R.shape}")
-    _check_counts(n_steps, snap_every)
+    n_steps, snap_every = _check_counts(n_steps, snap_every)
     batch, n_cells, _ = f0.shape
     shape, plan = _spare.pop(None, (None, None))
     if shape != (batch, n_cells):
@@ -498,7 +481,7 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     R = R[runs]
     hist[block, :, :, interior] = f0.transpose(0, 2, 1)
     np.take(hist[block], wrap, axis=2, out=hist[0], mode="clip")
-    per_step = _step_stats(hist[:1], interior, rho[:1], masses[:1], stats)
+    _step_stats(hist[:1], interior, rho[:1], masses[:1], stats)
     mass0 = masses[0].copy()
     # running is laid out as stats: min mass, min f and min rho fold with
     # np.fmin, max rho and max mass with np.fmax.  NaN steps are skipped, and
@@ -513,7 +496,7 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
         k = min(block, n_steps - done)
         for a, b in zip(ins[:k], outs[:k]):
             matmul(R, a, b)
-        per_step = _step_stats(hist[1:k + 1], interior, rho[:k], masses[:k], stats, per_step)
+        _step_stats(hist[1:k + 1], interior, rho[:k], masses[:k], stats)
         np.fmin(lows, stats[:3], out=lows, where=keep_lows)
         np.fmax(highs, stats[3:], out=highs, where=keep_highs)
         while snapped < len(snap_steps) and snap_steps[snapped] <= done + k:
@@ -542,7 +525,7 @@ def run_batch(cases, grid: Grid1D, n_steps: int, snap_every: int = 0) -> list:
     them, before any case is initialized, and the cases are initialized in
     order, so a bad case raises before any later one is looked at.
     """
-    _check_counts(n_steps, snap_every)
+    n_steps, snap_every = _check_counts(n_steps, snap_every)
     if not cases:
         return []
     f0 = np.stack([init_state(profile, grid, p) for profile, p in cases])

@@ -43,12 +43,14 @@ gives the second operand, so a tie of 0.0 and -0.0 takes the sign the
 installed NumPy gives (a test pins it).  Arrays go through scheme._batched,
 the one chunk loop, at one chunk size for every kernel here (_CHUNK): each
 result's trailing shape and dtype come from the kernel, and the working
-memory beyond the results stays within WORKING_SET_BYTES.  alpha_feasible, both intervals and regionscan.scan come
-from one _batched pass of the chain (_feasibility) on the converted operands,
-list and tuple input included, so the s' = 0 rule reads the s' the chain
-reads.  The u = 0 region and the necessary region are one rule, every slack
-of their kernel >= -TAU_STAB, so neither builds its slack stack whole.  The
-verdict routes take a SchemeParameters, whose fields are Python floats (an
+memory beyond the results stays within WORKING_SET_BYTES.  alpha_feasible,
+gamma_feasible_interval and regionscan.scan come from one _batched pass of
+the chain (_feasibility), and alpha_interval from its kernel (_interval),
+each on the operands _operands converted, list and tuple input included, so
+the s' = 0 rule reads the s' the chain reads.  The u = 0 region and the
+necessary region are one rule, every slack of their kernel >= -TAU_STAB, so
+neither builds its slack stack whole.
+The verdict routes take a SchemeParameters, whose fields are Python floats (an
 array field is a ValueError naming it), and alpha_interval alone takes
 scalars only: an array there is a ValueError that names
 gamma_feasible_interval and alpha_feasible.  The nine-inequality route
@@ -66,7 +68,8 @@ import numpy as np
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .scheme import WORKING_SET_BYTES, SchemeParameters, _batched, build_relaxation_matrix
+from .scheme import (WORKING_SET_BYTES, SchemeParameters, _batched, _operands,
+                     build_relaxation_matrix)
 
 # Verdict tolerance: entries within -TAU_STAB of zero still count as
 # non-negative (closed regions; ties resolved toward stability).
@@ -302,15 +305,17 @@ def pinned_gamma(V, u, s) -> float:
 def alpha_interval(V, u, s, s_prime):
     """Feasible alpha interval, or None when the gamma interval is empty or s' = 0; scalars only.
 
-    Each gamma endpoint g maps to alpha = 1 - 6 (g + u (s - s') V) / s'
+    The operands are converted once (_operands), so the ends are Python
+    floats for NumPy scalars and 0-d arrays too.  Each gamma endpoint g maps to alpha = 1 - 6 (g + u (s - s') V) / s'
     (affine, decreasing in gamma for s' > 0).  At s' = 0 alpha drops out of
     gamma, which is pinned at -u s V; alpha_feasible then tells "every
     alpha" from "no alpha".
     """
-    lower, upper, empty, _ = _feasibility(V, u, s, s_prime)
-    if type(empty) is not bool:
+    V, u, s, s_prime = _operands(V, u, s, s_prime)
+    if type(V) is not float:
         raise ValueError("alpha_interval takes scalars only; gamma_feasible_interval and "
                          "alpha_feasible take arrays")
+    lower, upper, empty, _ = _interval(V, u, s, s_prime)
     if empty or s_prime == 0.0:
         return None
     a, b = (1.0 - 6.0 * (g + u * (s - s_prime) * V) / s_prime for g in (lower, upper))

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from decimal import Decimal
@@ -8,14 +9,18 @@ import pytest
 
 from d1q3rv.scheme import (_CHUNK, TAU_MAT, WORKING_SET_BYTES, RelaxationFactors, SchemeParameters,
                            _flat, basis_commutator, build_relaxation_matrix, change_basis_relaxation_matrix,
-                           equilibrium_distributions, equilibrium_weights, mats_close,
-                           moments_from_distributions, relaxation_factors, relaxation_matrices)
+                           equilibrium_distributions, equilibrium_weights, relaxation_factors,
+                           relaxation_matrices)
 from d1q3rv.simulator import InitialProfile
 from d1q3rv.stability import _CHUNK as _KERNEL_CHUNK
 from d1q3rv.stability import (chain_bounds, necessary_slacks, relaxation_entries_closed_form,
                               u_zero_slacks)
+from reference import moments
 
 TOL = 1e-12
+
+# Same shape, and entrywise within TAU_MAT; a NaN matches nothing.
+assert_close = functools.partial(np.testing.assert_allclose, rtol=0, atol=TAU_MAT, equal_nan=False)
 
 # A long double wider than a float (x86's 80-bit one) holds finite values that round to +-inf.
 WIDE_LONGDOUBLE = np.finfo(np.longdouble).max > np.finfo(float).max
@@ -57,21 +62,12 @@ def test_a_record_holds_its_numbers_as_python_floats(name, record):
             assert getattr(record(**{name: x}), name).hex() == float(x).hex()
 
 
-def test_mats_close_requires_equal_shapes():
-    # a difference that broadcasts is not a match
-    assert not mats_close(np.ones((3, 3)), [1, 1, 1])
-    assert not mats_close(np.zeros((2, 3, 3)), np.zeros((3, 3)))
-    assert mats_close(np.ones((3, 3)), [[1, 1, 1]] * 3)
-    assert mats_close(np.eye(3), np.eye(3) + TAU_MAT / 2)
-    assert not mats_close(np.eye(3), np.eye(3) + 2 * TAU_MAT)
-
-
 def test_build_M_unit_lambda():
-    assert mats_close(relaxation_factors(params(lam=1)).M, [[1, 1, 1], [-1, 0, 1], [1, -2, 1]])
+    assert_close(relaxation_factors(params(lam=1)).M, [[1, 1, 1], [-1, 0, 1], [1, -2, 1]])
 
 
 def test_build_M_scales_with_lambda():
-    assert mats_close(relaxation_factors(params(lam=2)).M, [[1, 1, 1], [-2, 0, 2], [4, -8, 4]])
+    assert_close(relaxation_factors(params(lam=2)).M, [[1, 1, 1], [-2, 0, 2], [4, -8, 4]])
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 7.3])
@@ -84,36 +80,36 @@ def test_build_M_determinant(lam):
 @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
 def test_inverse_M_closed_form(lam):
     f = relaxation_factors(params(lam=lam))
-    assert mats_close(f.M_inv @ f.M, np.eye(3))
-    assert mats_close(f.M @ f.M_inv, np.eye(3))
+    assert_close(f.M_inv @ f.M, np.eye(3))
+    assert_close(f.M @ f.M_inv, np.eye(3))
 
 
 def test_build_T_no_shift_is_identity():
-    assert mats_close(relaxation_factors(params(u=0.0)).T, np.eye(3))
+    assert_close(relaxation_factors(params(u=0.0)).T, np.eye(3))
 
 
 def test_build_T_unit_values():
-    assert mats_close(relaxation_factors(params(u=1.0, lam=1.0)).T, [[1, 0, 0], [-1, 1, 0], [3, -6, 1]])
+    assert_close(relaxation_factors(params(u=1.0, lam=1.0)).T, [[1, 0, 0], [-1, 1, 0], [3, -6, 1]])
 
 
 @pytest.mark.parametrize("u,lam", [(0.3, 1.0), (-0.7, 2.0), (1.0, 0.5), (2.5, 3.0)])
 def test_inverse_T_by_substitution(u, lam):
     f = relaxation_factors(params(u=u, lam=lam))
-    assert mats_close(f.T @ f.T_inv, np.eye(3))
-    assert mats_close(f.T_inv @ f.T, np.eye(3))
+    assert_close(f.T @ f.T_inv, np.eye(3))
+    assert_close(f.T_inv @ f.T, np.eye(3))
 
 
 def test_build_S_diagonal():
-    assert mats_close(relaxation_factors(params(s=1.0, s_prime=1.0)).S, np.diag([0.0, 1.0, 1.0]))
-    assert mats_close(relaxation_factors(params(s=1.6, s_prime=1.3)).S, np.diag([0.0, 1.6, 1.3]))
-    assert mats_close(relaxation_factors(params(s=0.0, s_prime=0.0)).S, np.zeros((3, 3)))
+    assert_close(relaxation_factors(params(s=1.0, s_prime=1.0)).S, np.diag([0.0, 1.0, 1.0]))
+    assert_close(relaxation_factors(params(s=1.6, s_prime=1.3)).S, np.diag([0.0, 1.6, 1.3]))
+    assert_close(relaxation_factors(params(s=0.0, s_prime=0.0)).S, np.zeros((3, 3)))
 
 
 def test_build_E_first_column_only():
     E = relaxation_factors(params(V=0.0, alpha=0.0, lam=1.0)).E
-    assert mats_close(E, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert_close(E, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     E = relaxation_factors(params(V=0.25, alpha=4 / 13, lam=1.0)).E
-    assert mats_close(E[:, 0], [1.0, 0.25, 4 / 13])
+    assert_close(E[:, 0], [1.0, 0.25, 4 / 13])
     assert np.all(E[:, 1:] == 0)
 
 
@@ -123,7 +119,7 @@ def test_E_absorbs_density_preserving_basis_change():
     rng = np.random.default_rng(3)
     for _ in range(5):
         C = np.vstack([[1.0, 0.0, 0.0], rng.uniform(-2, 2, (2, 3))])
-        assert mats_close(E @ C, E)
+        assert_close(E @ C, E)
 
 
 def test_relaxation_factors_multiply_to_R_in_product_order():
@@ -146,8 +142,8 @@ def test_relaxation_factors_of_integer_fields_are_float64():
 
 
 def test_relaxation_identity_when_rates_vanish():
-    assert mats_close(build_relaxation_matrix(params(s=0.0, s_prime=0.0, V=0.7, u=0.3, alpha=1.4)),
-                      np.eye(3))
+    assert_close(build_relaxation_matrix(params(s=0.0, s_prime=0.0, V=0.7, u=0.3, alpha=1.4)),
+                 np.eye(3))
 
 
 @pytest.mark.parametrize("u", [0.0, 0.4, -1.1])
@@ -155,13 +151,13 @@ def test_relaxation_projects_onto_equilibrium_at_unit_rates(u):
     p = params(V=0.3, u=u, s=1.0, s_prime=1.0, alpha=0.2)
     R = build_relaxation_matrix(p)
     w = equilibrium_weights(p)
-    assert mats_close(R, np.outer(w, np.ones(3)))
+    assert_close(R, np.outer(w, np.ones(3)))
 
 
 def test_relaxation_rows_frozen_example():
     R = build_relaxation_matrix(params(V=0.25, u=0.0, s=1.0, s_prime=1.0, alpha=0.0))
     expect = np.outer([1.25 / 6, 2.0 / 6, 2.75 / 6], np.ones(3))
-    assert mats_close(R, expect)
+    assert_close(R, expect)
 
 
 def test_relaxation_negative_entry_example():
@@ -395,19 +391,24 @@ def test_equilibrium_sums_to_density_up_to_rounding():
     assert inexact > 1000
 
 
+def assert_moments(F, p, want):
+    # the definitions (reference.moments) and the shifted moment basis T(u) M
+    # both give want exactly
+    f = relaxation_factors(p)
+    assert moments(F, p).tolist() == list(want)
+    assert (f.T @ f.M @ np.asarray(F, float)).tolist() == list(want)
+
+
 def test_moments_rest_particle():
-    m = moments_from_distributions([0, 1, 0], params(u=0.0, lam=1.0))
-    assert (m.rho, m.q, m.eps) == (1.0, 0.0, -2.0)
+    assert_moments([0, 1, 0], params(u=0.0, lam=1.0), (1.0, 0.0, -2.0))
 
 
 def test_moments_right_mover():
-    m = moments_from_distributions([0, 0, 1], params(u=0.0, lam=1.0))
-    assert (m.rho, m.q, m.eps) == (1.0, 1.0, 1.0)
+    assert_moments([0, 0, 1], params(u=0.0, lam=1.0), (1.0, 1.0, 1.0))
 
 
 def test_moments_shifted():
-    m = moments_from_distributions([1, 1, 1], params(u=1.0, lam=1.0))
-    assert (m.rho, m.q, m.eps) == (3.0, -3.0, 9.0)
+    assert_moments([1, 1, 1], params(u=1.0, lam=1.0), (3.0, -3.0, 9.0))
 
 
 def test_moments_equal_shift_of_matrix_product():
@@ -415,10 +416,9 @@ def test_moments_equal_shift_of_matrix_product():
     for _ in range(100):
         p = params(V=0.0, u=rng.uniform(-1, 1), lam=rng.choice([0.5, 1.0, 3.0]))
         F = rng.uniform(-1, 2, 3)
-        m = moments_from_distributions(F, p)
         f = relaxation_factors(p)
         ref = f.T @ f.M @ F
-        assert np.allclose([m.rho, m.q, m.eps], ref, atol=1e-11)
+        assert np.allclose(moments(F, p), ref, atol=1e-11)
 
 
 def commutator_closed_form(C, p):
@@ -449,7 +449,7 @@ def random_basis_change(rng, c23=None, c32=None):
 
 def test_commutator_identity_basis_is_zero():
     p = params(V=0.7, u=0.3, s=1.6, s_prime=0.4, alpha=-0.8, lam=2.0)
-    assert mats_close(basis_commutator(np.eye(3), p), np.zeros((3, 3)))
+    assert_close(basis_commutator(np.eye(3), p), np.zeros((3, 3)))
 
 
 def test_commutator_zero_iff_offdiagonal_couplings_vanish():
@@ -458,7 +458,7 @@ def test_commutator_zero_iff_offdiagonal_couplings_vanish():
         p = params(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1), rng.uniform(-0.5, 2.5),
                    rng.uniform(-0.5, 2.5), rng.uniform(-2, 2), rng.choice([0.5, 1.0, 3.0]))
         C = random_basis_change(rng, c23=0.0, c32=0.0)
-        assert mats_close(basis_commutator(C, p), np.zeros((3, 3)))
+        assert_close(basis_commutator(C, p), np.zeros((3, 3)))
 
 
 def test_commutator_zero_at_equal_rates():
@@ -467,7 +467,7 @@ def test_commutator_zero_at_equal_rates():
         s = rng.uniform(-0.5, 2.5)
         p = params(rng.uniform(-1, 1), rng.uniform(-1, 1), s, s, rng.uniform(-2, 2))
         C = random_basis_change(rng)
-        assert mats_close(basis_commutator(C, p), np.zeros((3, 3)))
+        assert_close(basis_commutator(C, p), np.zeros((3, 3)))
 
 
 def test_commutator_closed_form_agrees():
@@ -476,7 +476,7 @@ def test_commutator_closed_form_agrees():
         p = params(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1), rng.uniform(-0.5, 2.5),
                    rng.uniform(-0.5, 2.5), rng.uniform(-2, 2), rng.choice([0.5, 1.0, 3.0]))
         C = random_basis_change(rng)
-        assert mats_close(basis_commutator(C, p), commutator_closed_form(C, p))
+        assert_close(basis_commutator(C, p), commutator_closed_form(C, p))
 
 
 def test_commutator_rejects_density_breaking_basis():
@@ -501,7 +501,7 @@ def test_commutator_rejects_singular_basis():
 
 def test_change_basis_identity():
     p = params(V=0.25, u=0.25, s=1.6, s_prime=1.3, alpha=0.3)
-    assert mats_close(change_basis_relaxation_matrix(np.eye(3), p), build_relaxation_matrix(p))
+    assert_close(change_basis_relaxation_matrix(np.eye(3), p), build_relaxation_matrix(p))
 
 
 def test_change_basis_invariant_without_couplings():
@@ -510,7 +510,7 @@ def test_change_basis_invariant_without_couplings():
         p = params(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1), rng.uniform(-0.5, 2.5),
                    rng.uniform(-0.5, 2.5), rng.uniform(-2, 2))
         C = random_basis_change(rng, c23=0.0, c32=0.0)
-        assert mats_close(change_basis_relaxation_matrix(C, p), build_relaxation_matrix(p))
+        assert_close(change_basis_relaxation_matrix(C, p), build_relaxation_matrix(p))
 
 
 def test_change_basis_differs_with_coupling():
@@ -530,4 +530,4 @@ def test_change_basis_difference_factorization():
         lhs = change_basis_relaxation_matrix(C, p) - build_relaxation_matrix(p)
         f = relaxation_factors(p)
         rhs = f.M_inv @ f.T_inv @ np.linalg.inv(C) @ basis_commutator(C, p) @ f.M
-        assert mats_close(lhs, rhs)
+        assert_close(lhs, rhs)

@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from d1q3rv import simulator
+from d1q3rv.regionscan import ScanSpec
 from d1q3rv.scheme import (TAU_MAT, WORKING_SET_BYTES, SchemeParameters, build_relaxation_matrix,
                            equilibrium_distributions, equilibrium_weights, relaxation_matrices)
 from d1q3rv.simulator import (CUSTOM, HAT, SMOOTH, STEP, Grid1D, InitialProfile,
                               _block_steps, _step_stats, advance, default_grid, density,
-                              exact_density, init_state, relax, run, run_batch, stream,
+                              exact_density, init_state, run, run_batch,
                               write_diagnostics_csv, write_snapshots_csv)
 from d1q3rv.stability import matrix_entry_verdict, nine_inequalities
+from reference import reference_advance, relax, stream
 
 
 def params(V=0.25, u=0.0, s=1.0, s_prime=1.0, alpha=0.0, lam=1.0):
@@ -52,6 +54,43 @@ def test_grid_rejects_a_non_integer_cell_count(n_cells):
 
 def test_grid_takes_numpy_integers():
     assert Grid1D(np.int64(4)).positions().tolist() == [0.0, 0.25, 0.5, 0.75]
+
+
+@pytest.mark.parametrize("integer,n_cells,n_steps,snap_every",
+                         [(np.uint8, 200, 255, 5), (np.int8, 100, 127, 5),
+                          (np.int64, 200, 1000, 100), (bool, 1, 1, 1)],
+                         ids=["uint8", "int8", "int64", "bool"])
+def test_integer_counts_are_converted_once_to_int(integer, n_cells, n_steps, snap_every):
+    # A NumPy integer or a bool count is stored and passed on as the int it
+    # stands for, so no step or snapshot count wraps in its type and the exact
+    # profile's roll (V = 1) is not taken modulo a NumPy cell count.  Each
+    # call has the bytes of the call with Python ints.
+    grid = Grid1D(integer(n_cells))
+    assert type(grid.n_cells) is int and grid == Grid1D(n_cells)
+    counts = simulator._check_counts(integer(n_steps), integer(snap_every))
+    assert counts == (n_steps, snap_every) and all(type(c) is int for c in counts)
+    for p, steps, snaps in ((params(0.25), integer(n_steps), integer(snap_every)),
+                            (params(1.0, alpha=1.0), 1000, 0)):
+        want = run(InitialProfile(), Grid1D(n_cells), p, int(steps), int(snaps))
+        got = run(InitialProfile(), grid, p, steps, snaps)
+        assert got.snap_steps == want.snap_steps and all(type(j) is int for j in got.snap_steps)
+        assert got.diagnostics.as_csv_row() == want.diagnostics.as_csv_row()
+        assert got.f.tobytes() == want.f.tobytes()
+        assert got.snapshots.tobytes() == want.snapshots.tobytes()
+    f0 = init_state(InitialProfile(), Grid1D(n_cells), params(0.25))[None]
+    R = build_relaxation_matrix(params(0.25))[None]
+    want = advance(f0, R, n_steps, snap_every)
+    got = advance(f0, R, integer(n_steps), integer(snap_every))
+    assert got.snap_steps == want.snap_steps and all(type(j) is int for j in got.snap_steps)
+    for name in ("f", "min_f", "min_rho", "max_rho", "mass_drift", "snapshots"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    if n_cells < 2:
+        with pytest.raises(ValueError, match="^s_points must be >= 2, got 1$"):
+            ScanSpec(0.25, s_points=integer(n_cells))
+        return
+    spec = ScanSpec(0.25, s_points=integer(n_cells), s_prime_points=integer(n_cells))
+    assert type(spec.s_points) is int and type(spec.s_prime_points) is int
+    assert spec == ScanSpec(0.25, s_points=n_cells, s_prime_points=n_cells)
 
 
 # ------------------------------------------------------------------- profiles
@@ -273,29 +312,6 @@ def test_stream_preserves_value_multiset_and_min():
 
 
 # --------------------------------------------------------------------- kernel
-
-def reference_advance(f0, R, n_steps, snap_every=0):
-    """The step-by-step loop advance replaces: stream(relax(...)) per step,
-    diagnostics folded with Python's min/max, every zero extremum taken as
-    +0.0, and the drift starting at NaN when the initial mass is not finite."""
-    f = f0
-    rho = density(f)
-    min_f, min_rho, max_rho = float(f.min()), float(rho.min()), float(rho.max())
-    mass0 = float(rho.sum())
-    drift = 0.0 if np.isfinite(mass0) else np.nan
-    snapshots = [(0, f)] if snap_every > 0 else []
-    for step in range(1, n_steps + 1):
-        f = stream(relax(f, R))
-        rho = density(f)
-        mass = float(rho.sum())
-        min_f = min(min_f, float(f.min()))
-        min_rho = min(min_rho, float(rho.min()))
-        max_rho = max(max_rho, float(rho.max()))
-        drift = max(drift, abs(mass - mass0) / abs(mass0) if mass0 else abs(mass))
-        if snap_every > 0 and (step % snap_every == 0 or step == n_steps):
-            snapshots.append((step, f))
-    return f, (min_f + 0.0, min_rho + 0.0, max_rho + 0.0, drift), snapshots
-
 
 def bitwise_equal(a, b):
     """Equal values, NaN equal to NaN, and the same sign of zero."""
@@ -549,12 +565,14 @@ def test_advance_skips_a_nan_that_first_appears_mid_block():
     # NaN a few steps apart, mid-way through the second block, after finite
     # steps of the same block that hold the run's density extremes.  Taking
     # that block's one reduction (NaN) as a skipped step would lose them.
+    # The run stays NaN for three more blocks and a partial one, each of
+    # which falls back to per-step reductions on its own.
     rng = np.random.default_rng(3)
     f0 = rng.uniform(0.5, 1, (1, 24, 3))
     R = rng.uniform(-1, 1, (3, 3))
     R *= 10.0 ** (308 / 96) / np.abs(np.linalg.eigvals(R)).max()
     block = _block_steps(1, 24)
-    n_steps = 2 * block + 3
+    n_steps = 5 * block + 3
     with np.errstate(all="ignore"):
         out = advance(f0, R[None], n_steps, snap_every=1)
         assert_matches_reference(out, 0, f0[0], R, n_steps, snap_every=1)
@@ -562,6 +580,8 @@ def test_advance_skips_a_nan_that_first_appears_mid_block():
     first_nan = np.isnan(out.snapshots[:, 0]).any(axis=(1, 2)).argmax()
     seam = first_nan - (first_nan - 1) % block      # the first step of its block
     assert block < seam < first_nan - 1 and np.isfinite(rho[:first_nan - 1]).all()
+    assert np.isnan(out.snapshots[first_nan:, 0]).any(axis=(1, 2)).all()
+    assert seam + 4 * block <= n_steps   # NaN in every step of three more whole blocks
     assert np.isfinite([out.min_rho[0], out.max_rho[0]]).all()
     assert out.max_rho[0] > np.abs(rho[:seam]).max() and out.min_rho[0] < -np.abs(rho[:seam]).max()
 
@@ -593,25 +613,33 @@ def test_advance_min_f_over_whole_slots_is_the_states_least_f(batch):
     assert plans[0] is plans[1]
 
 
-def test_step_stats_per_step_reductions_equal_the_whole_block_ones():
-    # advance reduces per step from the first block that met NaN on; without
-    # NaN both ways give the same statistics, zeros as +0.0, and so does min f
-    # read from slots that pad the states with +inf
+def block_stats(slots, interior, n_cells):
+    """_step_stats of a block of slots (k, B, 3, m) into fresh buffers, zeros as +0.0."""
+    k, batch = slots.shape[:2]
+    out = np.empty((5, batch))
+    _step_stats(slots, interior, np.empty((k, batch, n_cells)), np.empty((k, batch)), out)
+    return out + 0.0
+
+
+def test_step_stats_skip_a_nan_step_as_if_the_block_had_not_held_it():
+    # One step of run 1 holds NaN, so the whole-block reductions are NaN and
+    # the per-step ones run for the block.  Each run's statistics must have
+    # the bytes of its block without its NaN steps, reduced whole: run 0
+    # keeps all five steps, run 1 the other four.  min f read from slots that
+    # pad the states with +inf is the states' own.
     rng = np.random.default_rng(13)
     states = rng.choice([-0.0, 0.0, 0.25, -1.5, 2.0], (5, 2, 3, 7))
-    slots = np.pad(states, ((0, 0), (0, 0), (0, 0), (2, 3)), constant_values=np.inf)
-    rho, masses = np.empty((5, 2, 7)), np.empty((5, 2))
-    whole, per_step, padded = np.empty((5, 2)), np.empty((5, 2)), np.empty((5, 2))
-    everything = slice(None)
-    assert not _step_stats(states, everything, rho, masses, whole)
-    assert _step_stats(states, everything, rho, masses, per_step, per_step=True)
-    assert (whole + 0.0).tobytes() == (per_step + 0.0).tobytes()
-    for flag in (False, True):
-        assert _step_stats(slots, slice(2, 9), rho, masses, padded, per_step=flag) == flag
-        assert (padded + 0.0).tobytes() == (whole + 0.0).tobytes()
     states[3, 1, 0, 4] = np.nan
-    assert _step_stats(states, everything, rho, masses, whole)
-    assert np.isfinite(whole).all()
+    slots = np.pad(states, ((0, 0), (0, 0), (0, 0), (2, 3)), constant_values=np.inf)
+    got = block_stats(states, slice(None), 7)
+    assert np.isfinite(got).all()
+    assert block_stats(slots, slice(2, 9), 7).tobytes() == got.tobytes()
+    for b, n_kept in ((0, 5), (1, 4)):
+        kept = ~np.isnan(states[:, b]).any(axis=(1, 2))
+        assert kept.sum() == n_kept
+        alone = states[kept, b:b + 1]
+        assert not np.isnan(alone).any()
+        assert block_stats(alone, slice(None), 7).tobytes() == got[:, b:b + 1].tobytes()
 
 
 def test_step_zero_is_read_from_a_refreshed_slot():

@@ -693,7 +693,8 @@ def test_signed_zero_tie_of_the_upper_sides_gives_positive_zero():
 
 def test_reduced_slacks_and_alpha_interval_keep_their_definitions():
     # reduced_condition takes 2 gamma and the chain sides from one conversion,
-    # and alpha_interval its endpoints from the interval core: both as before
+    # and alpha_interval maps the interval core's endpoints with the operands
+    # that conversion gives: Python floats for NumPy-scalar rows too
     for row in _edge_rows()[1]:
         p, chain = SchemeParameters(*row), row[:4]
         two_gamma = 2 * reduced_parameters(p).gamma
@@ -701,15 +702,17 @@ def test_reduced_slacks_and_alpha_interval_keep_their_definitions():
         slacks = tuple([two_gamma - x for x in lower] + [x - two_gamma for x in upper])
         assert repr(reduced_condition(p).slacks) == repr(slacks), row
         iv = gamma_feasible_interval(*chain)
-        with np.errstate(all="ignore"):   # NumPy-scalar rows compute alpha on np.float64
-            got = alpha_interval(*chain)
-            if iv.empty or p.s_prime == 0.0:
-                want = None
-            else:
-                V, u, s, sp = chain
-                a, b = (1.0 - 6.0 * (g + u * (s - sp) * V) / sp for g in (iv.lower, iv.upper))
-                want = (min(a, b), max(a, b))
+        got = alpha_interval(*chain)
+        if iv.empty or p.s_prime == 0.0:
+            want = None
+        else:
+            V, u, s, sp = _operands(*chain)
+            a, b = (1.0 - 6.0 * (g + u * (s - sp) * V) / sp for g in (iv.lower, iv.upper))
+            want = (min(a, b), max(a, b))
+            assert type(got) is tuple and all(type(x) is float for x in got), row
         assert repr(got) == repr(want), row
+    zero_d = alpha_interval(*map(np.array, (0.25, 0.1, 1.2, 0.9)))
+    assert repr(zero_d) == repr(alpha_interval(0.25, 0.1, 1.2, 0.9)) == "(-0.9166666666666667, 0.75)"
 
 
 def test_necessary_region_contains_every_feasible_point():
