@@ -184,6 +184,8 @@ def cmd_simulate(args) -> int:
     p = _params(args)
     profile = InitialProfile(kind=args.profile, center=args.center, width=args.width,
                              low=args.low, high=args.high)
+    if args.snap_every and not args.out:
+        print("note: --snap-every records no snapshots without --out", file=sys.stderr)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         # snapshots go next to --out, so without it none are recorded

@@ -29,6 +29,9 @@ _CLASS_BYTES = {name.encode(): code for name, code in _CLASS_CODES.items()}
 
 CSV_HEADER = "V,u,s,s_prime,class,gamma_lower,gamma_upper"
 
+# scan's grid spans [0, S_MAX] on both the s and the s' axis
+S_MAX = 2.2
+
 # parse_csv reads and tokenizes a file in pieces of about this many bytes:
 # 1,600-1,900 rows of a region CSV, whose row and field objects take about
 # 0.75 MiB (tracemalloc), within WORKING_SET_BYTES.  A piece ends just after
@@ -45,17 +48,18 @@ def default_u_list(V: float) -> tuple:
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """What to scan: one V, several u, and the (s, s') grid.
+    """What to scan: one V, several u, and the point counts of the (s, s') grid.
 
-    V, each u and both ends of each range are stored as Python floats, and
-    the point counts as ints; a value that is not a real number, or does not
-    fit a float, is a ValueError naming its field.
+    The grid spans the square [0, S_MAX]^2 the paper draws its regions in.
+    V and each u are stored as Python floats, and the point counts as ints;
+    a value that is not a real number, or does not fit a float, is a
+    ValueError naming its field.  A grid of any other (s, s') mesh is built
+    from stability's alpha_feasible, gamma_feasible_interval and
+    necessary_region.
     """
 
     V: float
     u_list: tuple = None
-    s_range: tuple = (0.0, 2.2)
-    s_prime_range: tuple = (0.0, 2.2)
     s_points: int = 221
     s_prime_points: int = 221
 
@@ -64,31 +68,18 @@ class ScanSpec:
         default = self.u_list is None
         u_list = (default_u_list(V) if default
                   else tuple(_real(u, f"u_list[{i}]") for i, u in enumerate(self.u_list)))
-        ranges = [tuple(_real(x, f"{name}_range[{i}]") for i, x in enumerate(rng))
-                  for rng, name in ((self.s_range, "s"), (self.s_prime_range, "s_prime"))]
-        for field, value in zip(("V", "u_list", "s_range", "s_prime_range"), (V, u_list, *ranges)):
-            object.__setattr__(self, field, value)
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "u_list", u_list)
         if not math.isfinite(V):
             raise ValueError(f"V must be finite, got {V}")
         if not all(map(math.isfinite, u_list)):
             raise ValueError((f"V={V:g} overflows its default u_list" if default
                               else "u_list must be finite") + f", got {u_list}")
-        for rng, npts, name in ((ranges[0], self.s_points, "s"),
-                                (ranges[1], self.s_prime_points, "s_prime")):
-            npts = _integer(npts, f"{name}_points")
+        for name in ("s_points", "s_prime_points"):
+            npts = _integer(getattr(self, name), name)
             if npts < 2:
-                raise ValueError(f"{name}_points must be >= 2, got {npts}")
-            object.__setattr__(self, f"{name}_points", npts)
-            if not rng[1] > rng[0]:
-                raise ValueError(f"{name}_range must be non-degenerate, got {rng}")
-            if not all(map(math.isfinite, rng)):
-                raise ValueError(f"{name}_range must be finite, got {rng}")
-
-    def s_values(self) -> np.ndarray:
-        return np.linspace(self.s_range[0], self.s_range[1], self.s_points)
-
-    def s_prime_values(self) -> np.ndarray:
-        return np.linspace(self.s_prime_range[0], self.s_prime_range[1], self.s_prime_points)
+                raise ValueError(f"{name} must be >= 2, got {npts}")
+            object.__setattr__(self, name, npts)
 
 
 @dataclass(frozen=True)
@@ -113,14 +104,14 @@ class RegionGrid:
 
 
 def scan(spec: ScanSpec) -> list:
-    """Classify the grid for every u in the spec; one RegionGrid per u.
+    """Classify the spec's grid on [0, S_MAX]^2 for every u; one RegionGrid per u.
 
     A finite spec whose products overflow classifies without NumPy warnings:
     an inf slack or bound compares as IEEE floats do, and a cell whose chain
     bounds are NaN is never FEASIBLE.
     """
-    s = spec.s_values()
-    sp = spec.s_prime_values()
+    s = np.linspace(0.0, S_MAX, spec.s_points)
+    sp = np.linspace(0.0, S_MAX, spec.s_prime_points)
     S, SP = np.meshgrid(s, sp, indexing="ij")
     with np.errstate(over="ignore", invalid="ignore"):
         outer = np.where(necessary_region(spec.V, S, SP), _CLASS_CODES[NECESSARY_ONLY],

@@ -101,7 +101,9 @@ class InitialProfile:
     field.  Given values are stored as a tuple of at least one Python float
     (NaN and +-inf kept), so profiles compare and hash by value and the
     values cannot be rewritten in place; anything but a non-empty 1-d
-    sequence of real numbers is a ValueError naming values.
+    sequence of real numbers is a ValueError naming values.  Only custom reads
+    values, and custom reads neither center nor width: a field the kind does
+    not read is a ValueError naming it.
     """
 
     kind: str = STEP
@@ -116,6 +118,9 @@ class InitialProfile:
             raise ValueError(f"unknown profile kind {self.kind!r}, expected one of {PROFILE_KINDS}")
         if self.kind == CUSTOM and self.values is None:
             raise ValueError("custom profiles need explicit density values")
+        for name in ("center", "width") if self.kind == CUSTOM else ("values",):
+            if getattr(self, name) is not None:
+                raise ValueError(f"{name} is not read by {self.kind} profiles")
         for name in ("low", "high", "center", "width"):
             value = getattr(self, name)
             if value is not None or name in ("low", "high"):

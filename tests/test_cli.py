@@ -297,9 +297,14 @@ def test_simulate_records_snapshots_only_when_it_writes_them(tmp_path, monkeypat
     argv = ["simulate", "--V", "0.25", "--u", "0", "--s", "1", "--sp", "1", "--alpha", "0",
             "--ncells", "20", "--steps", "10", "--snap-every", "5"]
     assert main(argv) == 0
-    assert capsys.readouterr().out.splitlines()[-2].startswith("min_f_over_run,")
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-2].startswith("min_f_over_run,")
+    assert err == "note: --snap-every records no snapshots without --out\n"
+    assert main(argv[:-2]) == 0   # the note changes neither stdout nor the exit code
+    assert capsys.readouterr() == (out, "")
     assert main(argv + ["--out", str(tmp_path / "d.csv")]) == 0
-    assert asked == [0, 5]
+    assert capsys.readouterr().err == ""
+    assert asked == [0, 0, 5]
     assert (tmp_path / "d.snapshots.csv").exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import re
@@ -13,26 +14,20 @@ from d1q3rv.regionscan import (_CLASS_CODES, _CLASS_NAMES, CSV_HEADER, FEASIBLE,
                                ScanSpec, _boundary_segments, _merge_rectangles,
                                default_u_list, emit_csv, emit_svg, parse_csv, scan)
 from d1q3rv.scheme import WORKING_SET_BYTES
-from d1q3rv.stability import necessary_region, u_zero_region
+from d1q3rv.stability import (alpha_feasible, gamma_feasible_interval, necessary_region,
+                               u_zero_region)
 
 # A long double wider than a float (x86's 80-bit one) holds finite values that round to +-inf.
 WIDE_LONGDOUBLE = np.finfo(np.longdouble).max > np.finfo(float).max
 
 
-def small_spec(V, u_list=(0.0,), n=23, s_range=(0.0, 2.2), sp_range=(0.0, 2.2)):
-    return ScanSpec(V=V, u_list=u_list, s_points=n, s_prime_points=n,
-                    s_range=s_range, s_prime_range=sp_range)
+def small_spec(V, u_list=(0.0,), n=23):
+    return ScanSpec(V=V, u_list=u_list, s_points=n, s_prime_points=n)
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         ScanSpec(V=0.5, s_points=1)
-    with pytest.raises(ValueError):
-        ScanSpec(V=0.5, s_range=(1.0, 1.0))
-    with pytest.raises(ValueError, match="s_range must be finite"):
-        ScanSpec(V=0.5, s_range=(0.0, np.inf), s_points=3)
-    with pytest.raises(ValueError, match="s_prime_range must be finite"):
-        ScanSpec(V=0.5, s_prime_range=(-np.inf, 1.0))
     with pytest.raises(ValueError, match="V must be finite, got nan"):
         ScanSpec(V=np.nan, u_list=(0.0,), s_points=5, s_prime_points=5)
     with pytest.raises(ValueError, match="V must be finite, got -inf"):
@@ -47,21 +42,20 @@ def test_spec_validation():
         ScanSpec(V=0.5, u_list=(0.0,), s_points=5, s_prime_points=5.0)
     grid = scan(ScanSpec(V=0.5, u_list=(0.0,), s_points=np.int64(3), s_prime_points=np.int32(4)))[0]
     assert grid.codes.shape == (3, 4)
-    spec = ScanSpec(V=np.float64(0.5), u_list=[np.float64(0.25), 1], s_range=[0, np.float32(2)])
-    assert [type(x) for x in (spec.V, *spec.u_list, *spec.s_range)] == [float] * 5
-    assert (spec.u_list, spec.s_range) == ((0.25, 1.0), (0.0, 2.0))
+    spec = ScanSpec(V=np.float64(0.5), u_list=[np.float64(0.25), 1, np.float32(2)])
+    assert [type(x) for x in (spec.V, *spec.u_list)] == [float] * 4
+    assert spec.u_list == (0.25, 1.0, 2.0)
 
 
 @pytest.mark.parametrize("fields, message", [
     (dict(V=np.float64(1e308)), r"^V=1e\+308 overflows its default u_list, got \(-inf, "),
     (dict(V=10**308), r"^V=1e\+308 overflows its default u_list, got \(-inf, "),
     (dict(V="0.5"), r"^V must be a real number that fits a float, got '0.5'$"),
-    (dict(V=0.5, s_range=(0, 10**400)), r"^s_range\[1\] must be a real number that fits a float, got 1000"),
     (dict(V=0.5, u_list=(10**400,)), r"^u_list\[0\] must be a real number that fits a float, got 1000"),
     pytest.param(dict(V=np.longdouble("1e400") if WIDE_LONGDOUBLE else None),
                  r"^V must be a real number that fits a float, got ",
                  marks=pytest.mark.skipif(not WIDE_LONGDOUBLE, reason="long double is a float")),
-], ids=["float64 V", "int V", "str V", "int range end", "int u", "longdouble V"])
+], ids=["float64 V", "int V", "str V", "int u", "longdouble V"])
 def test_spec_takes_its_values_as_floats_or_names_the_field(fields, message):
     # every warning fails the suite, so NumPy's overflow warning would too
     with pytest.raises(ValueError, match=message):
@@ -136,7 +130,7 @@ def test_degenerate_second_rate_column():
 
 
 def test_csv_shape_and_order():
-    grid = scan(small_spec(0.5, n=2, s_range=(0.4, 0.6), sp_range=(0.4, 0.6)))[0]
+    grid = scan(small_spec(0.5, n=2))[0]
     buf = io.StringIO()
     emit_csv(grid, buf)
     lines = buf.getvalue().strip().split("\n")
@@ -148,7 +142,7 @@ def test_csv_shape_and_order():
 
 
 def test_csv_outside_rows_have_empty_gamma_fields():
-    grid = scan(small_spec(1.0, n=5, s_range=(1.8, 2.2), sp_range=(0.0, 0.4)))[0]
+    grid = scan(small_spec(1.0, n=5))[0]
     buf = io.StringIO()
     emit_csv(grid, buf)
     outside = [ln for ln in buf.getvalue().strip().split("\n")[1:] if OUTSIDE in ln]
@@ -253,10 +247,12 @@ def _respell(lines, column, spellings):
 
 def _aliased_csv():
     """A grid and its CSV with the s, s' and gamma values respelled in several ways."""
-    grid = scan(small_spec(0.5, u_list=(0.25,), n=5, s_range=(0.0, 1.0), sp_range=(0.0, 1.0)))[0]
+    grid = scan(small_spec(0.5, u_list=(0.25,), n=5))[0]
     text = _csv_text(grid)
-    aliases = {"0": ["0", "0.0", "-0", "0.00"], "0.5": ["0.5", "0.50", "0.500"],
-               "0.0625": ["0.0625", "+0.0625", "625e-4"], "0.125": ["0.125", "0.1250", "+.125"]}
+    aliases = {"0": ["0", "0.0", "-0", "0.00"],
+               "0.55000000000000004": ["0.55", "0.550", "+.55"],
+               "1.1000000000000001": ["1.1", "1.10", "11e-1"],
+               "0.13750000000000001": ["0.1375", "+0.1375", "1375e-4"]}
     for column in (2, 3, 5, 6):
         text = _respell(text.split(), column, aliases)
     return grid, text
@@ -356,6 +352,11 @@ def _outcome(text, source=None):
         grid = parse_csv(source or io.BytesIO(text.encode()))
     except ValueError as exc:
         return str(exc)
+    return _grid_bytes(grid)
+
+
+def _grid_bytes(grid):
+    """A grid's V and u reprs and each array's dtype, shape and bytes."""
     arrays = (grid.s_values, grid.s_prime_values, grid.codes, grid.gamma_lower, grid.gamma_upper)
     return (repr(grid.V), repr(grid.u)) + tuple((a.dtype, a.shape, a.tobytes()) for a in arrays)
 
@@ -426,7 +427,8 @@ def test_scan_per_u_grids():
 
 
 def test_svg_full_grid_is_single_rectangle():
-    grid = scan(small_spec(0.0, n=12, s_range=(0.5, 1.0), sp_range=(0.5, 1.0)))[0]
+    grid = scan(small_spec(0.0, n=12))[0]
+    grid = dataclasses.replace(grid, codes=np.full_like(grid.codes, _CLASS_CODES[FEASIBLE]))
     assert grid.count(FEASIBLE) == 144
     buf = io.StringIO()
     emit_svg(grid, buf)
@@ -435,7 +437,8 @@ def test_svg_full_grid_is_single_rectangle():
 
 
 def test_svg_empty_feasible_set_keeps_dotted_boundary():
-    grid = scan(small_spec(1.5, n=23, s_range=(0.1, 2.2)))[0]
+    grid = scan(small_spec(1.5, n=23))[0]
+    grid = dataclasses.replace(grid, codes=np.minimum(grid.codes, _CLASS_CODES[NECESSARY_ONLY]))
     assert grid.count(FEASIBLE) == 0
     assert grid.count(NECESSARY_ONLY) > 0
     buf = io.StringIO()
@@ -469,14 +472,42 @@ def test_svg_rejects_a_grid_it_cannot_draw(s_values, s_prime_values, message, tm
 
 
 def test_svg_draws_every_spec_grid_and_its_parsed_copy():
-    for spec in (small_spec(0.5, n=2), small_spec(2 / 3, n=221),
-                 small_spec(0.25, s_range=(0.1, 0.3), sp_range=(1.0, 2.0), n=7)):
+    for spec in (small_spec(0.5, n=2), small_spec(2 / 3, n=221)):
         grid = scan(spec)[0]
         drawn = io.StringIO()
         emit_svg(grid, drawn)
         parsed = io.StringIO()
         emit_svg(parse_csv(io.StringIO(_csv_text(grid))), parsed)
         assert parsed.getvalue() == drawn.getvalue()
+
+
+def _mesh_grid(V, u, s_values, s_prime_values):
+    """The RegionGrid of any (s, s') mesh, from stability's public functions."""
+    S, SP = np.meshgrid(s_values, s_prime_values, indexing="ij")
+    feasible = alpha_feasible(V, u, S, SP)
+    lower, upper, _ = gamma_feasible_interval(V, u, S, SP)
+    codes = np.select([feasible, necessary_region(V, S, SP)],
+                      [_CLASS_CODES[FEASIBLE], _CLASS_CODES[NECESSARY_ONLY]], _CLASS_CODES[OUTSIDE])
+    return RegionGrid(V=V, u=u, s_values=s_values, s_prime_values=s_prime_values,
+                      codes=codes.astype(np.int8), gamma_lower=np.where(feasible, lower, np.nan),
+                      gamma_upper=np.where(feasible, upper, np.nan))
+
+
+def test_scan_is_the_stability_functions_on_its_mesh_and_other_meshes_compose_alike():
+    for V, u in ((0.0, 0.0), (0.25, -0.25), (0.5, 0.5), (2 / 3, 1 / 3), (1.0, 0.0), (1.5, 3.0)):
+        grid = scan(ScanSpec(V=V, u_list=(u,), s_points=23, s_prime_points=17))[0]
+        assert grid.s_prime_values[0] == 0.0   # the s' = 0 column, where gamma is pinned
+        mesh = _mesh_grid(V, u, np.linspace(0.0, 2.2, 23), np.linspace(0.0, 2.2, 17))
+        assert _grid_bytes(grid) == _grid_bytes(mesh)
+    # a zoom off scan's square: s in [0.1, 2.3], s' in [-0.2, 1.9]
+    grid = _mesh_grid(0.25, 0.0, np.linspace(0.1, 2.3, 23), np.linspace(-0.2, 1.9, 29))
+    assert all(grid.count(name) for name in _CLASS_NAMES)
+    back = parse_csv(io.StringIO(_csv_text(grid)))
+    _assert_same_grid(back, grid)
+    drawn, parsed = io.StringIO(), io.StringIO()
+    emit_svg(grid, drawn)
+    emit_svg(back, parsed)
+    assert parsed.getvalue() == drawn.getvalue()
 
 
 def test_svg_is_well_formed_xml():
@@ -488,8 +519,7 @@ def test_svg_is_well_formed_xml():
 
 
 def test_svg_boundary_path_matches_per_segment_format():
-    grid = scan(small_spec(2 / 3, u_list=(1 / 3,), n=29, s_range=(0.1, 2.3),
-                           sp_range=(-0.2, 1.9)))[0]
+    grid = scan(small_spec(2 / 3, u_list=(1 / 3,), n=29))[0]
     s, sp = grid.s_values.tolist(), grid.s_prime_values.tolist()
     ds, dsp = (s[-1] - s[0]) / (len(s) - 1), (sp[-1] - sp[0]) / (len(sp) - 1)
     x0, x1, y0, y1 = s[0] - ds / 2, s[-1] + ds / 2, sp[0] - dsp / 2, sp[-1] + dsp / 2

@@ -175,6 +175,14 @@ def test_custom_values_are_checked_when_the_profile_is_built(values):
         InitialProfile(kind=CUSTOM, values=values)
 
 
+@pytest.mark.parametrize("kind,name", [(STEP, "values"), (HAT, "values"), (SMOOTH, "values"),
+                                       (CUSTOM, "center"), (CUSTOM, "width")])
+def test_profile_refuses_a_field_its_kind_does_not_read(kind, name):
+    extra = {name: 0.2} if kind == CUSTOM else {}
+    with pytest.raises(ValueError, match=f"^{name} is not read by {kind} profiles$"):
+        InitialProfile(kind=kind, values=[1, 2, 3], **extra)
+
+
 def test_profile_kind_validation():
     with pytest.raises(ValueError):
         InitialProfile(kind="sawtooth")
