@@ -7,8 +7,10 @@ conservation, extrema, and the L1 distance to the exactly advected
 profile, which is what exhibits (or rules out) spurious oscillations.
 
 A state is a plain (n_cells, 3) array of distribution triples, and density
-is the one definition of a cell's density.  advance's statistics add each
-triple in density's order through one stacked ones-vector product, with
+is the one definition of a cell's density.  Inside advance a state is
+component-major, read from its history slot with the streaming in the read
+address, and each step is one gemm whose fourth row, [1 1 1] times the
+triple, gives the state's densities: they add in density's order, with
 density's bytes except that a (-0.0, -0.0, -0.0) triple sums to +0.0 there
 and to -0.0 in density (see _step_stats).  Every run goes through advance,
 one kernel over a batch of states; run_batch builds each run's record from
@@ -41,6 +43,7 @@ column summing to 1, that factor is 1 + 2 sum_i max(-R_ik, 0) > 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import reprlib
@@ -95,22 +98,23 @@ class InitialProfile:
 
     smooth is a Gaussian bump, hat a triangular pulse (half-width width),
     step a rectangular pulse, custom takes per-cell densities.  center and
-    width default to L/4 and L/10.  Distances wrap periodically.  low, high
-    and a given center or width are stored as Python floats; a value that is
-    not a real number, or does not fit a float, is a ValueError naming its
-    field.  Given values are stored as a tuple of at least one Python float
-    (NaN and +-inf kept), so profiles compare and hash by value and the
-    values cannot be rewritten in place; anything but a non-empty 1-d
-    sequence of real numbers is a ValueError naming values.  Only custom reads
-    values, and custom reads neither center nor width: a field the kind does
-    not read is a ValueError naming it.
+    width default to L/4 and L/10, and low and high to 0.0 and 1.0.
+    Distances wrap periodically.  A given low, high, center or width is
+    stored as a Python float; a value that is not a real number, or does not
+    fit a float, is a ValueError naming its field.  Given values are stored
+    as a tuple of at least one Python float (NaN and +-inf kept), so
+    profiles compare and hash by value and the values cannot be rewritten in
+    place; anything but a non-empty 1-d sequence of real numbers is a
+    ValueError naming values.  Only custom reads values, and custom reads
+    none of center, width, low and high, which stay None: a field the kind
+    does not read is a ValueError naming it.
     """
 
     kind: str = STEP
     center: float = None
     width: float = None
-    low: float = 0.0
-    high: float = 1.0
+    low: float = None
+    high: float = None
     values: tuple = None
 
     def __post_init__(self):
@@ -118,12 +122,16 @@ class InitialProfile:
             raise ValueError(f"unknown profile kind {self.kind!r}, expected one of {PROFILE_KINDS}")
         if self.kind == CUSTOM and self.values is None:
             raise ValueError("custom profiles need explicit density values")
-        for name in ("center", "width") if self.kind == CUSTOM else ("values",):
+        for name in ("center", "width", "low", "high") if self.kind == CUSTOM else ("values",):
             if getattr(self, name) is not None:
                 raise ValueError(f"{name} is not read by {self.kind} profiles")
+        if self.kind != CUSTOM:
+            for name, default in (("low", 0.0), ("high", 1.0)):
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, default)
         for name in ("low", "high", "center", "width"):
             value = getattr(self, name)
-            if value is not None or name in ("low", "high"):
+            if value is not None:
                 object.__setattr__(self, name, _real(value, name))
         if self.width is not None and not self.width > 0:
             raise ValueError(f"profile width must be positive, got {self.width}")
@@ -282,21 +290,20 @@ def _check_counts(n_steps, snap_every) -> tuple:
 
 def _plan_bytes(batch: int, n_cells: int, k: int) -> int:
     """Bytes of the arrays of _step_plan(batch, n_cells) at block length k:
-    the history (k+1, B, 3, L) with k spare values, the ghost-cell index wrap
-    (L), the (k, B, n_cells) densities, the (k, B) masses and the (5, B) block
-    statistics, 8 bytes a value, where L = n_cells + 2(k+1).  _block_steps
-    sizes a plan by it, and advance keeps a plan as the spare by it."""
-    width = n_cells + 2 * k + 2
-    return 8 * ((k + 1) * batch * 3 * width + k + width + k * batch * n_cells + k * batch + 5 * batch)
+    the k+1 history slots, each (B, 4, W) with W = n_cells + k + 1, the (k,
+    B) masses and the (5, B) block statistics, 8 bytes a value.
+    _block_steps sizes a plan by it, and advance keeps a plan as the spare
+    by it."""
+    return 8 * ((k + 1) * batch * 4 * (n_cells + k + 1) + k * batch + 5 * batch)
 
 
 def _block_steps(batch: int, n_cells: int) -> int:
-    """Steps per history block: 64, fewer where the plan's arrays would pass
-    WORKING_SET_BYTES (1 MiB), and 1 where even a one-step plan is larger.
+    """States per history block: 64, fewer where the plan's arrays would pass
+    WORKING_SET_BYTES (1 MiB), and 1 where even a one-state plan is larger.
 
-    The bytes are the one count _plan_bytes, the ghost-cell index wrap
-    included, which advance also reads to keep a plan in its
-    ((B, n_cells), plan) slot, so every plan with k > 1 is kept.
+    The bytes are the one count _plan_bytes, which advance also reads to
+    keep a plan in its ((B, n_cells), plan) slot, so every plan with k > 1
+    is kept.
     """
     k = 64
     while k > 1 and _plan_bytes(batch, n_cells, k) > WORKING_SET_BYTES:
@@ -304,75 +311,102 @@ def _block_steps(batch: int, n_cells: int) -> int:
     return k
 
 
-matmul = np.matmul   # a step looks up one global, not a global and an attribute
-_ONES = np.ones(3)   # _step_stats' densities are _ONES @ states, one sum per triple
-
-
-def _step_stats(slots: np.ndarray, interior: slice, rho: np.ndarray, masses: np.ndarray,
-                out: np.ndarray) -> None:
+def _step_stats(parts, rho: np.ndarray, masses: np.ndarray, out: np.ndarray) -> None:
     """Least mass, min f, min rho, max rho and greatest mass, in that order,
-    over a block of steps' history slots (k, B, 3, m), into out (5, B).
+    over a block of k states, into out (5, B).
 
-    The states are the slots' interior cells, slots[..., interior].  min f
-    is read from the whole slots, whose other cells hold +inf or bitwise
-    copies of interior values (see advance), so the minimum is the
-    interiors'.  Writes the densities into rho (k, B, n) as one stacked
-    product _ONES @ states, which adds (f1 + f2) + f3 as density() does
-    (1.0 * x is exact, and a fused multiply-add rounds as the plain sum), and
-    each step's mass into masses (k, B), the pairwise np.add.reduce of
-    density(f).sum().  Both have density()'s bytes but for one exception: the
-    product's sums start from +0.0, so a (-0.0, -0.0, -0.0) triple has density
-    +0.0 here and -0.0 in density(), and a step whose every triple is one has
-    mass +0.0 here and -0.0 there.  A NaN step is skipped: the
-    masses are folded over the steps with np.fmin and np.fmax, and min f,
-    min rho and max rho, one exact reduction each over the whole block, are
-    recomputed per step and folded the same way when one of them is NaN.
-    (A NaN mass alone, as in a run holding +inf and -inf, needs no
-    recomputation.)  Every block tries the whole-block reductions first, so
-    each block of a run that met NaN pays for both.  The sign of a zero
-    extremum depends on the traversal order, so advance makes it +0.0.
+    parts are two stacked views of the states, (k, B, 2n) and (k, B, n),
+    that together hold every value of f, and rho the (k, B, n) view of their
+    densities, all in the history (see _step_plan).  Writes each state's mass
+    into masses (k, B), the pairwise np.add.reduce of density(f).sum().  The
+    densities are the fourth row of the states' gemm, [1 1 1] times each
+    triple, which adds (f1 + f2) + f3 as density() does (1.0 * x is exact,
+    and a fused multiply-add rounds as the plain sum).  They and the masses
+    have density()'s bytes but for one exception: the gemm's sums start from
+    +0.0, so a (-0.0, -0.0, -0.0) triple has density +0.0 here and -0.0 in
+    density(), and a state whose every triple is one has mass +0.0 here and
+    -0.0 there.  A NaN state is skipped: the masses are folded over the
+    states with np.fmin and np.fmax, and min f, min rho and max rho, exact
+    reductions over the whole block, are recomputed per state and folded
+    the same way when one of them is NaN.  (A NaN mass alone, as in a run
+    holding +inf and -inf, needs no recomputation.)  Every block tries the
+    whole-block reductions first, so each block of a run that met NaN pays
+    for both.  The sign of a zero extremum depends on the traversal order,
+    so advance makes it +0.0.
     """
-    matmul(_ONES, slots[..., interior], out=rho)
+    def least_f(axis):
+        first, second = (np.minimum.reduce(part, axis=axis) for part in parts)
+        return np.minimum(first, second, out=second)
+
     np.add.reduce(rho, axis=2, out=masses)
     np.fmin.reduce(masses, axis=0, out=out[0])
     np.fmax.reduce(masses, axis=0, out=out[4])
-    np.minimum.reduce(slots, axis=(0, 2, 3), out=out[1])
+    out[1] = least_f((0, 2))
     np.minimum.reduce(rho, axis=(0, 2), out=out[2])
     np.maximum.reduce(rho, axis=(0, 2), out=out[3])
     if np.isnan(out[1:4]).any():
-        np.fmin.reduce(np.minimum.reduce(slots, axis=(2, 3)), axis=0, out=out[1])
+        np.fmin.reduce(least_f(2), axis=0, out=out[1])
         np.fmin.reduce(np.minimum.reduce(rho, axis=2), axis=0, out=out[2])
         np.fmax.reduce(np.maximum.reduce(rho, axis=2), axis=0, out=out[3])
 
 
+_DENSITIES = np.ones((4, 3))   # the final state's product: every row is its densities
+
+
+def _products(R: np.ndarray) -> tuple:
+    """The gemms of a batch with relaxation matrices R (B, 3, 3), as functions
+    (state, slot): a step's, R4 = [R; 1 1 1] times the state, and the last
+    state's, _DENSITIES times it.  A batch of one multiplies 2-D views with
+    ndarray.dot, a larger one calls matmul over the runs."""
+    R4 = np.ones((len(R), 4, 3))
+    R4[:, :3] = R
+    if len(R) == 1:
+        return R4[0].dot, _DENSITIES.dot
+    return functools.partial(np.matmul, R4), functools.partial(np.matmul, _DENSITIES)
+
+
 def _step_plan(batch: int, n_cells: int) -> tuple:
     """What advance's steps use that depends only on (B, n_cells): the block
-    length k from _block_steps, the batch index of the step views (0 for a
-    batch of one, which steps with 2-D matmuls, else the whole batch), the
-    interior slice, the history and its per-step matmul views, the
-    ghost-cell index wrap and the statistics buffers, whose bytes _plan_bytes
-    counts.  advance indexes R with the batch index, so the batch-of-one
-    rule is stated here only, and keeps the plan as the spare slot
+    length k from _block_steps, the batch index of the step operands (0 for
+    a batch of one, which steps with 2-D ndarray.dot calls, else the whole
+    batch), the history written through a memoryview (a batch of one) or as
+    a flat array, the k+1 slots and their states, each step's fix-up as
+    (destination, source) in the history, the stacked views of the states'
+    components and densities that _step_stats reduces, the pieces of state
+    0 that the refresh fills and the statistics buffers, whose bytes
+    _plan_bytes counts.  advance keeps the plan as the spare slot
     ((B, n_cells), plan) when its arrays fit WORKING_SET_BYTES."""
     block = _block_steps(batch, n_cells)
-    edge = block + 1
-    width = n_cells + 2 * edge
-    slot = batch * 3 * width
-    # shifted[j] starts at cell j of slot j+1; the unused tail of its rows
-    # runs up to block - 1 values past the last slot, hence the spare values.
-    # The cells no step writes stay +inf, so min f can read whole slots.
-    buf = np.full((block + 1) * slot + block, np.inf)
-    hist = buf[:(block + 1) * slot].reshape(block + 1, batch, 3, width)
-    shifted = np.ndarray((block, batch, 3, width - 2), buffer=buf, offset=slot * buf.itemsize,
-                         strides=np.multiply((slot + 1, 3 * width, width + 1, 1), buf.itemsize))
+    width = n_cells + block + 1   # W, slot 0's row length
+    run = 4 * width               # S, from a run's slot to the next run's
+    pitch = batch * run           # P, from a slot to the next
+    buf = np.empty((block + 1) * pitch)
+
+    def view(offset, shape, strides):
+        return np.ndarray(shape, buffer=buf, offset=8 * offset, strides=tuple(8 * s for s in strides))
+
     runs = 0 if batch == 1 else slice(None)
-    ins = [hist[j, runs, :, 1 + j:width - 1 - j] for j in range(block)]
-    outs = [shifted[j, runs, :, :width - 2 - 2 * j] for j in range(block)]
-    wrap = edge + (np.arange(width) - edge) % n_cells
-    rho = np.empty((block, batch, n_cells))
+    slots, states, fixes = [], [], []
+    for j in range(block + 1):
+        w = width - j
+        slots.append(view(j * pitch, (batch, 4, w), (run, w, 1))[runs])
+        states.append(view(j * pitch + 1, (batch, 3, w - 1), (run, w - 1, 1))[runs])
+        if j:   # after step j - 1, row 1's last cell of slot j, which state j
+            # reads as row 2's cell 0, takes row 2's cell n_cells - 1
+            at, copy = j * pitch + 2 * w - 1, j * pitch + 2 * w + n_cells - 1
+            fixes.append((at, copy) if batch == 1 else
+                         (slice(at, at + pitch, run), slice(copy, copy + pitch, run)))
+    # a state's row 0 from its last n_cells cells on into row 1's first
+    # n_cells, and its row 2's first n_cells, hold every value of f
+    parts = [view(width - n_cells, (block, batch, 2 * n_cells), (pitch - 1, run, 1)),
+             view(2 * width - 1, (block, batch, n_cells), (pitch - 2, run, 1))]
+    rho = view(pitch + 3 * (width - 1), (block, batch, n_cells), (pitch - 3, run, 1))
+    history = memoryview(buf) if batch == 1 else buf
+    # the refresh fills state 0 in pieces of at most n_cells cells
+    refresh = [states[0][..., at:at + n_cells] for at in range(0, width - 1, n_cells)]
     masses = np.empty((block, batch))
     stats = np.empty((5, batch))
-    return block, runs, slice(edge, edge + n_cells), hist, ins, outs, wrap, rho, masses, stats
+    return block, runs, history, slots, states, fixes, parts, rho, refresh, masses, stats
 
 
 # The one spare step plan, as ((B, n_cells), plan) under the key None.  A call
@@ -404,48 +438,50 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     """Relax-then-stream a batch of runs n_steps times.
 
     f0 has shape (B, n_cells, 3) and R, shape (B, 3, 3), is each run's
-    relaxation matrix; neither is written to.  The states live
-    component-major in a block of history slots (k+1, B, 3, L), each row
-    padded with E = k+1 periodic ghost cells on both sides (L = n_cells + 2E).
-    Step j is one matmul of R with slot j's still-valid cells, written
-    through a view of slot j+1 whose row stride is L+1, so the three
-    components land one cell down, in place and one cell up: the write
-    address does the streaming, and the valid window shrinks by a cell on
-    each side.  A state enters slot 0 one way only: the ghost refresh,
-    which fills the whole of slot 0 from the interior of another slot.  f0
-    is written into the interior of the last slot and refreshed into slot 0
-    before the first block, and each block refreshes slot 0 from its last
-    slot at its end, so the final state is read from slot 0.  The densities
-    and snapshots are read from the slots' interiors, in no second layout.
-    A batch of one steps with 2-D matmuls, through views without the batch
-    axis; _step_plan gives the batch index that R is read with.
-    _block_steps sets k: at most 64 steps, and at most WORKING_SET_BYTES
-    (1 MiB) of plan arrays by the one byte count _plan_bytes, which counts
-    the ghost-cell index wrap too, so memory stays O(B * n_cells).
+    relaxation matrix; neither is written to.  The states live in a block of
+    k+1 history slots.  Slot j holds, per run, a C-contiguous (4, W - j)
+    block, W = n_cells + k + 1: the post-collision triple of state j-1 and,
+    in row 3, the densities of state j-1.  The layout is slot-major: a run's
+    slot is S = 4W values from the next run's and P = B * S from its next
+    slot, so the operands of a batch's step never share bounds (NumPy's
+    overlap check would otherwise copy them).  State j is the C-contiguous
+    (3, W - j - 1) view that starts one value into slot j.  Its rows are one
+    value shorter than the slot's, so row r reads the slot's cell c + 1 - r
+    as cell c: the read address does the streaming.  The one value it takes
+    from the wrong row, row 2's cell 0, is the slot's last cell of row 1,
+    which no read uses as row 1; after each step it is overwritten with its
+    periodic copy, row 2's cell n_cells - 1 (a scalar copy through a
+    memoryview for a batch of one).  So every cell of every state is a copy
+    of a lattice cell: cell c of state j holds lattice cell c mod n_cells.
 
-    The history starts filled with +inf, and min f over a block's steps is
-    one reduction over their whole slots.  The refresh maps every cell of
-    slot 0 to an interior cell, and every cell a step writes is R times a
-    triple bitwise equal to that of the interior cell it is a periodic copy
-    of (the refresh copies whole triples, and the product rounds every
-    column alike), so it holds that cell's value bit for bit; the cells no
-    step writes stay +inf, so the minimum is the interiors'.  Step j writes
-    the same cells of slot j+1 in every block, and the refresh all of slot
-    0, so no value of an earlier block or call is read.  Step 0's
-    statistics are those of slot 0, read as each block's are.
+    Step j is one gemm of R4 = [R; 1 1 1] with state j into slot j+1
+    (_products): ndarray.dot on 2-D views for a batch of one, matmul over
+    the runs otherwise.  Every state, the final one included, is read by one
+    gemm, whose fourth row gives its densities; the final state's gemm is of
+    a matrix of ones, whose triple no state reads, so that it makes a NaN
+    only where a density does.  A block holds k states, each a cell shorter
+    than the one before; at its end the refresh copies its last slot's state
+    (the next block's first) into state 0, extended periodically to W - 1
+    cells.  f0 enters state 0 the same way, and the first block is state 0
+    alone, whose statistics start the run's.  The statistics, snapshots and
+    final state are read from n_cells-cell windows of the states and the
+    fourth rows, in no second layout, and every value a call reads was
+    written in that call.  _block_steps sets k: at most 64 states, and at
+    most WORKING_SET_BYTES (1 MiB) of plan arrays by the one byte count
+    _plan_bytes, so memory stays O(B * n_cells).
 
     Once per block, _step_stats reduces the block's states to min f, min
-    rho, max rho and the least and the greatest per-step mass; one np.fmin
-    folds the minima and the least mass into the run's, and one np.fmax the
-    greatest mass and max rho, so NaN steps are skipped and a NaN start is
-    kept.  A zero min_f, min_rho or max_rho is +0.0.  The mass drift is formed
-    once, at the end, from the least and the greatest mass; it is NaN where
-    the initial mass is not finite.  The step views and buffers depend only on
-    (B, n_cells).  A call keeps them between calls in the one spare slot,
+    rho, max rho and the least and the greatest mass; one np.fmin folds the
+    minima and the least mass into the run's, and one np.fmax the greatest
+    mass and max rho, so NaN states are skipped and a NaN start is kept.  A
+    zero min_f, min_rho or max_rho is +0.0.  The mass drift is formed once,
+    at the end, from the least and the greatest mass; it is NaN where the
+    initial mass is not finite.  The views and buffers depend only on (B,
+    n_cells).  A call keeps them between calls in the one spare slot,
     _spare[None] = ((B, n_cells), plan), whenever _plan_bytes fits
-    WORKING_SET_BYTES, that is, unless even a one-step plan is larger; a call
-    of the same shape takes them from there, and concurrent calls never share
-    them.
+    WORKING_SET_BYTES, that is, unless even a one-state plan is larger; a
+    call of the same shape takes them from there, and concurrent calls never
+    share them.
 
     The states and snapshots are bitwise equal to those of the step-by-step
     reference (f @ R.T, then the movers rolled; see the module docstring),
@@ -458,9 +494,10 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     equals the reference run on two equal cells.  A run's result does not
     depend on the rest of its batch.
 
-    A cell holding +inf and -inf has a NaN density, whose product warns
-    "invalid value encountered in matmul" (the densities are a matmul, see
-    _step_stats), as a step's product that makes a NaN does.
+    A cell holding +inf and -inf has a NaN density.  Its gemm warns once,
+    "invalid value encountered in dot" for a batch of one and "... in
+    matmul" otherwise, as a step that makes a NaN in a state does; a NaN
+    that is already there makes no warning.
 
     snap_every > 0 records the states every that many steps (step 0 and the
     final step included), and 0 records none.  n_steps and snap_every must
@@ -476,40 +513,48 @@ def advance(f0, R, n_steps: int, snap_every: int = 0) -> BatchRun:
     batch, n_cells, _ = f0.shape
     shape, plan = _spare.pop(None, (None, None))
     if shape != (batch, n_cells):
-        del plan   # freed before the new plan's +inf fill touches its pages
+        del plan   # freed before the new plan is allocated
         plan = _step_plan(batch, n_cells)
-    block, runs, interior, hist, ins, outs, wrap, rho, masses, stats = plan
+    block, runs, history, slots, states, fixes, parts, rho, refresh, masses, stats = plan
     snap_steps = (tuple(sorted(set(range(0, n_steps + 1, snap_every)) | {n_steps}))
                   if snap_every > 0 else ())
     snapshots = np.empty((len(snap_steps), batch, n_cells, 3))
-    snapshots[:1] = f0   # step 0, when there are snapshots
-    R = R[runs]
-    hist[block, :, :, interior] = f0.transpose(0, 2, 1)
-    np.take(hist[block], wrap, axis=2, out=hist[0], mode="clip")
-    _step_stats(hist[:1], interior, rho[:1], masses[:1], stats)
-    mass0 = masses[0].copy()
-    # running is laid out as stats: min mass, min f and min rho fold with
-    # np.fmin, max rho and max mass with np.fmax.  NaN steps are skipped, and
-    # as neither makes a NaN, only a NaN start stays NaN, so the masks are
-    # fixed; a non-finite mass0 starts both mass extrema at NaN (no drift).
-    running = stats.copy()
-    running[0] = running[4] = np.where(np.isfinite(mass0), mass0, np.nan)
-    lows, highs = running[:3], running[3:]
-    keep_lows, keep_highs = ~np.isnan(lows), ~np.isnan(highs)
-    done, snapped = 0, 1
-    while done < n_steps:
-        k = min(block, n_steps - done)
-        for a, b in zip(ins[:k], outs[:k]):
-            matmul(R, a, b)
-        _step_stats(hist[1:k + 1], interior, rho[:k], masses[:k], stats)
-        np.fmin(lows, stats[:3], out=lows, where=keep_lows)
-        np.fmax(highs, stats[3:], out=highs, where=keep_highs)
-        while snapped < len(snap_steps) and snap_steps[snapped] <= done + k:
-            snapshots[snapped] = hist[snap_steps[snapped] - done, :, :, interior].transpose(0, 2, 1)
+    step, last_step = _products(R)
+    cells = f0.transpose(0, 2, 1)[runs]
+    done, k, snapped = 0, 1, 0   # the first block is state 0 alone
+    while True:
+        for piece in refresh:
+            np.copyto(piece, cells[..., :piece.shape[-1]])
+        last = done + k > n_steps   # the block ends with the final state
+        for a, b, (at, copy) in zip(states[:k - last], slots[1:], fixes):
+            step(a, b)
+            history[at] = history[copy]
+        if last:
+            last_step(states[k - 1], slots[k])
+        _step_stats([part[:k] for part in parts], rho[:k], masses[:k], stats)
+        if done:
+            np.fmin(lows, stats[:3], out=lows, where=keep_lows)
+            np.fmax(highs, stats[3:], out=highs, where=keep_highs)
+        else:
+            # running is laid out as stats: min mass, min f and min rho fold
+            # with np.fmin, max rho and max mass with np.fmax.  NaN states are
+            # skipped, and as neither makes a NaN, only a NaN start stays NaN,
+            # so the masks are fixed; a non-finite mass0 starts both mass
+            # extrema at NaN (no drift).
+            mass0 = masses[0].copy()
+            running = stats.copy()
+            running[0] = running[4] = np.where(np.isfinite(mass0), mass0, np.nan)
+            lows, highs = running[:3], running[3:]
+            keep_lows, keep_highs = ~np.isnan(lows), ~np.isnan(highs)
+        while snapped < len(snap_steps) and snap_steps[snapped] < done + k:
+            snapshots[snapped] = np.swapaxes(states[snap_steps[snapped] - done][..., :n_cells], -1, -2)
             snapped += 1
-        np.take(hist[k], wrap, axis=2, out=hist[0], mode="clip")
+        if last:
+            break
+        cells = states[k][..., :n_cells]
         done += k
-    f = hist[0, :, :, interior].transpose(0, 2, 1).copy()
+        k = min(block, n_steps + 1 - done)
+    f = np.swapaxes(states[k - 1][..., :n_cells], -1, -2).copy().reshape(batch, n_cells, 3)
     if _plan_bytes(batch, n_cells, block) <= WORKING_SET_BYTES:
         _spare[None] = ((batch, n_cells), plan)
     low_mass, min_f, min_rho, max_rho, high_mass = running

@@ -10,9 +10,10 @@ row.  The variable is read at import, so each kernel runs in its own
 interpreter; a BLAS that is not OpenBLAS ignores it, and the check then runs
 twice on the one kernel it has.  The byte-pinned tests (PINNED) hold one pin
 per gemm summation order, chosen by conftest.gemm_order; they run here under
-both kernels too.  advance's densities are a BLAS product too, of a ones
-vector with each step's states, and their bytes must not depend on the
-kernel: they are the bytes of np.add.reduce, under either kernel.
+both kernels too.  advance's densities are a BLAS product too, the fourth
+row [1 1 1] of each step's gemm (ndarray.dot for a batch of one, matmul for
+more), and their bytes must not depend on the kernel: they are the bytes of
+np.add.reduce, under either kernel.
 """
 
 import json
@@ -47,27 +48,37 @@ print(json.dumps({"mismatches": mismatches, "sha256": hashlib.sha256(batch.tobyt
 DENSITY_SCRIPT = """
 import json
 import numpy as np
-from d1q3rv.simulator import _step_stats, density
+from d1q3rv.simulator import _products, _step_plan, _step_stats, density
 
 rng = np.random.default_rng(31)
 special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e-300])
 failures = []
 for k, batch, n in [(64, 1, 200), (11, 12, 200), (1, 100, 200), (64, 1, 1), (64, 1, 24)]:
-    slots = rng.standard_normal((k, batch, 3, n + 6)) * 10.0 ** rng.integers(-8, 8, (k, batch, 3, n + 6))
-    mixed = rng.random(slots.shape) < 0.1
-    slots[mixed] = rng.choice(special, mixed.sum())
-    slots.transpose(0, 1, 3, 2)[rng.random((k, batch, n + 6)) < 0.05] = -0.0
-    states = slots[..., 3:3 + n]
-    rho, masses, out = np.empty((k, batch, n)), np.empty((k, batch)), np.empty((5, batch))
+    block, runs, _, slots, states, _, parts, rho, _, masses, out = _step_plan(batch, n)
+    step, last_step = _products(rng.uniform(-2, 2, (batch, 3, 3)))
+    assert k <= block
+    reduced, summed, zeros = [], [], []
+    for j in range(k):
+        f = np.empty((batch, 3, states[j].shape[-1]))
+        f[...] = rng.standard_normal(f.shape) * 10.0 ** rng.integers(-8, 8, f.shape)
+        mixed = rng.random(f.shape) < 0.1
+        f[mixed] = rng.choice(special, mixed.sum())
+        f.transpose(0, 2, 1)[rng.random((batch, f.shape[-1])) < 0.05] = -0.0
+        states[j][...] = f[runs]
+        with np.errstate(all="ignore"):
+            # the last state's gemm is the final state's, of a matrix of ones
+            (step if j < k - 1 else last_step)(states[j], slots[j + 1])
+            reduced.append(np.add.reduce(f, axis=1))
+            zeros.append(((f == 0) & np.signbit(f)).all(axis=1))
+            # density() gives -0.0 for an all-(-0.0) triple, the gemm +0.0
+            summed.append(np.where(zeros[-1], 0.0, density(f.transpose(0, 2, 1))))
     with np.errstate(all="ignore"):
-        _step_stats(slots, slice(3, 3 + n), rho, masses, out)
-        reduced = np.add.reduce(states, axis=2)
-        negative_zero = ((states == 0) & np.signbit(states)).all(axis=2)
-        # density() gives -0.0 for an all-(-0.0) triple, the product +0.0
-        summed = np.where(negative_zero, 0.0, density(states.transpose(0, 1, 3, 2)))
-    if (rho.tobytes() != reduced.tobytes() or rho.tobytes() != summed.tobytes()
-            or masses.tobytes() != np.add.reduce(summed, axis=2).tobytes()
-            or not negative_zero.any()):
+        _step_stats([part[:k] for part in parts], rho[:k], masses[:k], out)
+        want_masses = np.add.reduce(np.stack([d[:, :n] for d in summed]), axis=2)
+    densities = [slots[j + 1].reshape(batch, 4, -1)[:, 3] for j in range(k)]
+    if (any(d.tobytes() != r.tobytes() or d.tobytes() != t.tobytes()
+            for d, r, t in zip(densities, reduced, summed))
+            or masses[:k].tobytes() != want_masses.tobytes() or not any(z.any() for z in zeros)):
         failures.append([k, batch, n])
 print(json.dumps({"failures": failures}))
 """
@@ -76,7 +87,9 @@ print(json.dumps({"failures": failures}))
 ROOT = Path(__file__).resolve().parents[1]
 
 PINNED = ["tests/test_cli.py::test_simulate_output_files_are_pinned",
-          "tests/test_simulator.py::test_run_of_an_infinite_profile_warns_once_from_the_l1_error"]
+          "tests/test_simulator.py::test_run_of_an_infinite_profile_warns_once_from_the_l1_error",
+          "tests/test_simulator.py::test_advance_step_counts_around_a_block",
+          "tests/test_simulator.py::test_advance_batch_equals_single_runs"]
 
 
 def kernel_env(kernel):

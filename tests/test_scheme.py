@@ -52,11 +52,13 @@ def test_a_record_holds_its_numbers_as_python_floats(name, record):
         assert type(value) is float and value.hex() == float(x).hex(), (x, value)
     for x in (np.array([0.1, 0.2]), np.array(0.5), "0.5", Decimal("0.5"), 10**400, 1j,
               *(np.longdouble(v) for v in (["1e400", "-1e400"] if WIDE_LONGDOUBLE else [])),
-              *([] if name in ("center", "width") else [None])):
+              *([] if name in ("center", "width", "low", "high") else [None])):
         with pytest.raises(ValueError, match=f"^{name} must be a real number that fits a float"):
             record(**{name: x})
     if name in ("center", "width"):
         assert getattr(record(), name) is None
+    if name in ("low", "high"):   # None takes the default
+        assert getattr(record(**{name: None}), name) == {"low": 0.0, "high": 1.0}[name]
     if name not in ("lam", "center", "width"):
         for x in (math.nan, math.inf, -math.inf, np.float64(-math.inf), np.longdouble("inf")):
             assert getattr(record(**{name: x}), name).hex() == float(x).hex()

@@ -176,11 +176,23 @@ def test_custom_values_are_checked_when_the_profile_is_built(values):
 
 
 @pytest.mark.parametrize("kind,name", [(STEP, "values"), (HAT, "values"), (SMOOTH, "values"),
-                                       (CUSTOM, "center"), (CUSTOM, "width")])
+                                       (CUSTOM, "center"), (CUSTOM, "width"), (CUSTOM, "low"),
+                                       (CUSTOM, "high")])
 def test_profile_refuses_a_field_its_kind_does_not_read(kind, name):
     extra = {name: 0.2} if kind == CUSTOM else {}
     with pytest.raises(ValueError, match=f"^{name} is not read by {kind} profiles$"):
         InitialProfile(kind=kind, values=[1, 2, 3], **extra)
+
+
+def test_profile_low_and_high_default_where_they_are_read():
+    for kind in (STEP, HAT, SMOOTH):
+        profile = InitialProfile(kind=kind)
+        assert (profile.low, profile.high) == (0.0, 1.0) and type(profile.low) is float
+        assert InitialProfile(kind=kind, high=2) == InitialProfile(kind=kind, low=0, high=2.0)
+    custom = InitialProfile(kind=CUSTOM, values=[1, 2, 3, 4, 5])
+    assert custom.low is None and custom.high is None
+    with pytest.raises(ValueError, match="^low is not read by custom profiles$"):
+        InitialProfile(kind=CUSTOM, values=[1, 2, 3, 4, 5], low=5, high=-3)
 
 
 def test_profile_kind_validation():
@@ -438,20 +450,33 @@ def test_advance_keeps_a_nan_start_that_later_turns_finite():
     assert np.isnan([out.min_rho[0], out.max_rho[0], out.mass_drift[0]]).all()
 
 
-def test_an_infinite_difference_in_a_density_warns_in_matmul():
-    # cell 2 holds +inf and -inf, so its density is NaN: the densities are one
-    # matmul, which warns once, and a step's product that makes a NaN warns the
-    # same; a NaN that is already there makes no warning
-    f0 = np.ones((1, 6, 3))
-    f0[0, 2] = (np.inf, 1.0, -np.inf)
-    R = np.full((1, 3, 3), 1 / 3)
-    invalid = (RuntimeWarning, "invalid value encountered in matmul")
-    for n_steps, expected in ((0, [invalid]), (1, [invalid] * 2), (70, [invalid] * 2)):
+@pytest.mark.parametrize("batch,gemm", [(1, "dot"), (2, "matmul")])
+def test_an_infinite_difference_in_a_density_warns_once_in_its_gemm(batch, gemm):
+    # cell 2 holds +inf and -inf, so its density is NaN: a state's densities
+    # are the fourth row of the gemm that steps it, and the one gemm that
+    # makes the NaNs of the density and of the step warns once; a NaN that is
+    # already there makes no warning.  The masses' reduction meets the NaN
+    # densities only, silently.
+    f0 = np.ones((batch, 6, 3))
+    f0[:, 2] = (np.inf, 1.0, -np.inf)
+    R = np.full((batch, 3, 3), 1 / 3)
+    invalid = (RuntimeWarning, f"invalid value encountered in {gemm}")
+    for n_steps in (0, 1, 70):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             out = advance(f0, R, n_steps)
-        assert [(w.category, str(w.message)) for w in caught] == expected, n_steps
-        assert np.isnan([out.min_rho[0], out.max_rho[0], out.mass_drift[0]]).all()
+        assert [(w.category, str(w.message)) for w in caught] == [invalid], n_steps
+        assert np.isnan([out.min_rho, out.max_rho, out.mass_drift]).all()
+    # +inf and +inf make no NaN density, but R's mixed signs make NaN in the
+    # step: the final state's gemm, whose triple no state reads, does not warn
+    f0[:, 2] = (np.inf, 1.0, np.inf)
+    R[:, :, 2] *= -1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert np.isinf(advance(f0, R, 0).max_rho).all()
+        assert not caught
+        advance(f0, R, 1)
+    assert [(w.category, str(w.message)) for w in caught] == [invalid]
 
 
 BLOCK = _block_steps(1, 200)
@@ -476,39 +501,37 @@ def test_advance_snapshot_cadence_across_blocks():
 
 
 def test_advance_block_stays_under_a_mebibyte():
-    for batch, n_cells in ((1, 200), (12, 200), (1, 600), (100, 2), (1, 406)):
+    for batch, n_cells in ((1, 200), (12, 200), (1, 600), (100, 2), (1, 450), (3, 4000)):
         k = _block_steps(batch, n_cells)
-        history = (k + 1) * batch * 3 * (n_cells + 2 * (k + 1)) + k   # ghost-padded, k spare
-        wrap = n_cells + 2 * (k + 1)                                   # the ghost-cell index
-        density = k * batch * n_cells                                  # rows _step_stats reduces
-        masses = k * batch                                             # per-step masses
-        stats = 5 * batch                                              # the block's statistics
-        assert 8 * (history + wrap + density + masses + stats) <= 2**20
+        history = (k + 1) * batch * 4 * (n_cells + k + 1)   # k+1 slots of 4 rows, k+1 ghost cells
+        masses = k * batch                                   # per-state masses
+        stats = 5 * batch                                    # the block's statistics
+        assert 8 * (history + masses + stats) <= 2**20
     assert _block_steps(1, 200) == 64
     assert _block_steps(12, 200) == 11
     assert _block_steps(3, 4000) == 1
     assert _block_steps(1, 1_000_000) == 1
-    assert _block_steps(1, 406) == 63
+    assert _block_steps(1, 450) == 62
 
 
 def test_one_byte_count_sizes_and_keeps_the_step_plan(monkeypatch):
     # _block_steps and advance's keep rule read one count, _plan_bytes, and it
-    # is the plan's arrays' bytes, the ghost-cell index included.  A block
-    # length chosen without the index put (1, 406) 808 bytes over budget, and
+    # is the plan's arrays' bytes.  A block length chosen by another count
+    # than the kept plan's once left shapes such as (1, 406) over budget, and
     # advance rebuilt its plan on every call.
     rng = np.random.default_rng(32)
-    shapes = [(1, 406), (1, 415), (12, 126),
+    shapes = [(1, 406), (1, 415), (1, 450), (12, 126), (3, 4000),
               *zip(rng.integers(1, 13, 24).tolist(), rng.integers(1, 3000, 24).tolist())]
     for batch, n_cells in shapes:
-        block, _, _, hist, _, _, wrap, rho, masses, stats = simulator._step_plan(batch, n_cells)
-        nbytes = sum(a.nbytes for a in (hist.base, wrap, rho, masses, stats))
+        block, _, _, slots, _, _, _, _, _, masses, stats = simulator._step_plan(batch, n_cells)
+        nbytes = sum(a.nbytes for a in (slots[0].base, masses, stats))
         assert simulator._plan_bytes(batch, n_cells, block) == nbytes, (batch, n_cells)
         assert block == 1 or nbytes <= WORKING_SET_BYTES
-    f0, R = rng.uniform(0, 1, (1, 406, 3)), rng.uniform(0, 0.5, (1, 3, 3))
+    f0, R = rng.uniform(0, 1, (1, 450, 3)), rng.uniform(0, 0.5, (1, 3, 3))
     simulator._spare.clear()
     want = advance(f0, R, 70)
     shape, plan = simulator._spare[None]
-    assert shape == (1, 406) and plan[0] == 63
+    assert shape == (1, 450) and plan[0] == 62
 
     def rebuild(*args):
         raise AssertionError("the spare plan was rebuilt")
@@ -568,6 +591,34 @@ def test_advance_matches_step_loop_on_non_finite_runs_across_block_seams(kind, b
         assert not np.isnan([out.min_f, out.min_rho, out.max_rho, out.mass_drift]).any()
 
 
+@pytest.mark.parametrize("batch", [1, 3])
+def test_no_step_reads_a_component_off_its_lattice_cell(batch):
+    # R's rows have the signs (+, -, +), so a step makes infinities of both
+    # signs, yet read from their own cells they never meet in a triple: the
+    # reference below holds no NaN.  +inf in component 0 of cell 0 and -inf
+    # in component 2 of cell 300 spread a cell a step each way and meet only
+    # after 150 steps.  A component read from another row or cell, as row
+    # 2's cell 0 is when the periodic copy after each step is skipped, puts
+    # infinities of both signs into one triple, and its gemm's inf - inf
+    # warns, an error in this suite.  Only the masses, sums over both
+    # fronts, are inf - inf.
+    n_cells = 600
+    n_steps = 2 * _block_steps(batch, n_cells) + 3
+    assert n_steps < n_cells // 4
+    rng = np.random.default_rng(40)
+    f0 = rng.uniform(0.5, 1, (batch, n_cells, 3))
+    f0[:, 0, 0], f0[:, n_cells // 2, 2] = np.inf, -np.inf
+    R = rng.uniform(0.1, 1, (batch, 3, 3)) * np.array([1.0, -1.0, 1.0])[:, None]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "invalid value encountered in reduce", RuntimeWarning)
+        out = advance(f0, R, n_steps, snap_every=1)
+        for b in range(batch):
+            assert_matches_reference(out, b, f0[b], R[b], n_steps, snap_every=1)
+    assert not np.isnan(out.snapshots).any()
+    assert np.isposinf(out.f).any() and np.isneginf(out.f).any()
+    assert np.isnan(out.mass_drift).all() and (out.min_f == -np.inf).all()
+
+
 def test_advance_skips_a_nan_that_first_appears_mid_block():
     # A finite start and a mixed-sign R that overflows: f first holds inf and
     # NaN a few steps apart, mid-way through the second block, after finite
@@ -598,12 +649,13 @@ POSITIVE_ROWS = [(0.25, 0.0, 1.0, 1.0, 0.0), (0.5, 0.0, 1.0, 1.0, 0.0), (0.25, 0
 
 
 @pytest.mark.parametrize("batch", [1, 3])
-def test_advance_min_f_over_whole_slots_is_the_states_least_f(batch):
-    # min f is one reduction over whole history slots, whose cells no step
-    # writes hold +inf.  With R > 0 and a positive start the least f is
-    # positive, so a slot cell holding anything else, such as the 0.0 of a
-    # fresh page, would show; a partial last block and a second call on the
-    # spare plan, with larger values, read the same slots.
+def test_advance_min_f_is_the_states_least_f(batch):
+    # min f reduces two stacked views of each block's states: row 0 from its
+    # last n_cells cells on into row 1, and row 2.  With R > 0 and a positive
+    # start the least f is positive, so a cell of the history that no call
+    # wrote, such as the 0.0 of a fresh page, would show; a partial last block
+    # and a second call on the spare plan, with larger values, read the same
+    # slots.
     n_cells = 200
     cases = [initial(InitialProfile(kind=SMOOTH, low=0.5), n_cells, params(*row))
              for row in POSITIVE_ROWS[:batch]]
@@ -621,11 +673,15 @@ def test_advance_min_f_over_whole_slots_is_the_states_least_f(batch):
     assert plans[0] is plans[1]
 
 
-def block_stats(slots, interior, n_cells):
-    """_step_stats of a block of slots (k, B, 3, m) into fresh buffers, zeros as +0.0."""
-    k, batch = slots.shape[:2]
+def block_stats(states):
+    """_step_stats of a block of states (k, B, 3, n) into fresh buffers, zeros as +0.0.
+
+    The parts are laid out as advance's views read them: row 0 run on into
+    row 1, then row 2; the densities are np.add.reduce's."""
+    k, batch = states.shape[:2]
     out = np.empty((5, batch))
-    _step_stats(slots, interior, np.empty((k, batch, n_cells)), np.empty((k, batch)), out)
+    parts = [np.concatenate([states[:, :, 0], states[:, :, 1]], axis=2), states[:, :, 2]]
+    _step_stats(parts, np.add.reduce(states, axis=2), np.empty((k, batch)), out)
     return out + 0.0
 
 
@@ -633,27 +689,24 @@ def test_step_stats_skip_a_nan_step_as_if_the_block_had_not_held_it():
     # One step of run 1 holds NaN, so the whole-block reductions are NaN and
     # the per-step ones run for the block.  Each run's statistics must have
     # the bytes of its block without its NaN steps, reduced whole: run 0
-    # keeps all five steps, run 1 the other four.  min f read from slots that
-    # pad the states with +inf is the states' own.
+    # keeps all five steps, run 1 the other four.
     rng = np.random.default_rng(13)
     states = rng.choice([-0.0, 0.0, 0.25, -1.5, 2.0], (5, 2, 3, 7))
     states[3, 1, 0, 4] = np.nan
-    slots = np.pad(states, ((0, 0), (0, 0), (0, 0), (2, 3)), constant_values=np.inf)
-    got = block_stats(states, slice(None), 7)
+    got = block_stats(states)
     assert np.isfinite(got).all()
-    assert block_stats(slots, slice(2, 9), 7).tobytes() == got.tobytes()
     for b, n_kept in ((0, 5), (1, 4)):
         kept = ~np.isnan(states[:, b]).any(axis=(1, 2))
         assert kept.sum() == n_kept
         alone = states[kept, b:b + 1]
         assert not np.isnan(alone).any()
-        assert block_stats(alone, slice(None), 7).tobytes() == got[:, b:b + 1].tobytes()
+        assert block_stats(alone).tobytes() == got[:, b:b + 1].tobytes()
 
 
 def test_step_zero_is_read_from_a_refreshed_slot():
-    # advance's step 0 statistics are those of slot 0, which the ghost refresh
+    # advance's step 0 statistics are those of state 0, which the refresh
     # fills from f0.  A second call of the same shape takes the spare plan,
-    # whose slot 0 still holds the first call's smaller values; with no steps
+    # whose slots still hold the first call's smaller values; with no steps
     # it must still give exactly f0's extrema.
     rng = np.random.default_rng(34)
     first = rng.uniform(0, 1, (2, 30, 3))
